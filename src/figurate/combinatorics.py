@@ -212,7 +212,13 @@ class NumberTriangle:
 
 
 def number_triangle(family: str, max_row: int) -> NumberTriangle:
-    """All rows of the named family up to max_row inclusive."""
+    """All rows of the named family up to max_row inclusive.
+
+    Raises ValueError when max_row lies before the family's first row
+    (0, or 1 for eulerian1).
+    """
+    if max_row < 0:
+        raise ValueError(f"max_row must be nonnegative, got {max_row}")
     if family == "stirling1":
         rows = tuple(_STIRLING1.row(k) for k in range(max_row + 1))
         return NumberTriangle(family, rows)

@@ -4,7 +4,9 @@ A_p is lower triangular with entries a(k, j) = s(k, j) / k! (unsigned
 first-kind Stirling numbers), so that the column vector of F_n^1..F_n^p
 equals A_p times the column vector of n..n^p. Its inverse has the closed
 form a'(k, j) = (-1)^(k-j) * j! * S(k, j), and certify_inverse checks the
-closed form against a forward-substitution inversion, exactly.
+closed form as a two-sided inverse and against a forward-substitution
+inversion, exactly. Row k of A_p times k! is the integer row s(k, .), so
+all three checks run over plain integers after that one row scaling.
 
 Matrix indices are 1-based at the API surface.
 """
@@ -134,15 +136,71 @@ def invert_exact(m: RationalMatrix) -> RationalMatrix:
 
 def certify_inverse(p: int) -> bool:
     """True iff the closed-form inverse is the exact two-sided inverse of
-    A_p and matches the forward-substitution inversion entrywise."""
-    a = build_fermat(p)
-    closed = inverse_closed(p)
-    ident = RationalMatrix.identity(p)
-    return (
-        (a @ closed) == ident
-        and (closed @ a) == ident
-        and invert_exact(a) == closed
-    )
+    A_p and matches the forward-substitution inversion entrywise.
+
+    The checks run on the matrices build_fermat(p) and inverse_closed(p)
+    return, over integers. Let S1 be A_p with row k scaled by k! and C the
+    closed form. Then A_p C = I is S1 C = diag(k!), C A_p = I is
+    sum_i C[k][i] S1[i][j] (k!/i!) = k! [k == j], and forward substitution
+    on A_p is forward substitution on S1 with row k's right-hand side k!.
+    S1 and C must be integral and zero above the diagonal; both facts are
+    checked, so sums restricted to the triangle hide no error.
+    """
+    fact = [factorial(k) for k in range(p + 1)]
+    s1 = _integral_triangle(build_fermat(p).rows, fact[1:])
+    closed = _integral_triangle(inverse_closed(p).rows, [1] * p)
+    if s1 is None or closed is None:
+        return False
+    for k in range(p):
+        target = fact[k + 1]
+        srow = s1[k]
+        # Row k of S1 C.
+        for j in range(k + 1):
+            acc = sum(srow[i] * closed[i][j] for i in range(j, k + 1))
+            if acc != (target if j == k else 0):
+                return False
+        # Row k of C A_p times k!: the weight k!/i! clears the 1/i! of row i.
+        weighted = [c * (target // fact[i + 1]) for i, c in enumerate(closed[k])]
+        for j in range(k + 1):
+            acc = sum(weighted[i] * s1[i][j] for i in range(j, k + 1))
+            if acc != (target if j == k else 0):
+                return False
+    # Forward substitution; S1 C = diag(k!) above rules out a zero pivot.
+    # An entry that is not an integer cannot equal the integral closed form.
+    inv: list[list[int]] = []
+    for i, srow in enumerate(s1):
+        pivot = srow[i]
+        diag, rem = divmod(fact[i + 1], pivot)
+        if rem:
+            return False
+        row = [0] * i + [diag]
+        for j in range(i - 1, -1, -1):
+            q, rem = divmod(-sum(srow[m] * inv[m][j] for m in range(j, i)), pivot)
+            if rem:
+                return False
+            row[j] = q
+        inv.append(row)
+    return inv == closed
+
+
+def _integral_triangle(
+    rows: Sequence[Sequence[Fraction]], scale: Sequence[int]
+) -> list[list[int]] | None:
+    """Row k times scale[k], on and below the diagonal, as lists of ints;
+    None if a scaled entry is not an integer or an entry above the
+    diagonal is nonzero."""
+    out = []
+    for k, row in enumerate(rows):
+        if any(row[k + 1 :]):
+            return None
+        ints = []
+        for x in row[: k + 1]:
+            q, rem = divmod(scale[k], x.denominator)
+            if rem:
+                return None
+            ints.append(x.numerator * q)
+        out.append(ints)
+    return out
 
 
 def figurate_polynomial(k: int) -> Polynomial:

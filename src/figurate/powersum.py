@@ -22,7 +22,10 @@ n = 0, -1, ..., -(k-1); the shifted arguments in alt1/alt3 rely on that.
 
 Each figurate expansion is a data object (Representation): a list of
 (integer coefficient, dimension, argument shift) terms consumed by one
-shared evaluator and one shared symbolic expander.
+shared evaluator and one shared symbolic expander. The expander works in
+integers: each term is the product of its k linear factors (n+shift+i),
+weighted over the common denominator (largest dimension)!, and the sum is
+divided by that denominator once.
 """
 
 from __future__ import annotations
@@ -72,22 +75,34 @@ class Representation:
         return sum(c * figurate(n + shift, dim) for c, dim, shift in self.terms)
 
     def expand(self) -> Polynomial:
-        """The expansion as a single exact polynomial in n."""
-        acc = Polynomial.zero()
+        """The expansion as a single exact polynomial in n.
+
+        Over the common denominator L = (largest dimension)!, the term
+        c * F_(n+shift)^k is the integer polynomial
+        c * (L / k!) * (n+shift)(n+shift+1)...(n+shift+k-1); the integer
+        sum is divided by L once.
+        """
+        top = max((dim for _, dim, _ in self.terms), default=0)
+        denom = factorial(top)
+        acc = [0] * (top + 1)
         for c, dim, shift in self.terms:
-            acc = acc + _shift_argument(figurate_polynomial(dim), shift).scale(c)
-        return acc
+            weight = c * (denom // factorial(dim))
+            for i, x in enumerate(_rising_product(shift, dim)):
+                acc[i] += weight * x
+        return Polynomial(Fraction(x, denom) for x in acc)
 
 
-def _shift_argument(poly: Polynomial, shift: int) -> Polynomial:
-    """poly evaluated at n + shift, as a polynomial in n."""
-    if shift == 0:
-        return poly
-    x = Polynomial((shift, 1))
-    acc = Polynomial.zero()
-    for c in reversed(poly.coefficients):
-        acc = acc * x + Polynomial.constant(c)
-    return acc
+def _rising_product(start: int, count: int) -> list[int]:
+    """Integer coefficients, lowest power first, of the polynomial
+    (n+start)(n+start+1)...(n+start+count-1) in n."""
+    coeffs = [1]
+    for a in range(start, start + count):
+        # Multiply by (n + a) in place, highest power first.
+        coeffs.append(0)
+        for i in range(len(coeffs) - 1, 0, -1):
+            coeffs[i] = coeffs[i - 1] + a * coeffs[i]
+        coeffs[0] *= a
+    return coeffs
 
 
 @lru_cache(maxsize=None)

@@ -88,6 +88,16 @@ class TestTriangle:
         assert doc["first_row"] == 1
         assert doc["rows"] == [["1"], ["1", "1"], ["1", "4", "1"]]
 
+    @pytest.mark.parametrize(
+        "family", [None, "stirling1", "stirling2", "eulerian1", "eulerian2"]
+    )
+    def test_negative_pmax_is_usage_error(self, capsys, family):
+        argv = ["triangle", "--pmax", "-3"] + (["--family", family] if family else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "triangle", "--pmax", "8")
         _, second, _ = run(capsys, "triangle", "--pmax", "8")

@@ -2,12 +2,17 @@
 
 import itertools
 import math
+import sys
+import threading
 
 import pytest
 
+from figurate.coefficients import _recurrence_step
 from figurate.combinatorics import (
     FAMILIES,
     NumberTriangle,
+    _RowTable,
+    _stirling2_step,
     binomial,
     eulerian_first,
     eulerian_second,
@@ -291,6 +296,61 @@ class TestNumberTriangle:
         with pytest.raises(ValueError):
             number_triangle("bernoulli", 4)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_negative_max_row_rejected(self, family):
+        with pytest.raises(ValueError):
+            number_triangle(family, -3)
+
+    @pytest.mark.parametrize("family", ["stirling1", "stirling2", "eulerian2"])
+    def test_row_zero_is_valid(self, family):
+        assert number_triangle(family, 0).rows == ((1,),)
+
     def test_families_constant(self):
         assert set(FAMILIES) == {"stirling1", "stirling2", "eulerian1", "eulerian2"}
         assert isinstance(number_triangle("stirling1", 2), NumberTriangle)
+
+
+class TestRowTableThreads:
+    """Row tables grow monotonically behind a lock, so concurrent readers
+    get the same rows as a single-threaded build."""
+
+    ROWS = 150
+    THREADS = 8
+
+    @pytest.mark.parametrize(
+        "step", [_stirling2_step, _recurrence_step], ids=["stirling2", "recurrence"]
+    )
+    def test_interleaved_requests_match_single_thread(self, step):
+        reference = _RowTable((1,), step)
+        expected = [reference.row(i) for i in range(self.ROWS)]
+        table = _RowTable((1,), step)
+        barrier = threading.Barrier(self.THREADS)
+        seen = [[] for _ in range(self.THREADS)]
+
+        def worker(t):
+            # Thread t walks rows t, t + THREADS, ... up and back down, so
+            # every thread races the others to grow the table.
+            order = list(range(t, self.ROWS, self.THREADS))
+            barrier.wait(timeout=5)
+            for i in order + order[::-1]:
+                seen[t].append((i, table.row(i)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(t,)) for t in range(self.THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for t, pairs in enumerate(seen):
+            assert len(pairs) == 2 * len(range(t, self.ROWS, self.THREADS))
+            for i, row in pairs:
+                assert row == expected[i], (t, i)
+        assert len(table._rows) == self.ROWS
+        assert [table.row(i) for i in range(self.ROWS)] == expected

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from figurate import fermat
 from figurate.coefficients import c_closed
 from figurate.combinatorics import binomial, factorial
 from figurate.exact import Polynomial
@@ -146,6 +147,37 @@ class TestCertifyInverse:
             inv = inverse_closed(p)
             for i in range(1, p + 1):
                 assert inv.entry(p, i) == (-1) ** (p - i) * c_closed(p, p - i)
+
+
+def _perturbed(build, k, j, delta):
+    """build(p) with entry (k, j), 1-based, moved by delta."""
+
+    def perturbed(p):
+        rows = [list(row) for row in build(p).rows]
+        rows[k - 1][j - 1] += delta
+        return RationalMatrix(rows)
+
+    return perturbed
+
+
+class TestCertifyInverseRejects:
+    """A single wrong entry in either matrix must give False, not raise."""
+
+    @pytest.mark.parametrize("p", [6, 12])
+    @pytest.mark.parametrize("target", ["build_fermat", "inverse_closed"])
+    @pytest.mark.parametrize("where", ["below", "on", "above"])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_perturbed_entry(self, monkeypatch, p, target, where, delta):
+        k, j = {"below": (p - 1, 2), "on": (p // 2, p // 2), "above": (2, p - 1)}[where]
+        monkeypatch.setattr(
+            fermat, target, _perturbed(getattr(fermat, target), k, j, delta)
+        )
+        assert certify_inverse(p) is False
+
+    def test_unperturbed_patch_certifies(self, monkeypatch):
+        monkeypatch.setattr(fermat, "build_fermat", _perturbed(build_fermat, 3, 1, 0))
+        monkeypatch.setattr(fermat, "inverse_closed", _perturbed(inverse_closed, 3, 1, 0))
+        assert certify_inverse(12) is True
 
 
 class TestFiguratePolynomial:

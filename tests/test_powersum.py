@@ -247,6 +247,19 @@ class TestSymbolic:
             for n in range(0, 21):
                 assert poly(n) == oracle(n, p)
 
+    @pytest.mark.parametrize("p", [25, 40])
+    @pytest.mark.parametrize("tag", TERM_TAGS)
+    def test_large_orders_match_oracle(self, p, tag):
+        # p + 2 values determine a polynomial of degree at most p + 1.
+        poly = expand_symbolic(p, tag)
+        if tag == "power_ml1":
+            assert poly.degree == p
+            expected = [n**p for n in range(p + 2)]
+        else:
+            assert poly.degree == p + 1
+            expected = [sum_brute(n, p) for n in range(p + 2)]
+        assert [poly(n) for n in range(p + 2)] == expected
+
     def test_brute_has_no_expansion(self):
         with pytest.raises(ValueError):
             expand_symbolic(4, "brute")
