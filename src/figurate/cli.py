@@ -25,11 +25,11 @@ import sys
 from . import __version__, combinatorics, powersum
 from .coefficients import (
     DEFAULT_SIZE_GUARD,
-    ENUMERATIVE_ROUTES,
     ROUTES,
     build_triangle,
     certify,
     coefficient,
+    split_routes,
 )
 from .enumeration import (
     enumerate_compositions,
@@ -44,16 +44,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-_FORMULA_BY_FLAG = {
-    "brute": "brute",
-    "eq5": "eq5",
-    "stir": "alt1",
-    "euler": "alt2",
-    "alt3": "alt3",
-    "faulhaber": "faulhaber",
-    "ml1-power": "power_ml1",
-}
 
 
 def _resolve_size_guard(args: argparse.Namespace) -> int:
@@ -105,12 +95,12 @@ def cmd_coeff(args: argparse.Namespace) -> int:
         routes = list(ROUTES)
     else:
         routes = [r for r in ROUTES if r in requested]
-    for route in routes:
-        if route in ENUMERATIVE_ROUTES and args.p > guard:
-            raise ValueError(
-                f"route {route} at p={args.p} exceeds the size guard {guard}; "
-                f"raise it with --size-guard"
-            )
+    _, over = split_routes(routes, args.p, guard)
+    if over:
+        raise ValueError(
+            f"route {over[0]} at p={args.p} exceeds the size guard {guard}; "
+            f"raise it with --size-guard"
+        )
     if len(routes) == 1:
         print(coefficient(args.p, args.ell, routes[0]))
     else:
@@ -213,7 +203,7 @@ def cmd_fermat(args: argparse.Namespace) -> int:
 
 
 def cmd_powersum(args: argparse.Namespace) -> int:
-    tag = _FORMULA_BY_FLAG[args.formula]
+    tag = powersum.FORMULA_FLAGS[args.formula]
     if args.symbolic:
         if tag == "brute":
             raise ValueError("brute has no symbolic expansion; pick a formula")
@@ -362,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_power.add_argument("--n", type=int)
     p_power.add_argument(
         "--formula",
-        choices=tuple(_FORMULA_BY_FLAG),
+        choices=tuple(powersum.FORMULA_FLAGS),
         default="brute",
         help="formula to use (default brute)",
     )

@@ -19,6 +19,12 @@ route here computes the same c(p, ell) by a different mechanism:
 * alternating: with j = p - ell, the inclusion-exclusion surjection count
                sum over r of (-1)^r * C(j, r) * (j - r)^p.
 
+Every route is the module function c_<name>(p, ell) with 0 <= ell <= p - 1,
+and ROUTE_TABLE is the one place a route is named: it maps each name, in
+canonical order, to whether the route is enumerative. coefficient()
+resolves c_<name> when it is called, so it always runs the function the
+module holds at that moment.
+
 certify() runs them all (enumerative ones behind a size guard) and
 reports whether they agree; their agreement is the checkable content of
 the whole construction.
@@ -33,20 +39,22 @@ from .combinatorics import _RowTable, binomial, factorial
 from .combinatorics import eulerian_second, stirling2
 from .enumeration import enumerate_compositions, enumerate_j_tuples, enumerate_k_tuples
 
-#: Canonical route order, used everywhere output is serialized.
-ROUTES = (
-    "closed",
-    "enum_k",
-    "enum_j",
-    "recurrence",
-    "decompose",
-    "eulerian2",
-    "alternating",
-)
+#: Route name -> enumerative, in the canonical order used everywhere
+#: output is serialized. An enumerative route's cost grows like
+#: C(p-1, j-1) summed over j, so it is skipped or refused for p above the
+#: size guard (see split_routes).
+ROUTE_TABLE = {
+    "closed": False,
+    "enum_k": True,
+    "enum_j": True,
+    "recurrence": False,
+    "decompose": True,
+    "eulerian2": False,
+    "alternating": False,
+}
 
-#: Routes whose cost grows like C(p-1, j-1) summed over j; certify() and
-#: the verification suites skip these for p above the size guard.
-ENUMERATIVE_ROUTES = frozenset({"enum_k", "enum_j", "decompose"})
+ROUTES = tuple(ROUTE_TABLE)
+ENUMERATIVE_ROUTES = frozenset(r for r, enumerative in ROUTE_TABLE.items() if enumerative)
 
 DEFAULT_SIZE_GUARD = 14
 
@@ -58,11 +66,11 @@ def _check_pair(p: int, ell: int) -> None:
         raise ValueError(f"ell must lie in 0..{p - 1}, got {ell}")
 
 
-def _check_j(p: int, j: int, j_max: int) -> None:
+def _check_j(p: int, j: int) -> None:
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
-    if not 1 <= j <= j_max:
-        raise ValueError(f"j must lie in 1..{j_max}, got {j}")
+    if not 1 <= j <= p - 1:
+        raise ValueError(f"j must lie in 1..{p - 1}, got {j}")
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -119,30 +127,34 @@ def c_recurrence(p: int, ell: int) -> int:
     return _RECURRENCE.row(p - 1)[ell]
 
 
+def composition_sum(p: int, total: int, parts: int, min_part: int) -> int:
+    """Sum of p! / prod(s_i!) over the compositions of total into `parts`
+    parts, each >= min_part."""
+    fact_p = factorial(p)
+    return sum(
+        _exact_div(fact_p, math.prod(factorial(s) for s in comp))
+        for comp in enumerate_compositions(total, parts, min_part)
+    )
+
+
 def decompose_groups(p: int, j: int) -> list[tuple[int, int, int]]:
     """Per-t groups (t, C(j, t), inner sum) of the decompose route.
 
     The inner sum for each t runs p! / prod(s_i!) over the compositions
     of p + t - j into t parts, each part >= 2. Requires 1 <= j <= p - 1.
     """
-    _check_j(p, j, p - 1)
-    fact_p = factorial(p)
-    groups = []
-    for t in range(1, j + 1):
-        inner = 0
-        for comp in enumerate_compositions(p + t - j, t, 2):
-            den = math.prod(factorial(s) for s in comp)
-            inner += _exact_div(fact_p, den)
-        groups.append((t, binomial(j, t), inner))
-    return groups
+    _check_j(p, j)
+    return [
+        (t, binomial(j, t), composition_sum(p, p + t - j, t, 2)) for t in range(1, j + 1)
+    ]
 
 
-def c_decompose(p: int, j: int) -> int:
-    """c(p, p - j) via the grouped composition sums; p! for j = p."""
-    _check_j(p, j, p)
-    if j == p:
+def c_decompose(p: int, ell: int) -> int:
+    """The grouped composition sums at j = p - ell; p! for ell = 0."""
+    _check_pair(p, ell)
+    if ell == 0:
         return factorial(p)
-    return sum(weight * inner for _, weight, inner in decompose_groups(p, j))
+    return sum(weight * inner for _, weight, inner in decompose_groups(p, p - ell))
 
 
 def c_eulerian2(p: int, ell: int) -> int:
@@ -155,9 +167,10 @@ def c_eulerian2(p: int, ell: int) -> int:
     return factorial(p - ell) * total
 
 
-def c_alternating(p: int, j: int) -> int:
-    """c(p, p - j) by inclusion-exclusion: sum of (-1)^r C(j, r) (j - r)^p."""
-    _check_j(p, j, p)
+def c_alternating(p: int, ell: int) -> int:
+    """Inclusion-exclusion at j = p - ell: sum of (-1)^r C(j, r) (j - r)^p."""
+    _check_pair(p, ell)
+    j = p - ell
     return sum((-1) ** r * binomial(j, r) * (j - r) ** p for r in range(j))
 
 
@@ -169,16 +182,12 @@ def w_sum(p: int, j: int) -> int:
     min-part-1 compositions of p for a part equal to 1. Requires
     1 <= j <= p - 1 (so the all-ones tuple never sums to p).
     """
-    _check_j(p, j, p - 1)
+    _check_j(p, j)
+    weighted = sum(
+        binomial(j, t) * composition_sum(p, p + t - j, t, 2) for t in range(1, j)
+    )
+
     fact_p = factorial(p)
-
-    weighted = 0
-    for t in range(1, j):
-        inner = 0
-        for comp in enumerate_compositions(p + t - j, t, 2):
-            inner += _exact_div(fact_p, math.prod(factorial(s) for s in comp))
-        weighted += binomial(j, t) * inner
-
     direct = 0
     for comp in enumerate_compositions(p, j, 1):
         if 1 in comp:
@@ -195,7 +204,7 @@ def summand_count(p: int, j: int) -> int:
     """Number of individual composition summands in the decompose route:
     sum of C(j, t) * C(p - j - 1, t - 1) over t, which must equal
     C(p - 1, j - 1)."""
-    _check_j(p, j, p - 1)
+    _check_j(p, j)
     vandermonde = sum(
         binomial(j, t) * binomial(p - j - 1, t - 1) for t in range(1, j + 1)
     )
@@ -208,23 +217,21 @@ def summand_count(p: int, j: int) -> int:
 
 
 def coefficient(p: int, ell: int, route: str = "closed") -> int:
-    """c(p, ell) by the named route."""
+    """c(p, ell) by the named route, i.e. c_<route>(p, ell)."""
     _check_pair(p, ell)
-    if route == "closed":
-        return c_closed(p, ell)
-    if route == "enum_k":
-        return c_enum_k(p, ell)
-    if route == "enum_j":
-        return c_enum_j(p, ell)
-    if route == "recurrence":
-        return c_recurrence(p, ell)
-    if route == "decompose":
-        return c_decompose(p, p - ell)
-    if route == "eulerian2":
-        return c_eulerian2(p, ell)
-    if route == "alternating":
-        return c_alternating(p, p - ell)
-    raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    if route not in ROUTE_TABLE:
+        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    return globals()[f"c_{route}"](p, ell)
+
+
+def split_routes(routes, p: int, size_guard: int) -> tuple[list[str], list[str]]:
+    """(run, skipped): the given routes in order, split by whether the
+    size guard admits them at p. Only enumerative routes are ever skipped."""
+    run: list[str] = []
+    skipped: list[str] = []
+    for route in routes:
+        (skipped if ROUTE_TABLE[route] and p > size_guard else run).append(route)
+    return run, skipped
 
 
 @dataclass(frozen=True)
@@ -277,11 +284,6 @@ def certify(p: int, ell: int, size_guard: int = DEFAULT_SIZE_GUARD) -> RouteRepo
     """Evaluate every route at (p, ell), skipping enumerative routes when
     p exceeds size_guard, and report agreement."""
     _check_pair(p, ell)
-    values: dict[str, int] = {}
-    skipped: list[str] = []
-    for route in ROUTES:
-        if route in ENUMERATIVE_ROUTES and p > size_guard:
-            skipped.append(route)
-            continue
-        values[route] = coefficient(p, ell, route)
+    run, skipped = split_routes(ROUTES, p, size_guard)
+    values = {route: coefficient(p, ell, route) for route in run}
     return RouteReport(p, ell, values, tuple(skipped))

@@ -24,9 +24,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-#: Triangle families understood by number_triangle().
-FAMILIES = ("stirling1", "stirling2", "eulerian1", "eulerian2")
-
 #: surjection_brute refuses instances with more than this many functions.
 BRUTE_FORCE_LIMIT = 10**8
 
@@ -43,15 +40,6 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError(f"binomial arguments must be nonnegative, got ({n}, {k})")
     return math.comb(n, k)
-
-
-def multinomial(parts: Sequence[int]) -> int:
-    """(sum parts)! / prod(part!) over nonnegative parts."""
-    if any(p < 0 for p in parts):
-        raise ValueError(f"multinomial parts must be nonnegative, got {parts}")
-    num = math.factorial(sum(parts))
-    den = math.prod(math.factorial(p) for p in parts)
-    return num // den
 
 
 class _RowTable:
@@ -116,6 +104,17 @@ _STIRLING1 = _RowTable((1,), _stirling1_step)
 _STIRLING2 = _RowTable((1,), _stirling2_step)
 _EULERIAN1 = _RowTable((1,), _eulerian1_step)  # rows[i] is row p = i+1
 _EULERIAN2 = _RowTable((1,), _eulerian2_step)
+
+#: Triangle family -> (row table, first row); table row i holds row
+#: first_row + i. The families understood by number_triangle().
+_FAMILY_TABLES = {
+    "stirling1": (_STIRLING1, 0),
+    "stirling2": (_STIRLING2, 0),
+    "eulerian1": (_EULERIAN1, 1),
+    "eulerian2": (_EULERIAN2, 0),
+}
+
+FAMILIES = tuple(_FAMILY_TABLES)
 
 
 def stirling1_unsigned(k: int, r: int) -> int:
@@ -219,18 +218,10 @@ def number_triangle(family: str, max_row: int) -> NumberTriangle:
     """
     if max_row < 0:
         raise ValueError(f"max_row must be nonnegative, got {max_row}")
-    if family == "stirling1":
-        rows = tuple(_STIRLING1.row(k) for k in range(max_row + 1))
-        return NumberTriangle(family, rows)
-    if family == "stirling2":
-        rows = tuple(_STIRLING2.row(k) for k in range(max_row + 1))
-        return NumberTriangle(family, rows)
-    if family == "eulerian1":
-        if max_row < 1:
-            raise ValueError("eulerian1 rows start at 1")
-        rows = tuple(_EULERIAN1.row(p - 1) for p in range(1, max_row + 1))
-        return NumberTriangle(family, rows, first_row=1)
-    if family == "eulerian2":
-        rows = tuple(_EULERIAN2.row(n) for n in range(max_row + 1))
-        return NumberTriangle(family, rows)
-    raise ValueError(f"unknown triangle family {family!r}; expected one of {FAMILIES}")
+    if family not in _FAMILY_TABLES:
+        raise ValueError(f"unknown triangle family {family!r}; expected one of {FAMILIES}")
+    table, first_row = _FAMILY_TABLES[family]
+    if max_row < first_row:
+        raise ValueError(f"{family} rows start at {first_row}")
+    rows = tuple(table.row(i) for i in range(max_row + 1 - first_row))
+    return NumberTriangle(family, rows, first_row)

@@ -15,11 +15,26 @@ All generators stream tuples in ascending lexicographic order (within
 each tuple length for the k/j families, lengths ascending) and never
 materialize the full family. The ordering is a reproducibility
 convention, nothing more.
+
+Each entry of a tuple under construction is one level of recursion, so
+the generators refuse, with ValueError, any request whose tuples would be
+longer than MAX_TUPLE_LENGTH; that keeps the deepest tuple well inside
+the interpreter's default limit of 1000 frames.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
+
+#: Longest tuple any generator here builds.
+MAX_TUPLE_LENGTH = 900
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_TUPLE_LENGTH:
+        raise ValueError(
+            f"tuples of length {length} exceed the limit of {MAX_TUPLE_LENGTH} entries"
+        )
 
 
 def content(entries: tuple[int, ...]) -> int:
@@ -116,6 +131,10 @@ def _check_bounds(p: int, ell: int) -> None:
         raise ValueError(f"p must be positive, got {p}")
     if not 0 <= ell <= p - 1:
         raise ValueError(f"ell must lie in 0..{p - 1}, got {ell}")
+    # The longest tuples have support s = min(ell, p - ell): s positive
+    # entries, no two side by side, fit in length p + s - ell - 1 only
+    # while s <= p - ell.
+    _check_length(p - 1 - ell + min(ell, p - ell))
 
 
 def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
@@ -163,6 +182,8 @@ def enumerate_compositions(total: int, parts: int, min_part: int) -> Iterator[tu
         raise ValueError(f"parts must be positive, got {parts}")
     if min_part < 1:
         raise ValueError(f"min_part must be positive, got {min_part}")
+    if total >= parts * min_part:
+        _check_length(parts)
 
     buf = [0] * parts
 

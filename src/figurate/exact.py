@@ -5,6 +5,11 @@ Integers are plain Python ints (arbitrary precision). Rationals are
 (positive denominator, lowest terms, 0 == 0/1). Polynomials are dense
 coefficient tuples over Fraction, index = exponent, with no trailing zero
 coefficient. No floating point enters anywhere.
+
+There are no wrappers that rename these operators: Fraction(num, den)
+normalizes, Fraction(s) parses what format_rational prints, and the
+Polynomial operators (+, -, *, scale, calling, ==) are the polynomial
+arithmetic.
 """
 
 from __future__ import annotations
@@ -15,24 +20,9 @@ from typing import Iterable, Union
 Scalar = Union[int, Fraction]
 
 
-def rational_normalize(num: int, den: int) -> Fraction:
-    """Canonical fraction num/den: positive denominator, lowest terms.
-
-    Raises ZeroDivisionError for den == 0.
-    """
-    if den == 0:
-        raise ZeroDivisionError("invalid fraction: zero denominator")
-    return Fraction(num, den)
-
-
 def format_rational(q: Scalar) -> str:
     """Serialize a rational as "num/den", abbreviated to "num" when den == 1."""
     return str(Fraction(q))
-
-
-def parse_rational(s: str) -> Fraction:
-    """Inverse of format_rational."""
-    return Fraction(s)
 
 
 class Polynomial:
@@ -121,44 +111,8 @@ class Polynomial:
         """Coefficients as rational strings, index = exponent."""
         return [format_rational(c) for c in self.coefficients]
 
-    @classmethod
-    def from_strings(cls, strings: Iterable[str]) -> "Polynomial":
-        return cls(Fraction(s) for s in strings)
-
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coefficients)!r})"
-
-
-def poly_arith(a: Polynomial, b: Union[Polynomial, Scalar], op: str) -> Polynomial:
-    """Exact polynomial arithmetic; op is one of add, sub, mul, scale.
-
-    For scale, b is a rational scalar (a constant Polynomial is accepted too).
-    """
-    if op == "scale":
-        if isinstance(b, Polynomial):
-            if b.degree > 0:
-                raise ValueError("scale factor must be a scalar")
-            b = b(0)
-        return a.scale(b)
-    if not isinstance(b, Polynomial):
-        raise ValueError(f"operand for {op!r} must be a Polynomial")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown polynomial operation {op!r}")
-
-
-def poly_eval(poly: Polynomial, x: Scalar) -> Fraction:
-    """Exact value of poly at x."""
-    return poly(x)
-
-
-def poly_equal(a: Polynomial, b: Polynomial) -> bool:
-    """True iff the coefficient tuples are identical."""
-    return a == b
 
 
 def format_polynomial(poly: Polynomial, variable: str = "n") -> str:

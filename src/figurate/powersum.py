@@ -40,11 +40,19 @@ from .combinatorics import eulerian_first, factorial, stirling2
 from .exact import Polynomial
 from .fermat import figurate_polynomial
 
-#: All formula tags; every tag except brute has a symbolic expansion.
-FORMULA_TAGS = ("brute", "eq5", "alt1", "alt2", "alt3", "faulhaber", "power_ml1")
+#: CLI flag -> formula tag, for every formula. Every tag except brute has
+#: a symbolic expansion.
+FORMULA_FLAGS = {
+    "brute": "brute",
+    "eq5": "eq5",
+    "stir": "alt1",
+    "euler": "alt2",
+    "alt3": "alt3",
+    "faulhaber": "faulhaber",
+    "ml1-power": "power_ml1",
+}
 
-#: Tags expressed as figurate term lists.
-TERM_TAGS = ("eq5", "alt1", "alt2", "alt3", "power_ml1")
+FORMULA_TAGS = tuple(FORMULA_FLAGS.values())
 
 
 def figurate(n: int, k: int) -> int:
@@ -105,81 +113,78 @@ def _rising_product(start: int, count: int) -> list[int]:
     return coeffs
 
 
+#: Term builders, tag -> (p -> terms), one per formula expressed as a
+#: figurate term list; the formulas are given in the module docstring.
+_TERM_BUILDERS = {
+    "eq5": lambda p: (
+        ((-1) ** (i - 1) * factorial(p - i + 1) * stirling2(p, p - i + 1), p - i + 2, 0)
+        for i in range(1, p + 1)
+    ),
+    "alt1": lambda p: (
+        (factorial(j) * stirling2(p, j), j + 1, 1 - j) for j in range(1, p + 1)
+    ),
+    "alt2": lambda p: ((eulerian_first(p, j), p + 1, j - p) for j in range(1, p + 1)),
+    "alt3": lambda p: (
+        (factorial(j - 1) * stirling2(p + 1, j), j, 1 - j) for j in range(1, p + 2)
+    ),
+    "power_ml1": lambda p: (((-1) ** ell * c_closed(p, ell), p - ell, 0) for ell in range(p)),
+}
+
+#: Tags expressed as figurate term lists.
+TERM_TAGS = tuple(_TERM_BUILDERS)
+
+
 @lru_cache(maxsize=None)
 def representation(tag: str, p: int) -> Representation:
     """Build the term list for one of the TERM_TAGS formulas."""
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
-    if tag == "eq5":
-        terms = tuple(
-            (
-                (-1) ** (i - 1) * factorial(p - i + 1) * stirling2(p, p - i + 1),
-                p - i + 2,
-                0,
-            )
-            for i in range(1, p + 1)
-        )
-    elif tag == "alt1":
-        terms = tuple(
-            (factorial(j) * stirling2(p, j), j + 1, 1 - j) for j in range(1, p + 1)
-        )
-    elif tag == "alt2":
-        terms = tuple((eulerian_first(p, j), p + 1, j - p) for j in range(1, p + 1))
-    elif tag == "alt3":
-        terms = tuple(
-            (factorial(j - 1) * stirling2(p + 1, j), j, 1 - j) for j in range(1, p + 2)
-        )
-    elif tag == "power_ml1":
-        terms = tuple(
-            ((-1) ** ell * c_closed(p, ell), p - ell, 0) for ell in range(p)
-        )
-    else:
+    if tag not in _TERM_BUILDERS:
         raise ValueError(f"unknown term formula {tag!r}; expected one of {TERM_TAGS}")
-    return Representation(tag, p, terms)
+    return Representation(tag, p, tuple(_TERM_BUILDERS[tag](p)))
+
+
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+
+
+def _evaluate_terms(tag: str, n: int, p: int) -> int:
+    _check_n(n)
+    return representation(tag, p).evaluate(n)
 
 
 def sum_brute(n: int, p: int) -> int:
     """S_p(n) by direct accumulation; the oracle for every formula here."""
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_n(n)
     return sum(r**p for r in range(1, n + 1))
 
 
 def power_via_ml1(n: int, p: int) -> int:
-    """n^p through the alternating figurate expansion."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return representation("power_ml1", p).evaluate(n)
+    """n^p through the alternating figurate expansion, for n >= 0."""
+    return _evaluate_terms("power_ml1", n, p)
 
 
 def sum_eq5(n: int, p: int) -> int:
     """S_p(n) via the eq5 expansion."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return representation("eq5", p).evaluate(n)
+    return _evaluate_terms("eq5", n, p)
 
 
 def sum_stirling(n: int, p: int) -> int:
     """S_p(n) via the alt1 (second-kind Stirling) expansion."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return representation("alt1", p).evaluate(n)
+    return _evaluate_terms("alt1", n, p)
 
 
 def sum_eulerian(n: int, p: int) -> int:
     """S_p(n) via the alt2 (first-kind Eulerian) expansion."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return representation("alt2", p).evaluate(n)
+    return _evaluate_terms("alt2", n, p)
 
 
 def sum_variant(n: int, p: int) -> int:
     """S_p(n) via the alt3 expansion."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return representation("alt3", p).evaluate(n)
+    return _evaluate_terms("alt3", n, p)
 
 
 def _triangular(n: int) -> int:
@@ -245,8 +250,7 @@ def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
 
 def faulhaber_eval(n: int, p: int) -> int:
     """S_p(n) via the Faulhaber form; exact, p >= 2, n >= 0."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_n(n)
     coeffs = faulhaber_coefficients(p)
     t = _triangular(n)
     pre = _sum_squares(n) if p % 2 == 0 else t**2
@@ -286,12 +290,8 @@ def evaluate_formula(tag: str, n: int, p: int) -> int:
     """Evaluate any FORMULA_TAGS member at (n, p)."""
     if tag == "brute":
         return sum_brute(n, p)
-    if tag == "power_ml1":
-        return power_via_ml1(n, p)
     if tag == "faulhaber":
         return faulhaber_eval(n, p)
-    if tag in ("eq5", "alt1", "alt2", "alt3"):
-        if n < 0:
-            raise ValueError(f"n must be nonnegative, got {n}")
-        return representation(tag, p).evaluate(n)
+    if tag in _TERM_BUILDERS:
+        return _evaluate_terms(tag, n, p)
     raise ValueError(f"unknown formula {tag!r}; expected one of {FORMULA_TAGS}")

@@ -9,7 +9,6 @@ clipped by the size guard, never that it failed.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,19 +153,16 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
     )
 
     for p in range(1, pmax + 1):
-        enum_ok = p <= guard
+        run, skipped = coefficients.split_routes(coefficients.ROUTES, p, guard)
         reports = [coefficients.certify(p, ell, guard) for ell in range(p)]
-        routes = len(coefficients.ROUTES) if enum_ok else len(coefficients.ROUTES) - len(
-            coefficients.ENUMERATIVE_ROUTES
-        )
         _check(
             results,
             "coeff",
             f"routes agree p={p}",
             all(r.agree for r in reports),
-            f"{routes} routes, ell=0..{p - 1}",
+            f"{len(run)} routes, ell=0..{p - 1}",
         )
-        if not enum_ok:
+        if skipped:
             _skip(
                 results,
                 "coeff",
@@ -234,19 +230,12 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
 
 def _composition_identity(p: int) -> bool:
     """min-part-1 sum equals min-part-2 sum plus the part-1 weight W(p, j)."""
-    fact_p = combinatorics.factorial(p)
     for j in range(1, p):
-        min1 = sum(
-            fact_p // math.prod(combinatorics.factorial(r) for r in comp)
-            for comp in enumeration.enumerate_compositions(p, j, 1)
-        )
-        min2 = sum(
-            fact_p // math.prod(combinatorics.factorial(s) for s in comp)
-            for comp in enumeration.enumerate_compositions(p, j, 2)
-        )
+        min1 = coefficients.composition_sum(p, p, j, 1)
+        min2 = coefficients.composition_sum(p, p, j, 2)
         if min1 != min2 + coefficients.w_sum(p, j):
             return False
-        if min1 != coefficients.c_decompose(p, j):
+        if min1 != coefficients.c_decompose(p, p - j):
             return False
     return True
 

@@ -1,11 +1,16 @@
 """CLI behaviours: output formats, determinism, exit codes, size guard."""
 
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
-from figurate.cli import main
+from figurate.cli import build_parser, main
+from figurate.coefficients import ROUTES
+from figurate.combinatorics import FAMILIES
+from figurate.enumeration import MAX_TUPLE_LENGTH
+from figurate.powersum import FORMULA_FLAGS
 
 TRIANGLE_9 = (
     (1,),
@@ -297,6 +302,17 @@ class TestPowersum:
         code, _, err = run(capsys, "powersum", "--p", "3")
         assert code == 2
 
+    def test_power_formula_at_zero(self, capsys):
+        code, out, _ = run(
+            capsys, "powersum", "--p", "3", "--n", "0", "--formula", "ml1-power"
+        )
+        assert (code, out) == (0, "0\n")
+        code, out, err = run(
+            capsys, "powersum", "--p", "3", "--n", "-1", "--formula", "ml1-power"
+        )
+        assert (code, out) == (2, "")
+        assert "nonnegative" in err
+
 
 class TestFaulhaber:
     def test_output(self, capsys):
@@ -346,6 +362,60 @@ class TestVerify:
         _, first, _ = run(capsys, "verify", "--suite", "enumeration", "--pmax", "6")
         _, second, _ = run(capsys, "verify", "--suite", "enumeration", "--pmax", "6")
         assert first == second
+
+
+class TestTupleLengthLimit:
+    @staticmethod
+    def tuples(capsys, kind, n):
+        if kind == "comp":
+            family = ("--total", str(2 * n), "--parts", str(n), "--min-part", "2")
+        else:
+            family = ("--p", str(n + 1), "--ell", "1")
+        return run(capsys, "tuples", "--kind", kind, *family)
+
+    @pytest.mark.parametrize("kind", ["k", "j", "comp"])
+    def test_boundary_length_streams(self, capsys, kind):
+        n = MAX_TUPLE_LENGTH
+        code, out, _ = self.tuples(capsys, kind, n)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == (1 if kind == "comp" else n)
+        assert all(len(line.split(",")) == n for line in lines)
+
+    @pytest.mark.parametrize("kind", ["k", "j", "comp"])
+    def test_first_refused_length_is_usage_error(self, capsys, kind):
+        n = MAX_TUPLE_LENGTH
+        code, out, err = self.tuples(capsys, kind, n + 1)
+        assert (code, out) == (2, "")
+        assert f"limit of {n}" in err
+
+    def test_enumerative_route_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "coeff", "--p", "1000", "--ell", "1", "--route", "enum_k",
+            "--size-guard", "2000",
+        )
+        assert (code, out) == (2, "")
+        assert f"limit of {MAX_TUPLE_LENGTH}" in err
+
+
+def _choices(command, dest):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
+
+
+class TestRegistries:
+    """The CLI's choices come from the library's tables, not lists of its own."""
+
+    def test_route_choices(self):
+        assert tuple(_choices("coeff", "route")) == ROUTES + ("all",)
+        assert tuple(_choices("triangle", "route")) == ROUTES
+
+    def test_family_choices(self):
+        assert tuple(_choices("triangle", "family")) == FAMILIES
+
+    def test_formula_choices(self):
+        assert tuple(_choices("powersum", "formula")) == tuple(FORMULA_FLAGS)
 
 
 class TestUsageErrors:

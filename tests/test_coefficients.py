@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from figurate import coefficients
 from figurate.coefficients import (
     DEFAULT_SIZE_GUARD,
     ENUMERATIVE_ROUTES,
@@ -23,6 +24,7 @@ from figurate.coefficients import (
     certify,
     coefficient,
     decompose_groups,
+    split_routes,
     summand_count,
     w_sum,
 )
@@ -96,18 +98,18 @@ class TestDecomposeRoute:
         groups = decompose_groups(9, 4)
         assert groups == [(1, 4, 504), (2, 6, 8064), (3, 4, 26460), (4, 1, 30240)]
         assert sum(w * inner for _, w, inner in groups) == 186480
-        assert c_decompose(9, 4) == 186480
+        assert c_decompose(9, 5) == 186480
 
     def test_boundaries(self):
         for p in range(1, 10):
-            assert c_decompose(p, p) == factorial(p)
-            assert c_decompose(p, 1) == 1
+            assert c_decompose(p, 0) == factorial(p)
+            assert c_decompose(p, p - 1) == 1
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            c_decompose(5, 6)
+            c_decompose(5, -1)
         with pytest.raises(ValueError):
-            c_decompose(5, 0)
+            c_decompose(5, 5)
 
 
 class TestEulerianRoute:
@@ -120,13 +122,27 @@ class TestEulerianRoute:
 
 class TestAlternatingRoute:
     def test_power_forms(self):
-        assert c_alternating(6, 2) == 2**6 - 2 == 62
-        assert c_alternating(7, 3) == 3**7 - 3 * 2**7 + 3 == 1806
-        assert c_alternating(9, 4) == 4**9 - 4 * 3**9 + 6 * 2**9 - 4 == 186480
+        assert c_alternating(6, 4) == 2**6 - 2 == 62
+        assert c_alternating(7, 4) == 3**7 - 3 * 2**7 + 3 == 1806
+        assert c_alternating(9, 5) == 4**9 - 4 * 3**9 + 6 * 2**9 - 4 == 186480
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            c_alternating(5, 6)
+            c_alternating(5, -1)
+        with pytest.raises(ValueError):
+            c_alternating(5, 5)
+
+
+class TestTupleLengthLimit:
+    def test_enumerative_route_refuses_overlong_tuples(self):
+        # c(1000, 1) sums over length-999 k-tuples.
+        with pytest.raises(ValueError, match="limit of 900"):
+            c_enum_k(1000, 1)
+
+    def test_infeasible_long_groups_are_not_refused(self):
+        # Only t = 1 of decompose_groups(1000, 999) has compositions; the
+        # groups with up to 999 parts are empty and build no tuple.
+        assert c_decompose(1000, 1) == factorial(999) * math.comb(1000, 2)
 
 
 class TestWSum:
@@ -162,7 +178,7 @@ class TestWSum:
                         for comp in cut_compositions(p, j, min_part)
                     )
                 assert total[1] == total[2] + w_sum(p, j)
-                assert total[1] == c_decompose(p, j)
+                assert total[1] == c_decompose(p, p - j)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -210,6 +226,32 @@ class TestRouteAgreement:
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError):
             coefficient(3, 1, "magic")
+
+
+class TestRouteTable:
+    def test_every_route_is_a_function_of_p_and_ell(self):
+        for route in ROUTES:
+            fn = getattr(coefficients, f"c_{route}")
+            assert callable(fn)
+            assert tuple(fn(9, ell) for ell in range(9)) == TRIANGLE_9[8], route
+
+    def test_enumerative_routes(self):
+        assert ENUMERATIVE_ROUTES == {"enum_k", "enum_j", "decompose"}
+
+    def test_coefficient_resolves_the_route_at_call_time(self, monkeypatch):
+        # Instrumentation that replaces a module's c_<route> must see every
+        # call coefficient() makes, so no function reference may be cached.
+        monkeypatch.setattr(coefficients, "c_alternating", lambda p, ell: -1)
+        assert coefficient(5, 2, "alternating") == -1
+        assert certify(5, 2).values["alternating"] == -1
+
+    def test_split_routes(self):
+        assert split_routes(ROUTES, 14, 14) == (list(ROUTES), [])
+        assert split_routes(ROUTES, 15, 14) == (
+            ["closed", "recurrence", "eulerian2", "alternating"],
+            ["enum_k", "enum_j", "decompose"],
+        )
+        assert split_routes(["decompose", "closed"], 15, 14) == (["closed"], ["decompose"])
 
 
 class TestRowProperties:

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from figurate.coefficients import _recurrence_step
+from figurate.coefficients import _recurrence_step, composition_sum
 from figurate.combinatorics import (
     FAMILIES,
     NumberTriangle,
@@ -17,7 +17,6 @@ from figurate.combinatorics import (
     eulerian_first,
     eulerian_second,
     factorial,
-    multinomial,
     number_triangle,
     stirling1_unsigned,
     stirling2,
@@ -97,15 +96,17 @@ class TestBinomial:
 
 
 class TestMultinomial:
+    """Multinomials p! / prod(s_i!) summed over compositions of p."""
+
     def test_values(self):
-        assert multinomial([2, 2, 2, 3]) == 7560
-        assert 4 * multinomial([2, 2, 2, 3]) == 30240
-        assert multinomial([11]) == 1
-        assert multinomial([1, 1, 1]) == 6
+        # the four orderings of (2, 2, 2, 3), each 9! / (2! 2! 2! 3!) = 7560
+        assert composition_sum(9, 9, 4, 2) == 4 * 7560 == 30240
+        assert composition_sum(11, 11, 1, 1) == 1
+        assert composition_sum(3, 3, 3, 1) == 6
 
     def test_negative_part_rejected(self):
         with pytest.raises(ValueError):
-            multinomial([2, -1])
+            composition_sum(3, 3, 2, 0)
 
 
 class TestStirlingFirst:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from figurate.combinatorics import binomial
 from figurate.enumeration import (
+    MAX_TUPLE_LENGTH,
     content,
     enumerate_compositions,
     enumerate_j_tuples,
@@ -176,3 +177,34 @@ class TestCompositions:
     def test_lexicographic_without_duplicates(self):
         got = list(enumerate_compositions(9, 3, 2))
         assert got == sorted(set(got))
+
+
+class TestTupleLengthLimit:
+    """Tuples longer than MAX_TUPLE_LENGTH are refused up front, before the
+    recursion could reach the interpreter's limit."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda n: enumerate_compositions(2 * n, n, 2),
+            lambda n: enumerate_k_tuples(n + 1, 1),
+            lambda n: enumerate_j_tuples(n + 1, 1),
+        ],
+        ids=["comp", "k", "j"],
+    )
+    def test_boundary_and_first_refused_length(self, family):
+        n = MAX_TUPLE_LENGTH
+        assert len(next(family(n))) == n
+        with pytest.raises(ValueError, match=f"length {n + 1} exceed the limit of {n}"):
+            next(family(n + 1))
+
+    def test_limit_applies_to_the_longest_tuple_built(self):
+        n = MAX_TUPLE_LENGTH
+        # ell = p - 1 has the single tuple (p - 1,), whatever p is.
+        assert list(enumerate_k_tuples(n + 2, n + 1)) == [(n + 1,)]
+        assert list(enumerate_j_tuples(n + 2, n + 1)) == [(n + 2,)]
+        # ell = p / 2 has tuples of length p - 1.
+        with pytest.raises(ValueError):
+            next(enumerate_k_tuples(n + 2, (n + 2) // 2))
+        # An infeasible instance builds no tuple at all.
+        assert list(enumerate_compositions(5, n + 1, 1)) == []

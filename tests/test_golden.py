@@ -24,6 +24,8 @@ from figurate import cli, coefficients
 
 DATA = Path(__file__).with_name("golden_cli.json")
 
+# Spelled out rather than read from the library's tables, so the corpus
+# stays fixed when a table changes.
 _ROUTES = ("closed", "enum_k", "enum_j", "recurrence", "decompose", "eulerian2", "alternating")
 _FAMILIES = ("stirling1", "stirling2", "eulerian1", "eulerian2")
 _FORMULAS = ("brute", "eq5", "stir", "euler", "alt3", "faulhaber", "ml1-power")

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from figurate.exact import Polynomial, poly_equal
+from figurate.exact import Polynomial
 from figurate.powersum import (
+    FORMULA_FLAGS,
     FORMULA_TAGS,
     TERM_TAGS,
     Representation,
@@ -97,8 +98,10 @@ class TestPowerIdentity:
                 assert power_via_ml1(n, p) == n**p
 
     def test_bad_argument(self):
+        # F_0^k = 0 for every k, so the expansion gives 0^p = 0 at n = 0.
+        assert power_via_ml1(0, 3) == 0
         with pytest.raises(ValueError):
-            power_via_ml1(0, 3)
+            power_via_ml1(-1, 3)
 
 
 class TestEq5:
@@ -233,7 +236,7 @@ class TestSymbolic:
             tags = ["eq5", "alt1", "alt2", "alt3"] + (["faulhaber"] if p >= 2 else [])
             polys = [expand_symbolic(p, tag) for tag in tags]
             base = polys[0]
-            assert all(poly_equal(q, base) for q in polys)
+            assert all(q == base for q in polys)
             assert base.degree == p + 1
             assert base.coefficients[0] == 0
 
@@ -270,6 +273,12 @@ class TestSymbolic:
 
 
 class TestDispatch:
+    def test_flag_table(self):
+        assert set(FORMULA_FLAGS.values()) == set(FORMULA_TAGS)
+        assert FORMULA_FLAGS["stir"] == "alt1"
+        assert FORMULA_FLAGS["euler"] == "alt2"
+        assert FORMULA_FLAGS["ml1-power"] == "power_ml1"
+
     def test_formula_tags(self):
         assert set(TERM_TAGS) < set(FORMULA_TAGS)
         for tag in FORMULA_TAGS:
