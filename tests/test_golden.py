@@ -57,6 +57,8 @@ CORPUS = (
     + [
         ("triangle --pmax 0", None),
         ("triangle --pmax 0 --family eulerian1", None),
+        ("triangle --pmax 15 --route enum_k", None),
+        ("triangle --pmax 14 --route enum_j --format csv", None),
         ("certify --p 9 --ell 5", None),
         ("certify --p 16 --ell 3", None),
         ("certify --p 4 --ell 4", None),
@@ -90,8 +92,11 @@ CORPUS = (
         ("powersum --p 3 --n -1 --formula ml1-power", None),
         ("powersum --p 3", None),
         ("powersum --p 1 --n 4 --formula faulhaber", None),
+        ("powersum --p 12 --symbolic --formula faulhaber --format json", None),
+        ("powersum --p 11 --n 50 --formula faulhaber", None),
         ("faulhaber --p 2", None),
         ("faulhaber --p 7", None),
+        ("faulhaber --p 30", None),
         ("faulhaber --p 1", None),
         ("verify --pmax 6", None),
         ("verify --pmax 5 --size-guard 3", None),
