@@ -80,8 +80,24 @@ def _aligned(rows: list[list[str]]) -> list[str]:
     ]
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+def _print_formatted(fmt: str, plain, rows: list[list[str]], obj: dict) -> None:
+    """Print one result in the chosen --format: the lines plain() returns,
+    one CSV line per row, or obj as JSON."""
+    if fmt == "plain":
+        print("\n".join(plain()))
+    elif fmt == "csv":
+        print("\n".join(",".join(row) for row in rows))
+    else:
+        print(json.dumps(obj, sort_keys=True))
+
+
+def _refuse_over_guard(routes, p: int, guard: int, how: str) -> None:
+    _, over = split_routes(routes, p, guard)
+    if over:
+        raise ValueError(
+            f"route {over[0]} at p={p} exceeds the size guard {guard}; "
+            f"raise it with {how}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +111,7 @@ def cmd_coeff(args: argparse.Namespace) -> int:
         routes = list(ROUTES)
     else:
         routes = [r for r in ROUTES if r in requested]
-    _, over = split_routes(routes, args.p, guard)
-    if over:
-        raise ValueError(
-            f"route {over[0]} at p={args.p} exceeds the size guard {guard}; "
-            f"raise it with --size-guard"
-        )
+    _refuse_over_guard(routes, args.p, guard, "--size-guard")
     if len(routes) == 1:
         print(coefficient(args.p, args.ell, routes[0]))
     else:
@@ -113,42 +124,26 @@ def cmd_triangle(args: argparse.Namespace) -> int:
     if args.family is not None:
         triangle = combinatorics.number_triangle(args.family, args.pmax)
         rows = [[str(v) for v in row] for row in triangle.rows]
-        if args.format == "plain":
-            labeled = [
-                [f"{args.family[0]}={triangle.first_row + i}"] + row
-                for i, row in enumerate(rows)
-            ]
-            print("\n".join(_aligned(labeled)))
-        elif args.format == "csv":
-            print("\n".join(",".join(row) for row in rows))
-        else:
-            _print_json(
-                {
-                    "triangle": args.family,
-                    "first_row": triangle.first_row,
-                    "max_row": args.pmax,
-                    "rows": rows,
-                }
-            )
+        first = triangle.first_row
+        _print_formatted(
+            args.format,
+            lambda: _aligned([[f"{args.family[0]}={first + i}"] + r for i, r in enumerate(rows)]),
+            rows,
+            {"triangle": args.family, "first_row": first, "max_row": args.pmax, "rows": rows},
+        )
         return EXIT_OK
 
+    guard = _resolve_size_guard(args)
+    _refuse_over_guard([args.route], args.pmax, guard, "FIGURATE_SIZE_GUARD")
     triangle = build_triangle(args.pmax, args.route)
     rows = [[str(v) for v in row] for row in triangle.rows]
-    if args.format == "plain":
-        header = ["p\\ell"] + [str(ell) for ell in range(args.pmax)]
-        labeled = [header] + [[str(p + 1)] + row for p, row in enumerate(rows)]
-        print("\n".join(_aligned(labeled)))
-    elif args.format == "csv":
-        print("\n".join(",".join(row) for row in rows))
-    else:
-        _print_json(
-            {
-                "triangle": "coefficients",
-                "route": args.route,
-                "pmax": args.pmax,
-                "rows": rows,
-            }
-        )
+    header = ["p\\ell"] + [str(ell) for ell in range(args.pmax)]
+    _print_formatted(
+        args.format,
+        lambda: _aligned([header] + [[str(p + 1)] + row for p, row in enumerate(rows)]),
+        rows,
+        {"triangle": "coefficients", "route": args.route, "pmax": args.pmax, "rows": rows},
+    )
     return EXIT_OK
 
 
@@ -187,18 +182,12 @@ def cmd_tuples(args: argparse.Namespace) -> int:
 def cmd_fermat(args: argparse.Namespace) -> int:
     matrix = inverse_closed(args.p) if args.inverse else build_fermat(args.p)
     rows = [[format_rational(x) for x in matrix.row(k)] for k in range(1, args.p + 1)]
-    if args.format == "plain":
-        print("\n".join(_aligned(rows)))
-    elif args.format == "csv":
-        print("\n".join(",".join(row) for row in rows))
-    else:
-        _print_json(
-            {
-                "matrix": "inverse" if args.inverse else "fermat",
-                "p": args.p,
-                "entries": rows,
-            }
-        )
+    _print_formatted(
+        args.format,
+        lambda: _aligned(rows),
+        rows,
+        {"matrix": "inverse" if args.inverse else "fermat", "p": args.p, "entries": rows},
+    )
     return EXIT_OK
 
 
@@ -208,25 +197,24 @@ def cmd_powersum(args: argparse.Namespace) -> int:
         if tag == "brute":
             raise ValueError("brute has no symbolic expansion; pick a formula")
         poly = powersum.expand_symbolic(args.p, tag)
-        if args.format == "plain":
-            print(format_polynomial(poly))
-        elif args.format == "csv":
-            print(",".join(poly.to_strings()))
-        else:
-            _print_json(
-                {"p": args.p, "formula": args.formula, "polynomial": poly.to_strings()}
-            )
+        strings = poly.to_strings()
+        _print_formatted(
+            args.format,
+            lambda: [format_polynomial(poly)],
+            [strings],
+            {"p": args.p, "formula": args.formula, "polynomial": strings},
+        )
         return EXIT_OK
 
     if args.n is None:
         raise ValueError("either --n or --symbolic is required")
-    value = powersum.evaluate_formula(tag, args.n, args.p)
-    if args.format == "json":
-        _print_json(
-            {"p": args.p, "n": args.n, "formula": args.formula, "value": str(value)}
-        )
-    else:
-        print(value)
+    value = str(powersum.evaluate_formula(tag, args.n, args.p))
+    _print_formatted(
+        args.format,
+        lambda: [value],
+        [[value]],
+        {"p": args.p, "n": args.n, "formula": args.formula, "value": value},
+    )
     return EXIT_OK
 
 

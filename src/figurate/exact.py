@@ -8,8 +8,8 @@ coefficient. No floating point enters anywhere.
 
 There are no wrappers that rename these operators: Fraction(num, den)
 normalizes, Fraction(s) parses what format_rational prints, and the
-Polynomial operators (+, -, *, scale, calling, ==) are the polynomial
-arithmetic.
+Polynomial operators (+, -, *, scale, divmod, calling, ==) are the
+polynomial arithmetic; divmod is exact long division.
 """
 
 from __future__ import annotations
@@ -95,6 +95,22 @@ class Polynomial:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
         return Polynomial(out)
+
+    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """(quotient, remainder) of exact long division: self equals
+        quotient * other + remainder, with deg remainder < deg other."""
+        divisor = other.coefficients
+        if not divisor:
+            raise ZeroDivisionError("polynomial division by zero")
+        *lower, lead = divisor
+        rem = list(self.coefficients)
+        quot = [Fraction(0)] * max(len(rem) - len(lower), 0)
+        for i in reversed(range(len(quot))):
+            q = quot[i] = rem[i + len(lower)] / lead
+            for j, d in enumerate(lower):
+                if d:
+                    rem[i + j] -= q * d
+        return Polynomial(quot), Polynomial(rem[: len(lower)])
 
     def scale(self, factor: Scalar) -> "Polynomial":
         f = Fraction(factor)

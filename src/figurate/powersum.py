@@ -10,7 +10,10 @@ polynomial form:
 * alt2:  sum over j of <p, j> F_(n+j-p)^(p+1), first-kind Eulerian weights
 * alt3:  sum over j of (j-1)! S(p+1, j) F_(n-j+1)^j
 * faulhaber: S_2(n) times a polynomial in the triangular number T_n for
-  even p, T_n^2 times such a polynomial for odd p
+  even p, T_n^2 times such a polynomial for odd p. Its coefficients are
+  derived from sum_brute alone, never from the other formulas, by exact
+  polynomial division (Knuth, "Johann Faulhaber and sums of powers",
+  Math. Comp. 61, 1993); any remainder is an internal error.
 
 plus the plain power identity
 
@@ -38,7 +41,6 @@ from functools import lru_cache
 from .coefficients import c_closed
 from .combinatorics import eulerian_first, factorial, stirling2
 from .exact import Polynomial
-from .fermat import figurate_polynomial
 
 #: CLI flag -> formula tag, for every formula. Every tag except brute has
 #: a symbolic expansion.
@@ -187,73 +189,58 @@ def sum_variant(n: int, p: int) -> int:
     return _evaluate_terms("alt3", n, p)
 
 
-def _triangular(n: int) -> int:
-    return figurate(n, 2)
+#: T_n = n(n+1)/2 as a polynomial in n.
+_TRIANGULAR = Polynomial((0, Fraction(1, 2), Fraction(1, 2)))
 
 
-def _sum_squares(n: int) -> int:
-    return n * (n + 1) * (2 * n + 1) // 6
+def _prefactor(p: int) -> Polynomial:
+    """The Faulhaber prefactor in n: S_2(n) for even p, T_n^2 for odd p."""
+    if p % 2 == 0:
+        return Polynomial((0, Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
+    return Polynomial((0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
 
 
 @lru_cache(maxsize=None)
 def faulhaber_coefficients(p: int) -> tuple[Fraction, ...]:
-    """Coefficients (q_0, ..., q_(k-1)) of the Faulhaber form of S_p(n):
+    """Coefficients (q_0, ..., q_(k-1)), k = p // 2, of the Faulhaber form of S_p(n):
 
-        S_p(n) = S_2(n)  * sum_j q_j T_n^j   for even p = 2k,
-        S_p(n) = T_n^2   * sum_j q_j T_n^j   for odd  p = 2k+1,
+        S_p(n) = S_2(n)  * sum_j q_j T_n^j   for even p,
+        S_p(n) = T_n^2   * sum_j q_j T_n^j   for odd  p.
 
-    solved exactly from sampled values of S_p(n) after dividing out the
-    prefactor; the solution is validated at extra sample points.
+    S_p(n) is interpolated from sum_brute at n = 0..p+1 by its forward
+    differences d_k, as sum_k d_k C(n, k) with C(n, k) = F_(n+1-k)^k, and
+    expanded. The expansion is divided exactly by the prefactor, and the
+    quotient Q is rewritten in T_n by repeated division, Q = Q' T_n + q_j:
+    each remainder q_j = Q(0) must be a constant, so that Q - q_j divides
+    exactly by T_n. A remainder of the wrong form, or other than p // 2
+    coefficients, raises RuntimeError.
     """
     if p < 2:
         raise ValueError(f"Faulhaber form requires p >= 2, got {p}")
-    count = p // 2 if p % 2 == 0 else (p - 1) // 2
-    even = p % 2 == 0
-
-    def prefactor(n: int) -> int:
-        return _sum_squares(n) if even else _triangular(n) ** 2
-
-    samples = range(1, count + 1)
-    matrix = [
-        [Fraction(_triangular(n)) ** j for j in range(count)] for n in samples
-    ]
-    rhs = [Fraction(sum_brute(n, p), prefactor(n)) for n in samples]
-    coeffs = _solve_exact(matrix, rhs)
-
-    for n in range(count + 1, count + 4):
-        t = _triangular(n)
-        value = prefactor(n) * sum(c * t**j for j, c in enumerate(coeffs))
-        if value != sum_brute(n, p):
-            raise RuntimeError(
-                f"internal error: Faulhaber solve for p={p} fails at n={n}"
-            )
+    diffs = [sum_brute(n, p) for n in range(p + 2)]
+    terms = []
+    for k in range(p + 2):
+        terms.append((diffs[0], k, 1 - k))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    sums = Representation("faulhaber", p, tuple(terms)).expand()
+    quotient, remainder = divmod(sums, _prefactor(p))
+    exact = remainder.is_zero()
+    coeffs = []
+    while exact and not quotient.is_zero():
+        quotient, remainder = divmod(quotient, _TRIANGULAR)
+        exact = remainder.degree < 1
+        coeffs.append(remainder(0))
+    if not exact or len(coeffs) != p // 2:
+        raise RuntimeError(f"internal error: S_{p}(n) has no exact Faulhaber form")
     return tuple(coeffs)
-
-
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Fraction for a small square system."""
-    n = len(rhs)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise RuntimeError("internal error: singular Faulhaber system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 def faulhaber_eval(n: int, p: int) -> int:
     """S_p(n) via the Faulhaber form; exact, p >= 2, n >= 0."""
     _check_n(n)
     coeffs = faulhaber_coefficients(p)
-    t = _triangular(n)
-    pre = _sum_squares(n) if p % 2 == 0 else t**2
+    t = n * (n + 1) // 2
+    pre = n * (n + 1) * (2 * n + 1) // 6 if p % 2 == 0 else t * t
     value = pre * sum(c * t**j for j, c in enumerate(coeffs))
     if value.denominator != 1:
         raise RuntimeError(f"internal error: Faulhaber value for ({n},{p}) not integral")
@@ -270,19 +257,10 @@ def expand_symbolic(p: int, tag: str) -> Polynomial:
     if tag in TERM_TAGS:
         return representation(tag, p).expand()
     if tag == "faulhaber":
-        coeffs = faulhaber_coefficients(p)
-        t_poly = figurate_polynomial(2)
-        pre = (
-            Polynomial((0, Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
-            if p % 2 == 0
-            else t_poly * t_poly
-        )
         acc = Polynomial.zero()
-        power = Polynomial.constant(1)
-        for c in coeffs:
-            acc = acc + power.scale(c)
-            power = power * t_poly
-        return pre * acc
+        for c in reversed(faulhaber_coefficients(p)):
+            acc = acc * _TRIANGULAR + Polynomial.constant(c)
+        return _prefactor(p) * acc
     raise ValueError(f"no symbolic expansion for tag {tag!r}")
 
 

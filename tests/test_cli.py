@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from figurate import powersum
 from figurate.cli import build_parser, main
 from figurate.coefficients import ROUTES
 from figurate.combinatorics import FAMILIES
@@ -102,6 +103,32 @@ class TestTriangle:
         assert code == 2
         assert out == ""
         assert "error" in err
+
+    def test_enumerative_route_within_guard(self, capsys, monkeypatch):
+        monkeypatch.delenv("FIGURATE_SIZE_GUARD", raising=False)
+        code, out, _ = run(capsys, "triangle", "--pmax", "14", "--route", "enum_k", "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 14
+
+    @pytest.mark.parametrize("route", ["enum_k", "enum_j", "decompose"])
+    def test_enumerative_route_over_guard(self, capsys, monkeypatch, route):
+        monkeypatch.delenv("FIGURATE_SIZE_GUARD", raising=False)
+        code, out, err = run(capsys, "triangle", "--pmax", "15", "--route", route)
+        assert code == 2
+        assert out == ""
+        assert "size guard 14" in err and "FIGURATE_SIZE_GUARD" in err
+
+    def test_env_raises_triangle_guard(self, capsys, monkeypatch):
+        monkeypatch.setenv("FIGURATE_SIZE_GUARD", "15")
+        code, out, _ = run(capsys, "triangle", "--pmax", "15", "--route", "enum_k", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[-2:] == ["32766", "1"]
+
+    def test_closed_route_ignores_guard(self, capsys, monkeypatch):
+        monkeypatch.delenv("FIGURATE_SIZE_GUARD", raising=False)
+        code, out, _ = run(capsys, "triangle", "--pmax", "15", "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 15
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "triangle", "--pmax", "8")
@@ -327,6 +354,17 @@ class TestFaulhaber:
     def test_small_p_rejected(self, capsys):
         code, _, err = run(capsys, "faulhaber", "--p", "1")
         assert code == 2
+
+    def test_failed_derivation_is_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(powersum, "sum_brute", lambda n, p: n**p)
+        powersum.faulhaber_coefficients.cache_clear()
+        try:
+            code, out, err = run(capsys, "faulhaber", "--p", "6")
+        finally:
+            powersum.faulhaber_coefficients.cache_clear()
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err
 
 
 class TestVerify:

@@ -93,6 +93,35 @@ class TestPolynomialArithmetic:
         assert (a + b)(x) == a(x) + b(x)
 
 
+class TestPolynomialDivision:
+    def test_exact_quotient(self):
+        assert divmod(F2 * F3, F3) == (F2, Polynomial.zero())
+
+    def test_nonzero_remainder(self):
+        # n^2 + 1 = (n - 1)(n + 1) + 2
+        assert divmod(N * N + Polynomial.constant(1), N + Polynomial.constant(1)) == (
+            N - Polynomial.constant(1),
+            Polynomial.constant(2),
+        )
+
+    def test_divisor_of_higher_degree(self):
+        assert divmod(F2, F5) == (Polynomial.zero(), F2)
+
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(F2, Polynomial.zero())
+
+    @given(
+        st.lists(st.integers(-9, 9), max_size=7),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(lambda c: c[-1] != 0),
+    )
+    def test_division_identity(self, a_coeffs, b_coeffs):
+        a, b = Polynomial(a_coeffs), Polynomial(b_coeffs)
+        quotient, remainder = divmod(a, b)
+        assert quotient * b + remainder == a
+        assert remainder.degree < b.degree
+
+
 class TestPolyEval:
     def test_triangular_number(self):
         assert F2(3) == 6

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from figurate import powersum
 from figurate.exact import Polynomial
 from figurate.powersum import (
     FORMULA_FLAGS,
@@ -214,6 +215,26 @@ class TestFaulhaber:
             coeffs = faulhaber_coefficients(p)
             assert len(coeffs) == (p // 2 if p % 2 == 0 else (p - 1) // 2)
             assert all(c != 0 for c in coeffs)
+
+    def test_rebuilds_sum_brute(self):
+        for p in range(2, 41):
+            coeffs = faulhaber_coefficients(p)
+            assert len(coeffs) == p // 2
+            for n in range(0, p + 4):
+                t = n * (n + 1) // 2
+                pre = n * (n + 1) * (2 * n + 1) // 6 if p % 2 == 0 else t * t
+                assert pre * sum(c * t**j for j, c in enumerate(coeffs)) == sum_brute(n, p)
+
+    @pytest.mark.parametrize("p", range(2, 9))
+    def test_wrong_sample_is_refused(self, p, monkeypatch):
+        # The derivation reads sum_brute at n = 0..p+1; one sample off by
+        # one at any of them must leave a remainder, not a wrong answer.
+        for wrong in range(p + 2):
+            monkeypatch.setattr(
+                powersum, "sum_brute", lambda n, q, wrong=wrong: oracle(n, q) + (n == wrong)
+            )
+            with pytest.raises(RuntimeError):
+                faulhaber_coefficients.__wrapped__(p)
 
     def test_small_p_rejected(self):
         with pytest.raises(ValueError):
