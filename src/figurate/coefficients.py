@@ -28,6 +28,11 @@ module holds at that moment.
 certify() runs them all (enumerative ones behind a size guard) and
 reports whether they agree; their agreement is the checkable content of
 the whole construction.
+
+The closed, recurrence and eulerian2 routes read their row table where
+_RowTable.lookup() admits it, and otherwise compute the one value they
+need with a single-value kernel in O(p) memory, so a cold large p never
+builds a whole triangle.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .combinatorics import _RowTable, binomial, factorial
-from .combinatorics import eulerian_second, stirling2
+from .combinatorics import _EULERIAN2, _STIRLING2, _RowTable, binomial, factorial
+from .combinatorics import eulerian2_row, stirling2_single
 from .enumeration import enumerate_compositions, enumerate_j_tuples, enumerate_k_tuples
 
 #: Route name -> enumerative, in the canonical order used everywhere
@@ -81,9 +86,19 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def c_closed(p: int, ell: int) -> int:
-    """(p - ell)! * S(p, p - ell)."""
+    """(p - ell)! * S(p, p - ell).
+
+    S is read from the Stirling table where lookup() admits row p, and
+    otherwise computed alone by stirling2_single: j = p - ell prefix
+    passes of eq. 7.47 of Concrete Mathematics, S(p, j) = h_(p-j)(1..j).
+    That kernel is neither the row recurrence of c_recurrence nor the
+    inclusion-exclusion of c_alternating, so certify() still compares
+    independent computations at every p.
+    """
     _check_pair(p, ell)
-    return factorial(p - ell) * stirling2(p, p - ell)
+    j = p - ell
+    row = _STIRLING2.lookup(p)
+    return factorial(j) * (row[j] if row is not None else stirling2_single(p, j))
 
 
 def c_enum_k(p: int, ell: int) -> int:
@@ -121,10 +136,30 @@ def _recurrence_step(prev: tuple, index: int) -> list:
 _RECURRENCE = _RowTable((1,), _recurrence_step)  # rows[i] holds p = i + 1
 
 
+def _recurrence_single(p: int, ell: int) -> int:
+    """c(p, ell) by the recurrence of _recurrence_step on one rolling row
+    that keeps only columns 0..ell: O(p * ell) work in O(ell) memory."""
+    row = [1]  # p = 1
+    for q in range(2, p + 1):
+        top = min(ell, q - 2)
+        new = [q * row[0]]
+        new += [(q - e) * (a + b) for e, a, b in zip(range(1, top + 1), row[1:], row)]
+        if ell >= q - 1:
+            new.append(1)
+        row = new
+    return row[ell]
+
+
 def c_recurrence(p: int, ell: int) -> int:
-    """Dynamic programming on (p - ell) * [c(p-1, ell) + c(p-1, ell-1)]."""
+    """Dynamic programming on (p - ell) * [c(p-1, ell) + c(p-1, ell-1)].
+
+    Reads row p of the recurrence table where lookup() admits it, and
+    otherwise runs the same recurrence on a rolling row truncated to
+    columns 0..ell (_recurrence_single).
+    """
     _check_pair(p, ell)
-    return _RECURRENCE.row(p - 1)[ell]
+    row = _RECURRENCE.lookup(p - 1)
+    return row[ell] if row is not None else _recurrence_single(p, ell)
 
 
 def composition_sum(p: int, total: int, parts: int, min_part: int) -> int:
@@ -158,12 +193,16 @@ def c_decompose(p: int, ell: int) -> int:
 
 
 def c_eulerian2(p: int, ell: int) -> int:
-    """(p - ell)! * sum of <<ell, i>> * C(p + ell - 1 - i, 2*ell)."""
+    """(p - ell)! * sum of <<ell, i>> * C(p + ell - 1 - i, 2*ell).
+
+    Row ell of <<., .>> is fetched once: from the table where lookup()
+    admits it, otherwise built on one rolling row (eulerian2_row).
+    """
     _check_pair(p, ell)
-    total = sum(
-        eulerian_second(ell, i) * binomial(p + ell - 1 - i, 2 * ell)
-        for i in range(ell + 1)
-    )
+    row = _EULERIAN2.lookup(ell)
+    if row is None:
+        row = eulerian2_row(ell)
+    total = sum(e * binomial(p + ell - 1 - i, 2 * ell) for i, e in enumerate(row))
     return factorial(p - ell) * total
 
 

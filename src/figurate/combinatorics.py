@@ -7,6 +7,14 @@ triangular recurrence of each family and memoized for the process
 lifetime; the row tables only ever grow and are safe to use from several
 threads.
 
+A table grows to any row asked of it through its accessor
+(stirling2(), number_triangle(), ...). Callers that need one value of a
+large row ask _RowTable.lookup() instead: it reads a stored row, and
+grows the table only up to ROW_CAP rows or by the row right after the
+last stored one. Past that it returns None and the caller computes the
+value with a single-value kernel in O(row) memory (stirling2_single,
+eulerian2_row), leaving the table as it was.
+
 Index conventions (they differ between families on purpose):
 
 * stirling1 / stirling2: row k has entries 0..k, s(0,0) = S(0,0) = 1.
@@ -42,11 +50,19 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+#: lookup() grows a table to a row at or above this index only when it is
+#: the row right after the last stored one. At 512 rows the rows and
+#: entries of the Stirling table of the second kind take about 26 MB, and
+#: those of the recurrence and second-kind Eulerian tables 45-47 MB.
+ROW_CAP = 512
+
+
 class _RowTable:
     """Monotonically growing memo of triangle rows.
 
     Rows are tuples and only appended, never replaced, so readers that
-    race the lock still see consistent data.
+    race the lock still see consistent data. row() grows the table to any
+    index; lookup() grows it past ROW_CAP rows only one row at a time.
     """
 
     def __init__(self, seed: Sequence[int], step: Callable[[tuple, int], list]):
@@ -62,6 +78,21 @@ class _RowTable:
                 prev = self._rows[-1]
                 self._rows.append(tuple(self._step(prev, len(self._rows))))
         return self._rows[index]
+
+    def lookup(self, index: int) -> tuple[int, ...] | None:
+        """Row `index` when the table holds it, when it lies below ROW_CAP,
+        or when it is the row right after the last stored one (growing the
+        table to it); None otherwise, with the table left as it was.
+
+        The length is read without the lock. A thread that races a growing
+        table can only see None where a row was just stored, or a row
+        where it would have seen None; its caller then takes the kernel
+        instead of the table or the other way round, and both give equal
+        values.
+        """
+        if index <= len(self._rows) or index < ROW_CAP:
+            return self.row(index)
+        return None
 
 
 def _stirling1_step(prev: tuple, k: int) -> list:
@@ -115,6 +146,38 @@ _FAMILY_TABLES = {
 }
 
 FAMILIES = tuple(_FAMILY_TABLES)
+
+
+def stirling2_single(k: int, j: int) -> int:
+    """S(k, j) alone, in O(k) memory and O(j (k - j)) additions.
+
+    S(k, j) is the complete homogeneous sum h_(k-j)(1, ..., j), the
+    coefficient of z^k in z^j / ((1 - z)(1 - 2z)...(1 - jz)) (Graham,
+    Knuth and Patashnik, Concrete Mathematics, eq. 7.47). Starting from
+    the series 1, each in-place prefix pass h[t] += i * h[t - 1]
+    multiplies by 1 / (1 - iz); after the passes i = 1..j, h[k - j] is
+    the coefficient sought. Zero when j > k, like stirling2().
+    """
+    if k < 0:
+        raise ValueError(f"negative row {k}")
+    if j < 0 or j > k:
+        return 0
+    h = [1] + [0] * (k - j)
+    for i in range(1, j + 1):
+        for t in range(1, k - j + 1):
+            h[t] += i * h[t - 1]
+    return h[-1]
+
+
+def eulerian2_row(l: int) -> tuple[int, ...]:
+    """Row l of the second-kind Eulerian numbers, the shape of
+    _EULERIAN2.row(l), built on one rolling row without storing it."""
+    if l < 0:
+        raise ValueError(f"negative row {l}")
+    row: Sequence[int] = (1,)
+    for n in range(1, l + 1):
+        row = _eulerian2_step(row, n)
+    return tuple(row)
 
 
 def stirling1_unsigned(k: int, r: int) -> int:

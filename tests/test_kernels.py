@@ -1,0 +1,254 @@
+"""Single-value kernels of the table routes and the policy that picks
+between them and the row tables."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+import figurate
+from figurate import coefficients, combinatorics
+from figurate.coefficients import (
+    _RECURRENCE,
+    _recurrence_single,
+    _recurrence_step,
+    build_triangle,
+    c_alternating,
+    c_closed,
+    c_eulerian2,
+    c_recurrence,
+)
+from figurate.combinatorics import (
+    _EULERIAN2,
+    _STIRLING2,
+    ROW_CAP,
+    _RowTable,
+    _stirling2_step,
+    eulerian2_row,
+    number_triangle,
+    stirling2,
+    stirling2_single,
+)
+
+TABLES = {"stirling2": _STIRLING2, "recurrence": _RECURRENCE, "eulerian2": _EULERIAN2}
+TABLE_ROUTES = (c_closed, c_recurrence, c_eulerian2)
+LARGE_P = (ROW_CAP, ROW_CAP + 1, 700)
+
+
+def _fractions(p):
+    return sorted({int(p * f / 10) for f in range(1, 10)})
+
+
+def _row_counts():
+    return {name: len(table._rows) for name, table in TABLES.items()}
+
+
+@pytest.fixture
+def kernels_only(monkeypatch):
+    """Every table lookup misses, so the routes run their kernels."""
+    monkeypatch.setattr(_RowTable, "lookup", lambda self, index: None)
+
+
+@pytest.fixture
+def no_kernels(monkeypatch):
+    """Any kernel call fails the test."""
+
+    def refuse(*args):
+        raise AssertionError(f"kernel called with {args}")
+
+    for name in ("stirling2_single", "_recurrence_single", "eulerian2_row"):
+        monkeypatch.setattr(coefficients, name, refuse)
+
+
+class TestKernelsMatchTables:
+    @pytest.mark.parametrize("p", range(0, 81, 10))
+    def test_stirling2_single(self, p):
+        for k in range(max(p - 9, 0), p + 1):
+            assert [stirling2_single(k, j) for j in range(k + 3)] == [
+                stirling2(k, j) for j in range(k + 3)
+            ]
+
+    def test_stirling2_single_out_of_triangle(self):
+        assert stirling2_single(5, -1) == 0
+        assert stirling2_single(0, 0) == 1
+        assert stirling2_single(7, 0) == 0
+        with pytest.raises(ValueError):
+            stirling2_single(-1, 0)
+
+    @pytest.mark.parametrize("p", range(1, 81, 10))
+    def test_recurrence_single(self, p):
+        for q in range(p, p + 10):
+            assert tuple(_recurrence_single(q, ell) for ell in range(q)) == _RECURRENCE.row(
+                q - 1
+            )
+
+    def test_eulerian2_row(self):
+        for ell in range(81):
+            assert eulerian2_row(ell) == _EULERIAN2.row(ell)
+        with pytest.raises(ValueError):
+            eulerian2_row(-1)
+
+    def test_routes_on_kernels_match_tables(self, monkeypatch):
+        expected = {
+            route: [route(p, ell) for p in range(1, 81) for ell in range(p)]
+            for route in TABLE_ROUTES
+        }
+        monkeypatch.setattr(_RowTable, "lookup", lambda self, index: None)
+        for route in TABLE_ROUTES:
+            got = [route(p, ell) for p in range(1, 81) for ell in range(p)]
+            assert got == expected[route], route.__name__
+
+
+class TestKernelsAboveCap:
+    @pytest.mark.parametrize("p", LARGE_P)
+    def test_routes_equal_alternating(self, p, kernels_only):
+        for ell in _fractions(p):
+            expected = c_alternating(p, ell)
+            for route in TABLE_ROUTES:
+                assert route(p, ell) == expected, (route.__name__, p, ell)
+
+
+class TestRowPolicy:
+    def test_cold_request_above_cap_leaves_tables(self):
+        for route, table, offset in (
+            (c_closed, _STIRLING2, 0),
+            (c_recurrence, _RECURRENCE, 1),
+            (c_eulerian2, _EULERIAN2, 1),
+        ):
+            # Two rows past both the cap and the last stored row, so it is
+            # neither stored, below the cap, nor the next row.
+            index = max(ROW_CAP, len(table._rows)) + 2
+            p = index + offset
+            ell = index if route is c_eulerian2 else p // 2
+            before = _row_counts()
+            assert route(p, ell) == c_alternating(p, ell)
+            assert _row_counts() == before, route.__name__
+
+    def test_lookup_policy(self):
+        table = _RowTable((1,), _stirling2_step)
+        assert table.lookup(ROW_CAP - 1) == table.row(ROW_CAP - 1)
+        assert len(table._rows) == ROW_CAP
+        assert table.lookup(ROW_CAP + 1) is None
+        assert len(table._rows) == ROW_CAP
+        assert table.lookup(ROW_CAP) is not None  # the next row
+        assert len(table._rows) == ROW_CAP + 1
+        assert table.lookup(3) is table._rows[3]
+
+    def test_number_triangle_past_cap_stores_rows(self):
+        triangle = number_triangle("stirling2", ROW_CAP + 3)
+        assert len(_STIRLING2._rows) >= ROW_CAP + 4
+        last = triangle.row(ROW_CAP + 3)
+        for j in _fractions(ROW_CAP + 3):
+            assert last[j] == stirling2_single(ROW_CAP + 3, j)
+
+    def test_build_triangle_past_cap_stores_rows(self):
+        pmax = ROW_CAP + 3
+        closed = build_triangle(pmax, "closed").rows
+        assert len(_STIRLING2._rows) >= pmax + 1
+        recurrence = build_triangle(pmax, "recurrence").rows
+        assert len(_RECURRENCE._rows) >= pmax
+        assert closed == recurrence
+        for ell in _fractions(pmax):
+            assert closed[-1][ell] == c_alternating(pmax, ell)
+
+    def test_stored_rows_are_read(self, no_kernels):
+        p = ROW_CAP + 3
+        _STIRLING2.row(p)
+        _RECURRENCE.row(p - 1)
+        _EULERIAN2.row(40)
+        for ell in (0, 1, p // 2, p - 1):
+            assert c_closed(p, ell) == c_recurrence(p, ell)
+        assert c_eulerian2(p, 40) == c_closed(p, 40)
+
+    def test_next_row_grows_table(self, no_kernels):
+        for route, table, offset in ((c_closed, _STIRLING2, 0), (c_recurrence, _RECURRENCE, 1)):
+            table.row(ROW_CAP)
+            stored = len(table._rows)
+            p = stored + offset
+            assert route(p, 1) == c_alternating(p, 1)
+            assert len(table._rows) == stored + 1
+
+    def test_racing_lookups_give_table_values(self, monkeypatch):
+        """8 threads mix table reads, growth and kernel calls on a fresh
+        table with a small cap; every value equals a single-threaded build."""
+        monkeypatch.setattr(combinatorics, "ROW_CAP", 20)
+        rows, threads_n = 90, 8
+        reference = _RowTable((1,), _recurrence_step)
+        expected = [reference.row(i)[i // 2] for i in range(rows)]
+        table = _RowTable((1,), _recurrence_step)
+        barrier = threading.Barrier(threads_n)
+        seen = [[] for _ in range(threads_n)]
+
+        def worker(t):
+            barrier.wait(timeout=5)
+            for i in list(range(t, rows, 3)) + list(range(rows - 1 - t, -1, -5)):
+                row = table.lookup(i)
+                value = row[i // 2] if row is not None else _recurrence_single(i + 1, i // 2)
+                seen[t].append((i, value))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(seen)
+        for pairs in seen:
+            for i, value in pairs:
+                assert value == expected[i], i
+        for i, row in enumerate(table._rows):
+            assert row == reference.row(i)
+
+
+# Runs a command and prints its exit code, its ru_maxrss from os.wait4 and
+# its stdout. The command is started from this small fresh interpreter:
+# started from the test process itself, its ru_maxrss would include the
+# test process's high-water mark, which Linux carries across exec.
+_MEASURE = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+out = proc.stdout.read()
+proc.stdout.close()
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss, out.decode().strip())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+class TestColdMemory:
+    """A cold large coefficient stays in O(p) memory in a fresh process."""
+
+    LIMIT_MB = 64
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeff", "--p", "1200", "--ell", "600"],
+            ["coeff", "--p", "800", "--ell", "400", "--route", "recurrence"],
+        ],
+        ids=["closed", "recurrence"],
+    )
+    def test_peak_rss(self, argv):
+        src = str(Path(figurate.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", _MEASURE, sys.executable, "-m", "figurate.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        code, maxrss_kib, value = done.stdout.split()
+        assert code == "0"
+        p, ell = int(argv[2]), int(argv[4])
+        assert int(value) == c_alternating(p, ell)
+        assert int(maxrss_kib) / 1024 < self.LIMIT_MB
