@@ -135,8 +135,7 @@ def cmd_triangle(args: argparse.Namespace) -> int:
 
     guard = _resolve_size_guard(args)
     _refuse_over_guard([args.route], args.pmax, guard, "FIGURATE_SIZE_GUARD")
-    triangle = build_triangle(args.pmax, args.route)
-    rows = [[str(v) for v in row] for row in triangle.rows]
+    rows = [[str(v) for v in row] for row in build_triangle(args.pmax, args.route)]
     header = ["p\\ell"] + [str(ell) for ell in range(args.pmax)]
     _print_formatted(
         args.format,
@@ -181,7 +180,7 @@ def cmd_tuples(args: argparse.Namespace) -> int:
 
 def cmd_fermat(args: argparse.Namespace) -> int:
     matrix = inverse_closed(args.p) if args.inverse else build_fermat(args.p)
-    rows = [[format_rational(x) for x in matrix.row(k)] for k in range(1, args.p + 1)]
+    rows = [[format_rational(x) for x in row] for row in matrix.rows]
     _print_formatted(
         args.format,
         lambda: _aligned(rows),

@@ -40,8 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .combinatorics import _EULERIAN2, _STIRLING2, _RowTable, binomial, factorial
-from .combinatorics import eulerian2_row, stirling2_single
+from .combinatorics import _EULERIAN2, _STIRLING2, _RowTable, eulerian2_row, stirling2_single
 from .enumeration import enumerate_compositions, enumerate_j_tuples, enumerate_k_tuples
 
 #: Route name -> enumerative, in the canonical order used everywhere
@@ -59,7 +58,6 @@ ROUTE_TABLE = {
 }
 
 ROUTES = tuple(ROUTE_TABLE)
-ENUMERATIVE_ROUTES = frozenset(r for r, enumerative in ROUTE_TABLE.items() if enumerative)
 
 DEFAULT_SIZE_GUARD = 14
 
@@ -85,6 +83,12 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
+def _multinomial_sum(p: int, tuples) -> int:
+    """Sum of p! / prod(s_i!) over the given tuples (s_1, s_2, ...)."""
+    fact_p = math.factorial(p)
+    return sum(_exact_div(fact_p, math.prod(map(math.factorial, s))) for s in tuples)
+
+
 def c_closed(p: int, ell: int) -> int:
     """(p - ell)! * S(p, p - ell).
 
@@ -98,35 +102,25 @@ def c_closed(p: int, ell: int) -> int:
     _check_pair(p, ell)
     j = p - ell
     row = _STIRLING2.lookup(p)
-    return factorial(j) * (row[j] if row is not None else stirling2_single(p, j))
+    return math.factorial(j) * (row[j] if row is not None else stirling2_single(p, j))
 
 
 def c_enum_k(p: int, ell: int) -> int:
     """Sum of p! / prod((k_i + 1)!) over the admissible nonnegative tuples."""
     _check_pair(p, ell)
-    fact_p = factorial(p)
-    total = 0
-    for entries in enumerate_k_tuples(p, ell):
-        den = math.prod(factorial(e + 1) for e in entries)
-        total += _exact_div(fact_p, den)
-    return total
+    return _multinomial_sum(p, ([k + 1 for k in t] for t in enumerate_k_tuples(p, ell)))
 
 
 def c_enum_j(p: int, ell: int) -> int:
     """Sum of p! / prod(j_i!) over the admissible positive tuples."""
     _check_pair(p, ell)
-    fact_p = factorial(p)
-    total = 0
-    for entries in enumerate_j_tuples(p, ell):
-        den = math.prod(factorial(e) for e in entries)
-        total += _exact_div(fact_p, den)
-    return total
+    return _multinomial_sum(p, enumerate_j_tuples(p, ell))
 
 
 def _recurrence_step(prev: tuple, index: int) -> list:
     p = index + 1
     row = [0] * p
-    row[0] = factorial(p)
+    row[0] = math.factorial(p)
     row[p - 1] = 1
     for ell in range(1, p - 1):
         row[ell] = (p - ell) * (prev[ell] + prev[ell - 1])
@@ -165,11 +159,7 @@ def c_recurrence(p: int, ell: int) -> int:
 def composition_sum(p: int, total: int, parts: int, min_part: int) -> int:
     """Sum of p! / prod(s_i!) over the compositions of total into `parts`
     parts, each >= min_part."""
-    fact_p = factorial(p)
-    return sum(
-        _exact_div(fact_p, math.prod(factorial(s) for s in comp))
-        for comp in enumerate_compositions(total, parts, min_part)
-    )
+    return _multinomial_sum(p, enumerate_compositions(total, parts, min_part))
 
 
 def decompose_groups(p: int, j: int) -> list[tuple[int, int, int]]:
@@ -180,7 +170,7 @@ def decompose_groups(p: int, j: int) -> list[tuple[int, int, int]]:
     """
     _check_j(p, j)
     return [
-        (t, binomial(j, t), composition_sum(p, p + t - j, t, 2)) for t in range(1, j + 1)
+        (t, math.comb(j, t), composition_sum(p, p + t - j, t, 2)) for t in range(1, j + 1)
     ]
 
 
@@ -188,7 +178,7 @@ def c_decompose(p: int, ell: int) -> int:
     """The grouped composition sums at j = p - ell; p! for ell = 0."""
     _check_pair(p, ell)
     if ell == 0:
-        return factorial(p)
+        return math.factorial(p)
     return sum(weight * inner for _, weight, inner in decompose_groups(p, p - ell))
 
 
@@ -202,15 +192,15 @@ def c_eulerian2(p: int, ell: int) -> int:
     row = _EULERIAN2.lookup(ell)
     if row is None:
         row = eulerian2_row(ell)
-    total = sum(e * binomial(p + ell - 1 - i, 2 * ell) for i, e in enumerate(row))
-    return factorial(p - ell) * total
+    total = sum(e * math.comb(p + ell - 1 - i, 2 * ell) for i, e in enumerate(row))
+    return math.factorial(p - ell) * total
 
 
 def c_alternating(p: int, ell: int) -> int:
     """Inclusion-exclusion at j = p - ell: sum of (-1)^r C(j, r) (j - r)^p."""
     _check_pair(p, ell)
     j = p - ell
-    return sum((-1) ** r * binomial(j, r) * (j - r) ** p for r in range(j))
+    return sum((-1) ** r * math.comb(j, r) * (j - r) ** p for r in range(j))
 
 
 def w_sum(p: int, j: int) -> int:
@@ -223,14 +213,9 @@ def w_sum(p: int, j: int) -> int:
     """
     _check_j(p, j)
     weighted = sum(
-        binomial(j, t) * composition_sum(p, p + t - j, t, 2) for t in range(1, j)
+        math.comb(j, t) * composition_sum(p, p + t - j, t, 2) for t in range(1, j)
     )
-
-    fact_p = factorial(p)
-    direct = 0
-    for comp in enumerate_compositions(p, j, 1):
-        if 1 in comp:
-            direct += _exact_div(fact_p, math.prod(factorial(w) for w in comp))
+    direct = _multinomial_sum(p, (c for c in enumerate_compositions(p, j, 1) if 1 in c))
 
     if weighted != direct:
         raise RuntimeError(
@@ -245,9 +230,9 @@ def summand_count(p: int, j: int) -> int:
     C(p - 1, j - 1)."""
     _check_j(p, j)
     vandermonde = sum(
-        binomial(j, t) * binomial(p - j - 1, t - 1) for t in range(1, j + 1)
+        math.comb(j, t) * math.comb(p - j - 1, t - 1) for t in range(1, j + 1)
     )
-    closed = binomial(p - 1, j - 1)
+    closed = math.comb(p - 1, j - 1)
     if vandermonde != closed:
         raise RuntimeError(
             f"internal error: N({p},{j}) mismatch, sum={vandermonde} closed={closed}"
@@ -273,27 +258,16 @@ def split_routes(routes, p: int, size_guard: int) -> tuple[list[str], list[str]]
     return run, skipped
 
 
-@dataclass(frozen=True)
-class CoeffTriangle:
-    """Rows of c(p, ell) for p = 1..pmax, ell = 0..p-1."""
-
-    pmax: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def row(self, p: int) -> tuple[int, ...]:
-        return self.rows[p - 1]
-
-
-def build_triangle(pmax: int, route: str = "closed") -> CoeffTriangle:
-    """The full triangle up to pmax by the named route."""
+def build_triangle(pmax: int, route: str = "closed") -> tuple[tuple[int, ...], ...]:
+    """The rows of c(p, ell) for p = 1..pmax by the named route: rows[p - 1]
+    holds c(p, 0..p-1), so pmax is len(rows)."""
     if pmax < 1:
         raise ValueError(f"pmax must be positive, got {pmax}")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-    rows = tuple(
+    return tuple(
         tuple(coefficient(p, ell, route) for ell in range(p)) for p in range(1, pmax + 1)
     )
-    return CoeffTriangle(pmax, rows)
 
 
 @dataclass(frozen=True)

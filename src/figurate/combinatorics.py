@@ -36,20 +36,6 @@ from typing import Callable, Sequence
 BRUTE_FORCE_LIMIT = 10**8
 
 
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial of negative {n}")
-    return math.factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for n, k >= 0, zero when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial arguments must be nonnegative, got ({n}, {k})")
-    return math.comb(n, k)
-
-
 #: lookup() grows a table to a row at or above this index only when it is
 #: the row right after the last stored one. At 512 rows the rows and
 #: entries of the Stirling table of the second kind take about 26 MB, and
@@ -268,9 +254,6 @@ class NumberTriangle:
     family: str
     rows: tuple[tuple[int, ...], ...]
     first_row: int = 0
-
-    def row(self, k: int) -> tuple[int, ...]:
-        return self.rows[k - self.first_row]
 
 
 def number_triangle(family: str, max_row: int) -> NumberTriangle:

@@ -2,8 +2,9 @@
 
 Three families feed the coefficient sums:
 
-* k-tuples: nonnegative entries, fixed content (entry sum) and support
-  (number of positive entries), and no two consecutive positive entries.
+* k-tuples: nonnegative entries, fixed content (the entry sum, sum(t))
+  and support (number of positive entries), and no two consecutive
+  positive entries.
 * j-tuples: the entrywise +1 image of the k-tuples, i.e. positive entries
   where every entry >= 2 is followed by a 1; generated independently here
   so the bijection between the two families is a checkable fact rather
@@ -35,11 +36,6 @@ def _check_length(length: int) -> None:
         raise ValueError(
             f"tuples of length {length} exceed the limit of {MAX_TUPLE_LENGTH} entries"
         )
-
-
-def content(entries: tuple[int, ...]) -> int:
-    """Sum of the entries."""
-    return sum(entries)
 
 
 def support(entries: tuple[int, ...]) -> int:
@@ -176,14 +172,16 @@ def enumerate_compositions(total: int, parts: int, min_part: int) -> Iterator[tu
     """Ordered compositions of total into exactly `parts` parts, each at
     least min_part, lexicographically ascending.
 
-    Infeasible instances (total < parts * min_part) yield nothing.
+    Infeasible instances (total < parts * min_part) yield nothing, and
+    allocate nothing however many parts they ask for.
     """
     if parts < 1:
         raise ValueError(f"parts must be positive, got {parts}")
     if min_part < 1:
         raise ValueError(f"min_part must be positive, got {min_part}")
-    if total >= parts * min_part:
-        _check_length(parts)
+    if total < parts * min_part:
+        return
+    _check_length(parts)
 
     buf = [0] * parts
 

@@ -8,8 +8,9 @@ coefficient. No floating point enters anywhere.
 
 There are no wrappers that rename these operators: Fraction(num, den)
 normalizes, Fraction(s) parses what format_rational prints, and the
-Polynomial operators (+, -, *, scale, divmod, calling, ==) are the
-polynomial arithmetic; divmod is exact long division.
+Polynomial operators (+, *, divmod, calling, ==) are the polynomial
+arithmetic; divmod is exact long division, and c * P is written
+Polynomial.constant(c) * P.
 """
 
 from __future__ import annotations
@@ -83,9 +84,6 @@ class Polynomial:
             out[i] += c
         return Polynomial(out)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coefficients, other.coefficients
         if not a or not b:
@@ -111,10 +109,6 @@ class Polynomial:
                 if d:
                     rem[i + j] -= q * d
         return Polynomial(quot), Polynomial(rem[: len(lower)])
-
-    def scale(self, factor: Scalar) -> "Polynomial":
-        f = Fraction(factor)
-        return Polynomial(c * f for c in self.coefficients)
 
     def __call__(self, x: Scalar) -> Fraction:
         """Exact value at x, by Horner's rule."""

@@ -13,10 +13,11 @@ Matrix indices are 1-based at the API surface.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import factorial, stirling1_unsigned, stirling2
+from .combinatorics import stirling1_unsigned, surjection_count
 from .exact import Polynomial
 
 
@@ -40,20 +41,22 @@ class RationalMatrix:
     def order(self) -> int:
         return len(self._rows)
 
+    def _index(self, i: int) -> int:
+        """0-based position of the 1-based index i; IndexError outside 1..order."""
+        if not 1 <= i <= len(self._rows):
+            raise IndexError(f"index {i} out of range 1..{len(self._rows)}")
+        return i - 1
+
     def entry(self, k: int, j: int) -> Fraction:
         """Entry in row k, column j, both 1-based."""
-        return self._rows[k - 1][j - 1]
+        return self.row(k)[self._index(j)]
 
     def row(self, k: int) -> tuple[Fraction, ...]:
-        return self._rows[k - 1]
+        return self._rows[self._index(k)]
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -66,7 +69,6 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.order != other.order:
             raise ValueError("order mismatch")
-        n = self.order
         cols = list(zip(*other._rows))
         return RationalMatrix(
             [
@@ -74,9 +76,6 @@ class RationalMatrix:
                 for row in self._rows
             ]
         )
-
-    def is_identity(self) -> bool:
-        return self == RationalMatrix.identity(self.order)
 
     def is_lower_triangular(self) -> bool:
         return all(
@@ -94,7 +93,7 @@ def build_fermat(p: int) -> RationalMatrix:
     return RationalMatrix(
         [
             [
-                Fraction(stirling1_unsigned(k, j), factorial(k)) if j <= k else Fraction(0)
+                Fraction(stirling1_unsigned(k, j), math.factorial(k)) if j <= k else Fraction(0)
                 for j in range(1, p + 1)
             ]
             for k in range(1, p + 1)
@@ -103,13 +102,14 @@ def build_fermat(p: int) -> RationalMatrix:
 
 
 def inverse_closed(p: int) -> RationalMatrix:
-    """The closed-form inverse of A_p: (-1)^(k-j) * j! * S(k, j)."""
+    """The closed-form inverse of A_p: (-1)^(k-j) * j! * S(k, j), where
+    j! * S(k, j) counts the surjections of a k-set onto a j-set."""
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
     return RationalMatrix(
         [
             [
-                (-1) ** (k - j) * factorial(j) * stirling2(k, j) if j <= k else 0
+                (-1) ** (k - j) * surjection_count(k, j) if j <= k else 0
                 for j in range(1, p + 1)
             ]
             for k in range(1, p + 1)
@@ -146,7 +146,7 @@ def certify_inverse(p: int) -> bool:
     S1 and C must be integral and zero above the diagonal; both facts are
     checked, so sums restricted to the triangle hide no error.
     """
-    fact = [factorial(k) for k in range(p + 1)]
+    fact = [math.factorial(k) for k in range(p + 1)]
     s1 = _integral_triangle(build_fermat(p).rows, fact[1:])
     closed = _integral_triangle(inverse_closed(p).rows, [1] * p)
     if s1 is None or closed is None:
@@ -211,7 +211,7 @@ def figurate_polynomial(k: int) -> Polynomial:
     """
     if k < 1:
         raise ValueError(f"dimension must be positive, got {k}")
-    kfact = factorial(k)
+    kfact = math.factorial(k)
     return Polynomial(
         Fraction(stirling1_unsigned(k, r), kfact) for r in range(k + 1)
     )

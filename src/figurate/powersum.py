@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coefficients import c_closed
-from .combinatorics import eulerian_first, factorial, stirling2
+from .combinatorics import eulerian_first, stirling2, surjection_count
 from .exact import Polynomial
 
 #: CLI flag -> formula tag, for every formula. Every tag except brute has
@@ -66,7 +66,7 @@ def figurate(n: int, k: int) -> int:
     if k < 1:
         raise ValueError(f"dimension must be positive, got {k}")
     num = math.prod(range(n, n + k))
-    q, r = divmod(num, factorial(k))
+    q, r = divmod(num, math.factorial(k))
     if r:
         raise RuntimeError(f"internal error: F_{n}^{k} product not divisible by {k}!")
     return q
@@ -93,10 +93,10 @@ class Representation:
         sum is divided by L once.
         """
         top = max((dim for _, dim, _ in self.terms), default=0)
-        denom = factorial(top)
+        denom = math.factorial(top)
         acc = [0] * (top + 1)
         for c, dim, shift in self.terms:
-            weight = c * (denom // factorial(dim))
+            weight = c * (denom // math.factorial(dim))
             for i, x in enumerate(_rising_product(shift, dim)):
                 acc[i] += weight * x
         return Polynomial(Fraction(x, denom) for x in acc)
@@ -119,15 +119,13 @@ def _rising_product(start: int, count: int) -> list[int]:
 #: figurate term list; the formulas are given in the module docstring.
 _TERM_BUILDERS = {
     "eq5": lambda p: (
-        ((-1) ** (i - 1) * factorial(p - i + 1) * stirling2(p, p - i + 1), p - i + 2, 0)
+        ((-1) ** (i - 1) * surjection_count(p, p - i + 1), p - i + 2, 0)
         for i in range(1, p + 1)
     ),
-    "alt1": lambda p: (
-        (factorial(j) * stirling2(p, j), j + 1, 1 - j) for j in range(1, p + 1)
-    ),
+    "alt1": lambda p: ((surjection_count(p, j), j + 1, 1 - j) for j in range(1, p + 1)),
     "alt2": lambda p: ((eulerian_first(p, j), p + 1, j - p) for j in range(1, p + 1)),
     "alt3": lambda p: (
-        (factorial(j - 1) * stirling2(p + 1, j), j, 1 - j) for j in range(1, p + 2)
+        (math.factorial(j - 1) * stirling2(p + 1, j), j, 1 - j) for j in range(1, p + 2)
     ),
     "power_ml1": lambda p: (((-1) ** ell * c_closed(p, ell), p - ell, 0) for ell in range(p)),
 }

@@ -10,6 +10,7 @@ of suites: each one is run by `_<suite>_checks(results, pmax, size_guard)`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,7 +146,7 @@ def _skip(results: list[CheckResult], suite: str, name: str, detail: str) -> Non
 
 def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
     ref_rows = min(pmax, 9)
-    got = coefficients.build_triangle(ref_rows, "closed").rows
+    got = coefficients.build_triangle(ref_rows, "closed")
     _check(
         results,
         "coeff",
@@ -171,25 +172,25 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
                 f"size guard {guard}",
             )
 
-        row = coefficients.build_triangle(p).row(p)
+        row = coefficients.build_triangle(p)[-1]
         alternating = sum((-1) ** ell * c for ell, c in enumerate(row))
         _check(
             results,
             "coeff",
             f"row properties p={p}",
-            row[0] == combinatorics.factorial(p)
+            row[0] == math.factorial(p)
             and row[-1] == 1
             and alternating == 1
             and all(c > 0 for c in row),
         )
 
         if p >= 2:
-            expect_1 = Fraction(p - 1, 2) * combinatorics.factorial(p)
+            expect_1 = Fraction(p - 1, 2) * math.factorial(p)
             ok = Fraction(row[1]) == expect_1
             if p >= 3:
                 expect_2 = (
                     Fraction(1, 8)
-                    * combinatorics.factorial(p)
+                    * math.factorial(p)
                     * (p - 2)
                     * (Fraction(p) - Fraction(5, 3))
                 )
@@ -244,13 +245,13 @@ def _composition_identity(p: int) -> bool:
 def _summand_counts(p: int) -> bool:
     for j in range(1, p):
         streamed = sum(
-            combinatorics.binomial(j, t)
+            math.comb(j, t)
             * sum(1 for _ in enumeration.enumerate_compositions(p + t - j, t, 2))
             for t in range(1, j + 1)
         )
         if streamed != coefficients.summand_count(p, j):
             return False
-        if streamed != combinatorics.binomial(p - 1, j - 1):
+        if streamed != math.comb(p - 1, j - 1):
             return False
     return True
 
@@ -268,7 +269,7 @@ def _enumeration_checks(results: list[CheckResult], pmax: int, guard: int) -> No
 
     ok = all(
         sum(1 for _ in enumeration.enumerate_compositions(total, k, 1))
-        == combinatorics.binomial(total - 1, k - 1)
+        == math.comb(total - 1, k - 1)
         for total in range(1, 21)
         for k in range(1, 9)
     )
@@ -285,7 +286,7 @@ def _tuple_families(p: int) -> bool:
             return False
         for t in k_tuples:
             s = enumeration.support(t)
-            if enumeration.content(t) != ell or s != len(t) + ell + 1 - p:
+            if sum(t) != ell or s != len(t) + ell + 1 - p:
                 return False
             if any(t[i] > 0 and t[i + 1] > 0 for i in range(len(t) - 1)):
                 return False
@@ -295,7 +296,7 @@ def _tuple_families(p: int) -> bool:
                 return False
             if any(t[i] >= 2 and t[i + 1] != 1 for i in range(len(t) - 1)):
                 return False
-        expected = combinatorics.binomial(p - 1, p - ell - 1)
+        expected = math.comb(p - 1, p - ell - 1)
         if len(k_tuples) != expected or len(j_tuples) != expected:
             return False
     return True
@@ -315,7 +316,7 @@ def _fermat_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
             det *= a.entry(k, k)
         expect = Fraction(1)
         for k in range(1, p + 1):
-            expect /= combinatorics.factorial(k)
+            expect /= math.factorial(k)
         _check(results, "fermat", f"determinant p={p}", det == expect and det != 0)
 
         inv = fermat.inverse_closed(p)
@@ -334,7 +335,7 @@ def _fermat_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
             and tuple(poly.coefficients[1:]) == a.row(k)
         )
         eval_ok = all(
-            poly(n) == combinatorics.binomial(n + k - 1, k) for n in range(1, 51)
+            poly(n) == math.comb(n + k - 1, k) for n in range(1, 51)
         )
         _check(results, "fermat", f"figurate polynomial k={k}", coeff_ok and eval_ok)
 

@@ -2,10 +2,15 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import figurate
 from figurate import powersum
 from figurate.cli import build_parser, main
 from figurate.coefficients import ROUTES
@@ -245,6 +250,13 @@ class TestTuples:
         assert code == 0
         assert out.splitlines() == ["2,5", "3,4", "4,3", "5,2"]
 
+    def test_infeasible_composition_count(self, capsys):
+        code, out, _ = run(
+            capsys, "tuples", "--kind", "comp", "--total", "1", "--parts", str(2**61),
+            "--count-only",
+        )
+        assert (code, out) == (0, "0\n")
+
     def test_missing_arguments(self, capsys):
         code, _, err = run(capsys, "tuples", "--kind", "j")
         assert code == 2
@@ -471,3 +483,59 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_fresh(argv, **env):
+    """Exit code, stdout bytes and stderr text of argv in a fresh
+    interpreter that imports this checkout's figurate."""
+    src = str(Path(figurate.__file__).resolve().parents[1])
+    environ = {k: v for k, v in os.environ.items() if k != "FIGURATE_SIZE_GUARD"}
+    environ.update(PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1", **env)
+    done = subprocess.run(
+        [sys.executable, *argv], env=environ, capture_output=True, timeout=120
+    )
+    return done.returncode, done.stdout, done.stderr.decode()
+
+
+class TestReproducibleStdout:
+    """Stdout is the same bytes whatever the interpreter's hash seed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify --pmax 6",
+            "coeff --p 7 --ell 3 --route all",
+            "triangle --pmax 8 --format json",
+            "certify --p 9 --ell 4",
+        ],
+    )
+    def test_hash_seed_does_not_change_stdout(self, argv):
+        cli = ["-m", "figurate.cli", *argv.split()]
+        first = run_fresh(cli, PYTHONHASHSEED="0")
+        second = run_fresh(cli, PYTHONHASHSEED="4242")
+        assert first[0] == second[0] == 0
+        assert first[1] == second[1]
+
+
+class TestBenchTracerBindings:
+    """bench/trace_cli.py binds library names at every site; a deleted or
+    renamed one makes its Tracer.install() raise AttributeError."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify --pmax 4",
+            "fermat --p 5 --format json",
+            "powersum --p 6 --symbolic --formula euler",
+            "triangle --pmax 6 --family eulerian1",
+            "tuples --kind comp --total 6 --parts 3 --count-only",
+        ],
+    )
+    def test_traced_run_matches_plain_cli(self, argv):
+        code, out, err = run_fresh([str(ROOT / "bench" / "trace_cli.py"), *argv.split()])
+        assert code == 0, err
+        assert out == run_fresh(["-m", "figurate.cli", *argv.split()])[1]
+        assert err.splitlines()[-1].startswith("figurate-bench-trace ")

@@ -13,27 +13,14 @@ from figurate.combinatorics import (
     NumberTriangle,
     _RowTable,
     _stirling2_step,
-    binomial,
     eulerian_first,
     eulerian_second,
-    factorial,
     number_triangle,
     stirling1_unsigned,
     stirling2,
     surjection_brute,
     surjection_count,
 )
-
-
-def pascal_oracle(n_max):
-    """Binomials by the Pascal recurrence only."""
-    rows = [[1]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        rows.append(
-            [1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1]
-        )
-    return rows
 
 
 def stirling_permutations(order):
@@ -58,41 +45,6 @@ def stirling_permutations(order):
 
 def descents(perm):
     return sum(1 for i in range(len(perm) - 1) if perm[i] > perm[i + 1])
-
-
-class TestFactorial:
-    def test_values(self):
-        assert factorial(0) == 1
-        assert factorial(5) == 120
-        assert factorial(9) == 362880
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            factorial(-1)
-
-
-class TestBinomial:
-    def test_values(self):
-        assert binomial(8, 3) == 56
-        assert binomial(17, 0) == 1
-        oracle = pascal_oracle(7)
-        assert binomial(7, 4) == oracle[7][4] == 35
-
-    def test_zero_above_row(self):
-        assert binomial(3, 5) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(ValueError):
-            binomial(3, -2)
-
-    def test_pascal_recurrence(self):
-        oracle = pascal_oracle(30)
-        for n in range(1, 31):
-            for k in range(1, n + 1):
-                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-                assert binomial(n, k) == oracle[n][k]
 
 
 class TestMultinomial:
@@ -163,7 +115,7 @@ class TestStirlingSecond:
         for k in range(13):
             for x in range(11):
                 assert x**k == sum(
-                    stirling2(k, j) * factorial(j) * binomial(x, j)
+                    stirling2(k, j) * math.factorial(j) * math.comb(x, j)
                     for j in range(k + 1)
                 )
 
@@ -186,7 +138,7 @@ class TestEulerianFirst:
 
     def test_row_symmetry_and_sum(self):
         for p in range(1, 13):
-            assert sum(eulerian_first(p, j) for j in range(1, p + 1)) == factorial(p)
+            assert sum(eulerian_first(p, j) for j in range(1, p + 1)) == math.factorial(p)
             for j in range(1, p + 1):
                 assert eulerian_first(p, j) == eulerian_first(p, p + 1 - j)
 
@@ -243,7 +195,7 @@ class TestSurjections:
 
     def test_bijections(self):
         for m in range(1, 6):
-            assert surjection_brute(m, m) == factorial(m)
+            assert surjection_brute(m, m) == math.factorial(m)
 
     def test_brute_size_guard(self):
         with pytest.raises(ValueError, match="bound"):
@@ -281,8 +233,8 @@ class TestNumberTriangle:
     def test_eulerian_first_is_one_based(self):
         t = number_triangle("eulerian1", 5)
         assert t.first_row == 1
-        assert t.row(1) == (1,)
-        assert t.row(4) == (1, 11, 11, 1)
+        assert t.rows[1 - t.first_row] == (1,)
+        assert t.rows[4 - t.first_row] == (1, 11, 11, 1)
 
     def test_eulerian_second_rows(self):
         t = number_triangle("eulerian2", 4)

@@ -1,15 +1,15 @@
 """Tuple and composition generators: exact contents, order, and counts."""
 
 import itertools
+import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from figurate.combinatorics import binomial
 from figurate.enumeration import (
     MAX_TUPLE_LENGTH,
-    content,
     enumerate_compositions,
     enumerate_j_tuples,
     enumerate_k_tuples,
@@ -85,7 +85,7 @@ class TestKTuples:
         for p in range(1, 10):
             for ell in range(p):
                 for t in enumerate_k_tuples(p, ell):
-                    assert content(t) == ell
+                    assert sum(t) == ell
                     assert support(t) == len(t) + ell + 1 - p
                     assert not any(
                         t[i] > 0 and t[i + 1] > 0 for i in range(len(t) - 1)
@@ -95,7 +95,7 @@ class TestKTuples:
         for p in range(1, 11):
             for ell in range(p):
                 count = sum(1 for _ in enumerate_k_tuples(p, ell))
-                assert count == binomial(p - 1, p - ell - 1)
+                assert count == math.comb(p - 1, p - ell - 1)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -156,6 +156,8 @@ class TestCompositions:
     def test_infeasible_is_empty(self):
         assert list(enumerate_compositions(3, 2, 2)) == []
         assert list(enumerate_compositions(0, 1, 1)) == []
+        # A buffer of 2**61 parts could never be allocated.
+        assert list(enumerate_compositions(1, 2**61, 1)) == []
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -172,11 +174,40 @@ class TestCompositions:
         for total in range(1, 21):
             for parts in range(1, 8):
                 count = sum(1 for _ in enumerate_compositions(total, parts, 1))
-                assert count == binomial(total - 1, parts - 1)
+                assert count == math.comb(total - 1, parts - 1)
 
     def test_lexicographic_without_duplicates(self):
         got = list(enumerate_compositions(9, 3, 2))
         assert got == sorted(set(got))
+
+
+class TestLazyStreaming:
+    """The first tuples of a family too large to hold come out in the
+    documented order without the family being materialized."""
+
+    @pytest.mark.parametrize(
+        "stream, key",
+        [
+            # C(39, 19), about 6.9e10 tuples each; lengths ascend, then
+            # lexicographic order within a length.
+            (lambda: enumerate_k_tuples(40, 20), lambda t: (len(t), t)),
+            (lambda: enumerate_j_tuples(40, 20), lambda t: (len(t), t)),
+            (lambda: enumerate_compositions(60, 30, 1), lambda t: t),
+        ],
+        ids=["k", "j", "comp"],
+    )
+    def test_first_thousand_in_order_under_1mb(self, stream, key):
+        tracemalloc.start()
+        try:
+            prev, count = None, 0
+            for t in itertools.islice(stream(), 1000):
+                assert prev is None or key(prev) < key(t), (prev, t)
+                prev, count = t, count + 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 1000
+        assert peak < 1_000_000
 
 
 class TestTupleLengthLimit:

@@ -140,15 +140,15 @@ class TestRowPolicy:
     def test_number_triangle_past_cap_stores_rows(self):
         triangle = number_triangle("stirling2", ROW_CAP + 3)
         assert len(_STIRLING2._rows) >= ROW_CAP + 4
-        last = triangle.row(ROW_CAP + 3)
+        last = triangle.rows[ROW_CAP + 3]
         for j in _fractions(ROW_CAP + 3):
             assert last[j] == stirling2_single(ROW_CAP + 3, j)
 
     def test_build_triangle_past_cap_stores_rows(self):
         pmax = ROW_CAP + 3
-        closed = build_triangle(pmax, "closed").rows
+        closed = build_triangle(pmax, "closed")
         assert len(_STIRLING2._rows) >= pmax + 1
-        recurrence = build_triangle(pmax, "recurrence").rows
+        recurrence = build_triangle(pmax, "recurrence")
         assert len(_RECURRENCE._rows) >= pmax
         assert closed == recurrence
         for ell in _fractions(pmax):
