@@ -149,7 +149,7 @@ def cmd_triangle(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     guard = _resolve_size_guard(args)
     report = certify(args.p, args.ell, guard)
-    print(f"p={report.p} ell={report.ell}")
+    print(f"p={args.p} ell={args.ell}")
     for route in ROUTES:
         if route in report.values:
             print(f"{route:<11} {report.values[route]}")
@@ -196,7 +196,7 @@ def cmd_powersum(args: argparse.Namespace) -> int:
         if tag == "brute":
             raise ValueError("brute has no symbolic expansion; pick a formula")
         poly = powersum.expand_symbolic(args.p, tag)
-        strings = poly.to_strings()
+        strings = [format_rational(c) for c in poly.coefficients]
         _print_formatted(
             args.format,
             lambda: [format_polynomial(poly)],
@@ -227,11 +227,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     guard = _resolve_size_guard(args)
     suites = args.suite or ["all"]
     report = run_suites(suites, args.pmax, guard)
-    print(f"figurate verify {report.version}")
-    print(
-        f"suites: {','.join(report.suites)}  pmax={report.pmax}  "
-        f"size_guard={report.size_guard}"
-    )
+    print(f"figurate verify {__version__}")
+    print(f"suites: {','.join(report.suites)}  pmax={args.pmax}  size_guard={guard}")
     for check in report.checks:
         line = f"[{check.status}] {check.suite}: {check.name}"
         if check.detail:

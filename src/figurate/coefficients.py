@@ -38,7 +38,7 @@ builds a whole triangle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .combinatorics import _EULERIAN2, _STIRLING2, _RowTable, eulerian2_row, stirling2_single
 from .enumeration import enumerate_compositions, enumerate_j_tuples, enumerate_k_tuples
@@ -272,16 +272,15 @@ def build_triangle(pmax: int, route: str = "closed") -> tuple[tuple[int, ...], .
 
 @dataclass(frozen=True)
 class RouteReport:
-    """Per-route values of c(p, ell) and whether they agree.
+    """Per-route values of c(p, ell) at the caller's (p, ell), and whether
+    they agree.
 
     Routes skipped by the size guard are listed in `skipped`, never
     silently dropped; a skip is not a disagreement.
     """
 
-    p: int
-    ell: int
     values: dict[str, int]
-    skipped: tuple[str, ...] = field(default=())
+    skipped: tuple[str, ...]
 
     @property
     def agree(self) -> bool:
@@ -295,8 +294,8 @@ class RouteReport:
 
 def certify(p: int, ell: int, size_guard: int = DEFAULT_SIZE_GUARD) -> RouteReport:
     """Evaluate every route at (p, ell), skipping enumerative routes when
-    p exceeds size_guard, and report agreement."""
+    p exceeds size_guard; the report holds values and skips, not p or ell."""
     _check_pair(p, ell)
     run, skipped = split_routes(ROUTES, p, size_guard)
     values = {route: coefficient(p, ell, route) for route in run}
-    return RouteReport(p, ell, values, tuple(skipped))
+    return RouteReport(values, tuple(skipped))

@@ -197,18 +197,6 @@ def eulerian_first(p: int, j: int) -> int:
     return _EULERIAN1.row(p - 1)[j - 1]
 
 
-def eulerian_second(l: int, j: int) -> int:
-    """Second-kind Eulerian number <<l, j>>, 0-based, <<0,0>> = 1.
-
-    Zero outside the triangle (j < 0, or j >= l for l >= 1, or (0, j != 0)).
-    """
-    if l < 0:
-        raise ValueError(f"negative row {l}")
-    if j < 0 or j >= max(l, 1):
-        return 0
-    return _EULERIAN2.row(l)[j]
-
-
 def surjection_count(m: int, n: int) -> int:
     """Number of surjections from an m-set onto an n-set: n! * S(m, n).
 
@@ -245,19 +233,18 @@ def surjection_brute(m: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class NumberTriangle:
-    """Rows of one counting family, in its canonical shape.
+    """Rows of the counting family the caller named, in its canonical shape.
 
     first_row is the row index of rows[0] (1 for the 1-based first-kind
     Eulerian family, 0 otherwise).
     """
 
-    family: str
     rows: tuple[tuple[int, ...], ...]
-    first_row: int = 0
+    first_row: int
 
 
 def number_triangle(family: str, max_row: int) -> NumberTriangle:
-    """All rows of the named family up to max_row inclusive.
+    """All rows of the named family up to max_row inclusive, without its name.
 
     Raises ValueError when max_row lies before the family's first row
     (0, or 1 for eulerian1).
@@ -270,4 +257,4 @@ def number_triangle(family: str, max_row: int) -> NumberTriangle:
     if max_row < first_row:
         raise ValueError(f"{family} rows start at {first_row}")
     rows = tuple(table.row(i) for i in range(max_row + 1 - first_row))
-    return NumberTriangle(family, rows, first_row)
+    return NumberTriangle(rows, first_row)

@@ -4,26 +4,39 @@ Integers are plain Python ints (arbitrary precision). Rationals are
 ``fractions.Fraction``, which already keeps the canonical form we rely on
 (positive denominator, lowest terms, 0 == 0/1). Polynomials are dense
 coefficient tuples over Fraction, index = exponent, with no trailing zero
-coefficient. No floating point enters anywhere.
+coefficient. Only ints and Fractions enter: a float, a string or any other
+value is refused with TypeError, so no floating point enters anywhere.
 
 There are no wrappers that rename these operators: Fraction(num, den)
 normalizes, Fraction(s) parses what format_rational prints, and the
 Polynomial operators (+, *, divmod, calling, ==) are the polynomial
-arithmetic; divmod is exact long division, and c * P is written
-Polynomial.constant(c) * P.
+arithmetic; divmod is exact long division, c * P is written
+Polynomial.constant(c) * P, the zero polynomial is Polynomial() and a
+polynomial P is zero when `not P.coefficients`.
 """
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
 
+def _rational(x: Scalar) -> Fraction:
+    """x as a Fraction: a Fraction as it is, any other numbers.Rational
+    (int, bool) wrapped; TypeError for anything else (float, str, ...)."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, numbers.Rational):
+        return Fraction(x)
+    raise TypeError(f"exact rational required, got {type(x).__name__}")
+
+
 def format_rational(q: Scalar) -> str:
     """Serialize a rational as "num/den", abbreviated to "num" when den == 1."""
-    return str(Fraction(q))
+    return str(_rational(q))
 
 
 class Polynomial:
@@ -36,17 +49,13 @@ class Polynomial:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[Scalar] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [_rational(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
 
     @classmethod
     def constant(cls, c: Scalar) -> "Polynomial":
@@ -63,9 +72,6 @@ class Polynomial:
     def degree(self) -> int:
         """Index of the last coefficient; -1 for the zero polynomial."""
         return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -112,14 +118,11 @@ class Polynomial:
 
     def __call__(self, x: Scalar) -> Fraction:
         """Exact value at x, by Horner's rule."""
+        x = _rational(x)
         acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
-
-    def to_strings(self) -> list[str]:
-        """Coefficients as rational strings, index = exponent."""
-        return [format_rational(c) for c in self.coefficients]
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coefficients)!r})"
@@ -127,7 +130,7 @@ class Polynomial:
 
 def format_polynomial(poly: Polynomial, variable: str = "n") -> str:
     """Human-readable form, highest power first, e.g. "1/2 n^2 + 1/2 n"."""
-    if poly.is_zero():
+    if not poly.coefficients:
         return "0"
     parts: list[str] = []
     for exp in range(poly.degree, -1, -1):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import stirling1_unsigned, surjection_count
-from .exact import Polynomial
+from .exact import Polynomial, _rational
 
 
 class RationalMatrix:
@@ -31,7 +31,7 @@ class RationalMatrix:
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
         object.__setattr__(
-            self, "_rows", tuple(tuple(Fraction(x) for x in r) for r in rows)
+            self, "_rows", tuple(tuple(_rational(x) for x in r) for r in rows)
         )
 
     def __setattr__(self, name, value):

@@ -23,18 +23,18 @@ The figurate value F_n^k is extended to every integer n by the rising
 factorial product n(n+1)...(n+k-1)/k!, which vanishes exactly at
 n = 0, -1, ..., -(k-1); the shifted arguments in alt1/alt3 rely on that.
 
-Each figurate expansion is a data object (Representation): a list of
-(integer coefficient, dimension, argument shift) terms consumed by one
-shared evaluator and one shared symbolic expander. The expander works in
-integers: each term is the product of its k linear factors (n+shift+i),
-weighted over the common denominator (largest dimension)!, and the sum is
-divided by that denominator once.
+Each figurate expansion is a term tuple ((integer coefficient, dimension,
+argument shift), ...) that representation() builds and caches; one
+evaluator and one symbolic expander read it, and the expander also turns
+the Faulhaber interpolation's Newton terms into a polynomial. The
+expander works in integers: each term is the product of its k linear
+factors (n+shift+i), weighted over the common denominator (largest
+dimension)!, and the sum is divided by that denominator once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -72,34 +72,22 @@ def figurate(n: int, k: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class Representation:
-    """A figurate expansion as data: terms (coefficient, dimension, shift),
-    standing for coefficient * F_(n+shift)^dimension."""
+def _expand(terms) -> Polynomial:
+    """A term tuple as a single exact polynomial in n.
 
-    tag: str
-    p: int
-    terms: tuple[tuple[int, int, int], ...]
-
-    def evaluate(self, n: int) -> int:
-        return sum(c * figurate(n + shift, dim) for c, dim, shift in self.terms)
-
-    def expand(self) -> Polynomial:
-        """The expansion as a single exact polynomial in n.
-
-        Over the common denominator L = (largest dimension)!, the term
-        c * F_(n+shift)^k is the integer polynomial
-        c * (L / k!) * (n+shift)(n+shift+1)...(n+shift+k-1); the integer
-        sum is divided by L once.
-        """
-        top = max((dim for _, dim, _ in self.terms), default=0)
-        denom = math.factorial(top)
-        acc = [0] * (top + 1)
-        for c, dim, shift in self.terms:
-            weight = c * (denom // math.factorial(dim))
-            for i, x in enumerate(_rising_product(shift, dim)):
-                acc[i] += weight * x
-        return Polynomial(Fraction(x, denom) for x in acc)
+    Over the common denominator L = (largest dimension)!, the term
+    c * F_(n+shift)^k is the integer polynomial
+    c * (L / k!) * (n+shift)(n+shift+1)...(n+shift+k-1); the integer
+    sum is divided by L once.
+    """
+    top = max((dim for _, dim, _ in terms), default=0)
+    denom = math.factorial(top)
+    acc = [0] * (top + 1)
+    for c, dim, shift in terms:
+        weight = c * (denom // math.factorial(dim))
+        for i, x in enumerate(_rising_product(shift, dim)):
+            acc[i] += weight * x
+    return Polynomial(Fraction(x, denom) for x in acc)
 
 
 def _rising_product(start: int, count: int) -> list[int]:
@@ -135,13 +123,14 @@ TERM_TAGS = tuple(_TERM_BUILDERS)
 
 
 @lru_cache(maxsize=None)
-def representation(tag: str, p: int) -> Representation:
-    """Build the term list for one of the TERM_TAGS formulas."""
+def representation(tag: str, p: int) -> tuple[tuple[int, int, int], ...]:
+    """The terms (coefficient, dimension, shift) of one of the TERM_TAGS
+    formulas, each standing for coefficient * F_(n+shift)^dimension."""
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
     if tag not in _TERM_BUILDERS:
         raise ValueError(f"unknown term formula {tag!r}; expected one of {TERM_TAGS}")
-    return Representation(tag, p, tuple(_TERM_BUILDERS[tag](p)))
+    return tuple(_TERM_BUILDERS[tag](p))
 
 
 def _check_n(n: int) -> None:
@@ -151,7 +140,7 @@ def _check_n(n: int) -> None:
 
 def _evaluate_terms(tag: str, n: int, p: int) -> int:
     _check_n(n)
-    return representation(tag, p).evaluate(n)
+    return sum(c * figurate(n + shift, dim) for c, dim, shift in representation(tag, p))
 
 
 def sum_brute(n: int, p: int) -> int:
@@ -220,11 +209,10 @@ def faulhaber_coefficients(p: int) -> tuple[Fraction, ...]:
     for k in range(p + 2):
         terms.append((diffs[0], k, 1 - k))
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    sums = Representation("faulhaber", p, tuple(terms)).expand()
-    quotient, remainder = divmod(sums, _prefactor(p))
-    exact = remainder.is_zero()
+    quotient, remainder = divmod(_expand(terms), _prefactor(p))
+    exact = not remainder.coefficients
     coeffs = []
-    while exact and not quotient.is_zero():
+    while exact and quotient.coefficients:
         quotient, remainder = divmod(quotient, _TRIANGULAR)
         exact = remainder.degree < 1
         coeffs.append(remainder(0))
@@ -253,9 +241,9 @@ def expand_symbolic(p: int, tag: str) -> Polynomial:
     n^p. The brute tag has no symbolic form.
     """
     if tag in TERM_TAGS:
-        return representation(tag, p).expand()
+        return _expand(representation(tag, p))
     if tag == "faulhaber":
-        acc = Polynomial.zero()
+        acc = Polynomial()
         for c in reversed(faulhaber_coefficients(p)):
             acc = acc * _TRIANGULAR + Polynomial.constant(c)
         return _prefactor(p) * acc

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import __version__, coefficients, combinatorics, enumeration, fermat, powersum
+from . import coefficients, combinatorics, enumeration, fermat, powersum
 from .exact import Polynomial
 
 SUITES = ("coeff", "enumeration", "fermat", "orthogonality", "powersum")
@@ -108,12 +108,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """The suites run (sorted), their checks in run order and the wall
+    time; pmax and the size guard stay with the caller."""
+
     suites: tuple[str, ...]
-    pmax: int
-    size_guard: int
     checks: tuple[CheckResult, ...]
     duration: float
-    version: str = __version__
 
     @property
     def passed(self) -> int:
@@ -155,24 +155,19 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
     )
 
     for p in range(1, pmax + 1):
-        run, skipped = coefficients.split_routes(coefficients.ROUTES, p, guard)
+        # Row p and the guard's route split are read from these reports.
         reports = [coefficients.certify(p, ell, guard) for ell in range(p)]
         _check(
             results,
             "coeff",
             f"routes agree p={p}",
             all(r.agree for r in reports),
-            f"{len(run)} routes, ell=0..{p - 1}",
+            f"{len(reports[0].values)} routes, ell=0..{p - 1}",
         )
-        if skipped:
-            _skip(
-                results,
-                "coeff",
-                f"enumerative routes p={p}",
-                f"size guard {guard}",
-            )
+        if reports[0].skipped:
+            _skip(results, "coeff", f"enumerative routes p={p}", f"size guard {guard}")
 
-        row = coefficients.build_triangle(p)[-1]
+        row = [r.value for r in reports]
         alternating = sum((-1) ** ell * c for ell, c in enumerate(row))
         _check(
             results,
@@ -217,7 +212,7 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
                     results,
                     "coeff",
                     f"composition identity p={p}",
-                    _composition_identity(p),
+                    _composition_identity(p, reports),
                 )
                 _check(
                     results,
@@ -230,14 +225,15 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
                 _skip(results, "coeff", f"summand counts p={p}", f"size guard {guard}")
 
 
-def _composition_identity(p: int) -> bool:
-    """min-part-1 sum equals min-part-2 sum plus the part-1 weight W(p, j)."""
+def _composition_identity(p: int, reports: list[coefficients.RouteReport]) -> bool:
+    """min-part-1 sum equals min-part-2 sum plus the part-1 weight W(p, j),
+    and the decompose value certify() reported at ell = p - j."""
     for j in range(1, p):
         min1 = coefficients.composition_sum(p, p, j, 1)
         min2 = coefficients.composition_sum(p, p, j, 2)
         if min1 != min2 + coefficients.w_sum(p, j):
             return False
-        if min1 != coefficients.c_decompose(p, p - j):
+        if min1 != reports[p - j].values["decompose"]:
             return False
     return True
 
@@ -429,14 +425,14 @@ def _powersum_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
 
     ok = True
     for p in range(1, 13):
-        coeffs = [c for c, _, _ in powersum.representation("alt2", p).terms]
+        coeffs = [c for c, _, _ in powersum.representation("alt2", p)]
         if coeffs != coeffs[::-1]:
             ok = False
     _check(results, "powersum", "eulerian coefficient symmetry p<=12", ok)
 
     if pmax >= 8:
         ok = all(
-            powersum.representation(tag, 8).terms == REFERENCE_SUM8_TERMS[tag]
+            powersum.representation(tag, 8) == REFERENCE_SUM8_TERMS[tag]
             for tag in ("eq5", "alt1", "alt2", "alt3")
         )
         _check(results, "powersum", "reference expansions p=8", ok)
@@ -484,4 +480,4 @@ def run_suites(suites: list[str], pmax: int, size_guard: int) -> VerifyReport:
             # Looked up at call time, so a replaced _<suite>_checks is the one run.
             globals()[f"_{suite}_checks"](results, pmax, size_guard)
     duration = time.monotonic() - start
-    return VerifyReport(tuple(sorted(wanted)), pmax, size_guard, tuple(results), duration)
+    return VerifyReport(tuple(sorted(wanted)), tuple(results), duration)

@@ -13,8 +13,8 @@ from figurate.combinatorics import (
     NumberTriangle,
     _RowTable,
     _stirling2_step,
+    eulerian2_row,
     eulerian_first,
-    eulerian_second,
     number_triangle,
     stirling1_unsigned,
     stirling2,
@@ -153,14 +153,9 @@ class TestEulerianFirst:
 
 class TestEulerianSecond:
     def test_base_cases(self):
-        assert eulerian_second(0, 0) == 1
-        assert eulerian_second(1, 0) == 1
-        assert eulerian_second(2, 1) == 2
-
-    def test_out_of_triangle(self):
-        assert eulerian_second(0, 1) == 0
-        assert eulerian_second(3, 3) == 0
-        assert eulerian_second(2, -1) == 0
+        assert eulerian2_row(0) == (1,)
+        assert eulerian2_row(1) == (1,)
+        assert eulerian2_row(2) == (1, 2)
 
     def test_stirling_permutation_oracle(self):
         for order in range(1, 5):
@@ -168,13 +163,11 @@ class TestEulerianSecond:
             for perm in stirling_permutations(order):
                 d = descents(perm)
                 counts[d] = counts.get(d, 0) + 1
-            for j in range(order):
-                assert eulerian_second(order, j) == counts.get(j, 0)
+            assert eulerian2_row(order) == tuple(counts.get(j, 0) for j in range(order))
 
     def test_row_sum_double_factorial(self):
         for order in range(1, 10):
-            total = sum(eulerian_second(order, j) for j in range(order))
-            assert total == math.prod(range(1, 2 * order, 2))
+            assert sum(eulerian2_row(order)) == math.prod(range(1, 2 * order, 2))
 
 
 class TestSurjections:

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from figurate.exact import Polynomial, format_polynomial, format_rational
+from figurate.fermat import RationalMatrix
 
 # The first few figurate polynomials, written out longhand.
 F2 = Polynomial((0, Fraction(1, 2), Fraction(1, 2)))
@@ -54,7 +55,7 @@ class TestRationalNormalize:
 
 class TestPolynomialArithmetic:
     def test_additive_identity(self):
-        assert N + Polynomial.zero() == N
+        assert N + Polynomial() == N
 
     def test_square(self):
         assert N * N == Polynomial((0, 0, 1))
@@ -63,7 +64,7 @@ class TestPolynomialArithmetic:
         assert Polynomial.constant(2) * F2 == Polynomial((0, 1, 1))
 
     def test_sub_self_is_zero(self):
-        assert (F5 + Polynomial.constant(-1) * F5).is_zero()
+        assert not (F5 + Polynomial.constant(-1) * F5).coefficients
 
     def test_unknown_op(self):
         with pytest.raises(TypeError):
@@ -77,7 +78,7 @@ class TestPolynomialArithmetic:
     def test_trailing_zeros_stripped(self):
         assert Polynomial((1, 2, 0, 0)) == Polynomial((1, 2))
         assert Polynomial((0,)).degree == -1
-        assert Polynomial(()).is_zero()
+        assert not Polynomial(()).coefficients
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -96,7 +97,7 @@ class TestPolynomialArithmetic:
 
 class TestPolynomialDivision:
     def test_exact_quotient(self):
-        assert divmod(F2 * F3, F3) == (F2, Polynomial.zero())
+        assert divmod(F2 * F3, F3) == (F2, Polynomial())
 
     def test_nonzero_remainder(self):
         # n^2 + 1 = (n - 1)(n + 1) + 2
@@ -106,11 +107,11 @@ class TestPolynomialDivision:
         )
 
     def test_divisor_of_higher_degree(self):
-        assert divmod(F2, F5) == (Polynomial.zero(), F2)
+        assert divmod(F2, F5) == (Polynomial(), F2)
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            divmod(F2, Polynomial.zero())
+            divmod(F2, Polynomial())
 
     @given(
         st.lists(st.integers(-9, 9), max_size=7),
@@ -167,11 +168,36 @@ class TestSerialization:
         assert format_rational(Fraction(1, 2)) == "1/2"
 
     def test_polynomial_round_trip(self):
-        strings = F5.to_strings()
+        strings = [format_rational(c) for c in F5.coefficients]
         assert strings == ["0", "1/5", "5/12", "7/24", "1/12", "1/120"]
         assert Polynomial(Fraction(s) for s in strings) == F5
 
     def test_format_polynomial(self):
         assert format_polynomial(F2) == "1/2 n^2 + 1/2 n"
-        assert format_polynomial(Polynomial.zero()) == "0"
+        assert format_polynomial(Polynomial()) == "0"
         assert format_polynomial(Polynomial((-1, 2))) == "2 n - 1"
+
+
+
+#: The four places a value enters the exact containers, each read back as
+#: the Fraction it stored, returned or printed.
+ENTRY_POINTS = {
+    "Polynomial": lambda x: Polynomial((x,)).coefficients[0],
+    "Polynomial.__call__": lambda x: Polynomial((0, 1))(x),
+    "format_rational": lambda x: Fraction(format_rational(x)),
+    "RationalMatrix": lambda x: RationalMatrix([[x]]).entry(1, 1),
+}
+
+
+class TestOnlyExactValuesEnter:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [0.1, 0.5, "1/3"], ids=repr)
+    def test_float_and_string_rejected(self, entry, value):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_int_and_fraction_accepted(self, entry):
+        for x in (7, -2, True, Fraction(7, 3), Fraction(-1, 2)):
+            result = ENTRY_POINTS[entry](x)
+            assert type(result) is Fraction and result == x

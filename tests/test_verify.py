@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from figurate import powersum, verify
+from figurate import coefficients, powersum, verify
 from figurate.verify import SUITES, CheckResult, run_suites
 
 
@@ -47,10 +47,31 @@ def test_eulerian_symmetry_covers_p12_at_small_pmax(monkeypatch):
         rep = real(tag, p)
         if (tag, p) != ("alt2", 12):
             return rep
-        (c, dim, shift), *rest = rep.terms
-        return powersum.Representation(tag, p, ((c + 1, dim, shift), *rest))
+        (c, dim, shift), *rest = rep
+        return ((c + 1, dim, shift), *rest)
 
     monkeypatch.setattr(powersum, "representation", planted)
     report = run_suites(["powersum"], 5, 14)
     assert _status(report, "eulerian coefficient symmetry p<=12") == "fail"
     assert report.failed == 1
+
+
+def test_coeff_suite_calls_each_route_once_per_cell(monkeypatch):
+    # coefficient() resolves c_<route> at call time, so counters replaced
+    # on the module see every call, certify()'s included.
+    calls = dict.fromkeys(coefficients.ROUTES, 0)
+
+    def counted(route, real):
+        def c(p, ell):
+            calls[route] += 1
+            return real(p, ell)
+
+        return c
+
+    for route in coefficients.ROUTES:
+        name = f"c_{route}"
+        monkeypatch.setattr(coefficients, name, counted(route, getattr(coefficients, name)))
+    report = run_suites(["coeff"], 14, 14)
+    assert report.ok
+    # 105 certify cells (p = 1..14), plus the 45 reference-triangle cells.
+    assert calls == {route: 150 if route == "closed" else 105 for route in coefficients.ROUTES}
