@@ -18,7 +18,6 @@ FIGURATE_SIZE_GUARD environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -36,9 +35,12 @@ from .enumeration import (
     enumerate_j_tuples,
     enumerate_k_tuples,
 )
-from .exact import format_polynomial, format_rational
-from .fermat import build_fermat, inverse_closed
-from .verify import SUITES, run_suites
+from .verify import SUITES
+
+# json, fermat, exact and verify.run_suites are imported by the
+# subcommands that use them, so a process loads only what its subcommand
+# runs. Each such import reads the module attribute when the subcommand
+# runs, so a function replaced on its module is the one called.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -88,6 +90,8 @@ def _print_formatted(fmt: str, plain, rows: list[list[str]], obj: dict) -> None:
     elif fmt == "csv":
         print("\n".join(",".join(row) for row in rows))
     else:
+        import json
+
         print(json.dumps(obj, sort_keys=True))
 
 
@@ -179,6 +183,9 @@ def cmd_tuples(args: argparse.Namespace) -> int:
 
 
 def cmd_fermat(args: argparse.Namespace) -> int:
+    from .exact import format_rational
+    from .fermat import build_fermat, inverse_closed
+
     matrix = inverse_closed(args.p) if args.inverse else build_fermat(args.p)
     rows = [[format_rational(x) for x in row] for row in matrix.rows]
     _print_formatted(
@@ -195,6 +202,8 @@ def cmd_powersum(args: argparse.Namespace) -> int:
     if args.symbolic:
         if tag == "brute":
             raise ValueError("brute has no symbolic expansion; pick a formula")
+        from .exact import format_polynomial, format_rational
+
         poly = powersum.expand_symbolic(args.p, tag)
         strings = [format_rational(c) for c in poly.coefficients]
         _print_formatted(
@@ -218,12 +227,16 @@ def cmd_powersum(args: argparse.Namespace) -> int:
 
 
 def cmd_faulhaber(args: argparse.Namespace) -> int:
+    from .exact import format_rational
+
     coeffs = powersum.faulhaber_coefficients(args.p)
     print(" ".join(format_rational(c) for c in coeffs))
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suites
+
     guard = _resolve_size_guard(args)
     suites = args.suite or ["all"]
     report = run_suites(suites, args.pmax, guard)

@@ -38,7 +38,7 @@ builds a whole triangle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .combinatorics import _EULERIAN2, _STIRLING2, _RowTable, eulerian2_row, stirling2_single
 from .enumeration import enumerate_compositions, enumerate_j_tuples, enumerate_k_tuples
@@ -270,17 +270,16 @@ def build_triangle(pmax: int, route: str = "closed") -> tuple[tuple[int, ...], .
     )
 
 
-@dataclass(frozen=True)
-class RouteReport:
+class RouteReport(namedtuple("RouteReport", "values skipped")):
     """Per-route values of c(p, ell) at the caller's (p, ell), and whether
     they agree.
 
-    Routes skipped by the size guard are listed in `skipped`, never
-    silently dropped; a skip is not a disagreement.
+    values maps each route run to its value. Routes skipped by the size
+    guard are listed in the tuple `skipped`, never silently dropped; a
+    skip is not a disagreement.
     """
 
-    values: dict[str, int]
-    skipped: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def agree(self) -> bool:

@@ -29,8 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 #: surjection_brute refuses instances with more than this many functions.
 BRUTE_FORCE_LIMIT = 10**8
@@ -231,16 +231,14 @@ def surjection_brute(m: int, n: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class NumberTriangle:
+class NumberTriangle(namedtuple("NumberTriangle", "rows first_row")):
     """Rows of the counting family the caller named, in its canonical shape.
 
-    first_row is the row index of rows[0] (1 for the 1-based first-kind
-    Eulerian family, 0 otherwise).
+    rows is a tuple of row tuples; first_row is the row index of rows[0]
+    (1 for the 1-based first-kind Eulerian family, 0 otherwise).
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    first_row: int
+    __slots__ = ()
 
 
 def number_triangle(family: str, max_row: int) -> NumberTriangle:

@@ -25,7 +25,7 @@ the interpreter's default limit of 1000 frames.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 #: Longest tuple any generator here builds.
 MAX_TUPLE_LENGTH = 900

@@ -18,13 +18,11 @@ polynomial P is zero when `not P.coefficients`.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
-
-Scalar = Union[int, Fraction]
 
 
-def _rational(x: Scalar) -> Fraction:
+def _rational(x: int | Fraction) -> Fraction:
     """x as a Fraction: a Fraction as it is, any other numbers.Rational
     (int, bool) wrapped; TypeError for anything else (float, str, ...)."""
     if isinstance(x, Fraction):
@@ -34,7 +32,7 @@ def _rational(x: Scalar) -> Fraction:
     raise TypeError(f"exact rational required, got {type(x).__name__}")
 
 
-def format_rational(q: Scalar) -> str:
+def format_rational(q: int | Fraction) -> str:
     """Serialize a rational as "num/den", abbreviated to "num" when den == 1."""
     return str(_rational(q))
 
@@ -48,7 +46,7 @@ class Polynomial:
 
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: Iterable[Scalar] = ()):
+    def __init__(self, coefficients: Iterable[int | Fraction] = ()):
         coeffs = [_rational(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -58,11 +56,11 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
+    def constant(cls, c: int | Fraction) -> "Polynomial":
         return cls((c,))
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: Scalar = 1) -> "Polynomial":
+    def monomial(cls, exponent: int, coefficient: int | Fraction = 1) -> "Polynomial":
         """coefficient * n**exponent"""
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
@@ -116,7 +114,7 @@ class Polynomial:
                     rem[i + j] -= q * d
         return Polynomial(quot), Polynomial(rem[: len(lower)])
 
-    def __call__(self, x: Scalar) -> Fraction:
+    def __call__(self, x: int | Fraction) -> Fraction:
         """Exact value at x, by Horner's rule."""
         x = _rational(x)
         acc = Fraction(0)

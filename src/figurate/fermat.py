@@ -14,8 +14,8 @@ Matrix indices are 1-based at the API surface.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .combinatorics import stirling1_unsigned, surjection_count
 from .exact import Polynomial, _rational

@@ -35,12 +35,18 @@ dimension)!, and the sum is divided by that denominator once.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .coefficients import c_closed
 from .combinatorics import eulerian_first, stirling2, surjection_count
-from .exact import Polynomial
+
+# fractions and exact are imported where a polynomial is built, so that
+# evaluation never loads them; this block only names them for annotations.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .exact import Polynomial
 
 #: CLI flag -> formula tag, for every formula. Every tag except brute has
 #: a symbolic expansion.
@@ -80,6 +86,10 @@ def _expand(terms) -> Polynomial:
     c * (L / k!) * (n+shift)(n+shift+1)...(n+shift+k-1); the integer
     sum is divided by L once.
     """
+    from fractions import Fraction
+
+    from .exact import Polynomial
+
     top = max((dim for _, dim, _ in terms), default=0)
     denom = math.factorial(top)
     acc = [0] * (top + 1)
@@ -176,15 +186,19 @@ def sum_variant(n: int, p: int) -> int:
     return _evaluate_terms("alt3", n, p)
 
 
-#: T_n = n(n+1)/2 as a polynomial in n.
-_TRIANGULAR = Polynomial((0, Fraction(1, 2), Fraction(1, 2)))
+def _faulhaber_basis(p: int) -> tuple[Polynomial, Polynomial]:
+    """(prefactor, T_n) as polynomials in n: the Faulhaber prefactor is
+    S_2(n) for even p and T_n^2 for odd p, and T_n = n(n+1)/2."""
+    from fractions import Fraction
 
+    from .exact import Polynomial
 
-def _prefactor(p: int) -> Polynomial:
-    """The Faulhaber prefactor in n: S_2(n) for even p, T_n^2 for odd p."""
+    half = Fraction(1, 2)
     if p % 2 == 0:
-        return Polynomial((0, Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
-    return Polynomial((0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
+        prefactor = Polynomial((0, Fraction(1, 6), half, Fraction(1, 3)))
+    else:
+        prefactor = Polynomial((0, 0, Fraction(1, 4), half, Fraction(1, 4)))
+    return prefactor, Polynomial((0, half, half))
 
 
 @lru_cache(maxsize=None)
@@ -209,11 +223,12 @@ def faulhaber_coefficients(p: int) -> tuple[Fraction, ...]:
     for k in range(p + 2):
         terms.append((diffs[0], k, 1 - k))
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    quotient, remainder = divmod(_expand(terms), _prefactor(p))
+    prefactor, triangular = _faulhaber_basis(p)
+    quotient, remainder = divmod(_expand(terms), prefactor)
     exact = not remainder.coefficients
     coeffs = []
     while exact and quotient.coefficients:
-        quotient, remainder = divmod(quotient, _TRIANGULAR)
+        quotient, remainder = divmod(quotient, triangular)
         exact = remainder.degree < 1
         coeffs.append(remainder(0))
     if not exact or len(coeffs) != p // 2:
@@ -243,10 +258,13 @@ def expand_symbolic(p: int, tag: str) -> Polynomial:
     if tag in TERM_TAGS:
         return _expand(representation(tag, p))
     if tag == "faulhaber":
+        from .exact import Polynomial
+
+        prefactor, triangular = _faulhaber_basis(p)
         acc = Polynomial()
         for c in reversed(faulhaber_coefficients(p)):
-            acc = acc * _TRIANGULAR + Polynomial.constant(c)
-        return _prefactor(p) * acc
+            acc = acc * triangular + Polynomial.constant(c)
+        return prefactor * acc
     raise ValueError(f"no symbolic expansion for tag {tag!r}")
 
 

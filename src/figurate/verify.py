@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
-from . import coefficients, combinatorics, enumeration, fermat, powersum
-from .exact import Polynomial
+from . import coefficients, combinatorics, enumeration, powersum
 
 SUITES = ("coeff", "enumeration", "fermat", "orthogonality", "powersum")
 
@@ -98,22 +96,17 @@ REFERENCE_SUM8_TERMS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    status: str  # pass | fail | skipped
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "suite name status detail", defaults=("",))):
+    """One check of a suite; status is pass, fail or skipped."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(namedtuple("VerifyReport", "suites checks duration")):
     """The suites run (sorted), their checks in run order and the wall
-    time; pmax and the size guard stay with the caller."""
+    time in seconds; pmax and the size guard stay with the caller."""
 
-    suites: tuple[str, ...]
-    checks: tuple[CheckResult, ...]
-    duration: float
+    __slots__ = ()
 
     @property
     def passed(self) -> int:
@@ -180,16 +173,11 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
         )
 
         if p >= 2:
-            expect_1 = Fraction(p - 1, 2) * math.factorial(p)
-            ok = Fraction(row[1]) == expect_1
+            # c(p, 1) = (p - 1)/2 * p! and c(p, 2) = 1/8 * p! (p - 2)(p - 5/3),
+            # each times its denominator.
+            ok = 2 * row[1] == (p - 1) * math.factorial(p)
             if p >= 3:
-                expect_2 = (
-                    Fraction(1, 8)
-                    * math.factorial(p)
-                    * (p - 2)
-                    * (Fraction(p) - Fraction(5, 3))
-                )
-                ok = ok and Fraction(row[2]) == expect_2
+                ok = ok and 24 * row[2] == math.factorial(p) * (p - 2) * (3 * p - 5)
             _check(results, "coeff", f"closed sub-formulas p={p}", ok)
 
         brute = p <= 7
@@ -303,6 +291,10 @@ def _tuple_families(p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _fermat_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
+    from fractions import Fraction
+
+    from . import fermat
+
     for p in range(1, pmax + 1):
         _check(results, "fermat", f"inverse certified p={p}", fermat.certify_inverse(p))
 
@@ -379,6 +371,9 @@ def _orthogonality_checks(results: list[CheckResult], pmax: int, guard: int) -> 
 # ---------------------------------------------------------------------------
 
 def _powersum_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
+    from . import fermat
+    from .exact import Polynomial
+
     for p in range(1, min(pmax, 10) + 1):
         ok = True
         for n in range(101):
@@ -440,7 +435,7 @@ def _powersum_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
     if pmax >= 3:
         t_squared = powersum.expand_symbolic(3, "faulhaber")
         cube_ok = (
-            powersum.faulhaber_coefficients(3) == (Fraction(1),)
+            powersum.faulhaber_coefficients(3) == (1,)
             and t_squared == fermat.figurate_polynomial(2) * fermat.figurate_polynomial(2)
             and all(
                 powersum.faulhaber_eval(n, 3) == powersum.figurate(n, 2) ** 2

@@ -17,6 +17,7 @@ from figurate.coefficients import ROUTES
 from figurate.combinatorics import FAMILIES
 from figurate.enumeration import MAX_TUPLE_LENGTH
 from figurate.powersum import FORMULA_FLAGS
+from figurate.verify import SUITES
 
 TRIANGLE_9 = (
     (1,),
@@ -467,6 +468,30 @@ class TestRegistries:
     def test_formula_choices(self):
         assert tuple(_choices("powersum", "formula")) == tuple(FORMULA_FLAGS)
 
+    def test_every_choice_list(self):
+        # Walks every subcommand: a registry-backed option reads its
+        # registry, and no other option has a choice list.
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        found = {
+            (command, action.dest): tuple(action.choices)
+            for command, subparser in sub.choices.items()
+            for action in subparser._actions
+            if action.choices is not None
+        }
+        formats = ("plain", "csv", "json")
+        assert found == {
+            ("coeff", "route"): ROUTES + ("all",),
+            ("triangle", "route"): ROUTES,
+            ("triangle", "family"): FAMILIES,
+            ("triangle", "format"): formats,
+            ("tuples", "kind"): ("k", "j", "comp"),
+            ("fermat", "format"): formats,
+            ("powersum", "formula"): tuple(FORMULA_FLAGS),
+            ("powersum", "format"): formats,
+            ("verify", "suite"): SUITES + ("all",),
+        }
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -520,6 +545,47 @@ class TestReproducibleStdout:
         assert first[1] == second[1]
 
 
+#: Runs cli.main on the arguments after the first, then prints to stderr
+#: which of the modules named in the first argument are loaded.
+_LOADED_AFTER_MAIN = """
+import sys
+from figurate import cli
+code = cli.main(sys.argv[2:])
+sys.stderr.write(" ".join(m for m in sys.argv[1].split() if m in sys.modules) + "\\n")
+sys.exit(code)
+"""
+
+
+class TestImportHygiene:
+    """A subcommand imports only what it runs. The interpreter runs with
+    -S, so no site hook preloads a module the library should not load."""
+
+    HEAVY = "dataclasses inspect typing fractions decimal json figurate.fermat figurate.exact"
+
+    def loaded(self, argv, watched):
+        code, _, err = run_fresh(["-S", "-c", _LOADED_AFTER_MAIN, watched, *argv.split()])
+        assert code == 0, err
+        return err.splitlines()[-1].split()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "coeff --p 14 --ell 7 --route enum_k",
+            "certify --p 12 --ell 6",
+            "tuples --kind k --p 14 --ell 7 --count-only",
+        ],
+    )
+    def test_integer_subcommands_load_no_heavy_module(self, argv):
+        assert self.loaded(argv, self.HEAVY) == []
+
+    def test_enumeration_suite_leaves_fermat_unloaded(self):
+        assert self.loaded("verify --pmax 3 --suite enumeration", "figurate.fermat") == []
+
+    def test_probe_reports_loaded_modules(self):
+        loaded = self.loaded("fermat --p 3", self.HEAVY)
+        assert {"fractions", "figurate.fermat", "figurate.exact"} <= set(loaded)
+
+
 class TestBenchTracerBindings:
     """bench/trace_cli.py binds library names at every site; a deleted or
     renamed one makes its Tracer.install() raise AttributeError."""
@@ -532,6 +598,7 @@ class TestBenchTracerBindings:
             "powersum --p 6 --symbolic --formula euler",
             "triangle --pmax 6 --family eulerian1",
             "tuples --kind comp --total 6 --parts 3 --count-only",
+            "faulhaber --p 6",
         ],
     )
     def test_traced_run_matches_plain_cli(self, argv):

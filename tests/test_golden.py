@@ -103,6 +103,9 @@ CORPUS = (
         ("verify --pmax 8 --suite powersum --suite fermat", None),
         ("verify --pmax 0", None),
         ("--version", None),
+        ("verify --pmax 3 --suite nope", None),
+        ("powersum --p 3 --n 2 --formula nope", None),
+        ("triangle --pmax 3 --family nope", None),
     ]
 )
 
