@@ -8,8 +8,8 @@ route here computes the same c(p, ell) by a different mechanism:
                nonnegative tuples of enumeration.enumerate_k_tuples.
 * enum_j:      sum of p! / prod(j_i!) over the positive tuples of
                enumeration.enumerate_j_tuples.
-* recurrence:  c(p, ell) = (p - ell) * [c(p-1, ell) + c(p-1, ell-1)]
-               between the boundary columns p! and 1.
+* recurrence:  c(p, ell) = (p - ell) * [c(p-1, ell) + c(p-1, ell-1)],
+               reading c(p-1, .) as zero outside 0..p-2.
 * decompose:   with j = p - ell, group the enum_j sum by the number t of
                parts >= 2: sum over t of C(j, t) times the sum of
                p! / prod(s_i!) over compositions of p + t - j into t
@@ -30,17 +30,19 @@ reports whether they agree; their agreement is the checkable content of
 the whole construction.
 
 The closed, recurrence and eulerian2 routes read their row table where
-_RowTable.lookup() admits it, and otherwise compute the one value they
-need with a single-value kernel in O(p) memory, so a cold large p never
-builds a whole triangle.
+_RowTable.lookup() admits it. Otherwise the recurrence and eulerian2
+routes roll their table's own step (_RowTable.rolled) and the closed
+route runs stirling2_single, each in O(p) memory, so a cold large p
+never builds a whole triangle.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 
-from .combinatorics import _EULERIAN2, _STIRLING2, _RowTable, eulerian2_row, stirling2_single
+from .combinatorics import _EULERIAN2, _STIRLING2, _padded, _RowTable, stirling2_single
 from .enumeration import enumerate_compositions, enumerate_j_tuples, enumerate_k_tuples
 
 #: Route name -> enumerative, in the canonical order used everywhere
@@ -117,43 +119,25 @@ def c_enum_j(p: int, ell: int) -> int:
     return _multinomial_sum(p, enumerate_j_tuples(p, ell))
 
 
-def _recurrence_step(prev: tuple, index: int) -> list:
+def _recurrence_step(prev: Sequence[int], index: int) -> list:
+    # c(p, ell) = (p - ell) [c(p-1, ell) + c(p-1, ell-1)]; row index i holds p = i+1
     p = index + 1
-    row = [0] * p
-    row[0] = math.factorial(p)
-    row[p - 1] = 1
-    for ell in range(1, p - 1):
-        row[ell] = (p - ell) * (prev[ell] + prev[ell - 1])
-    return row
+    return [(p - ell) * (at + below) for ell, at, below in _padded(prev, p)]
 
 
 _RECURRENCE = _RowTable((1,), _recurrence_step)  # rows[i] holds p = i + 1
-
-
-def _recurrence_single(p: int, ell: int) -> int:
-    """c(p, ell) by the recurrence of _recurrence_step on one rolling row
-    that keeps only columns 0..ell: O(p * ell) work in O(ell) memory."""
-    row = [1]  # p = 1
-    for q in range(2, p + 1):
-        top = min(ell, q - 2)
-        new = [q * row[0]]
-        new += [(q - e) * (a + b) for e, a, b in zip(range(1, top + 1), row[1:], row)]
-        if ell >= q - 1:
-            new.append(1)
-        row = new
-    return row[ell]
 
 
 def c_recurrence(p: int, ell: int) -> int:
     """Dynamic programming on (p - ell) * [c(p-1, ell) + c(p-1, ell-1)].
 
     Reads row p of the recurrence table where lookup() admits it, and
-    otherwise runs the same recurrence on a rolling row truncated to
-    columns 0..ell (_recurrence_single).
+    otherwise rolls the table's step up to row p on one row kept to
+    columns 0..ell (_RowTable.rolled): O(p * ell) work in O(ell) memory.
     """
     _check_pair(p, ell)
     row = _RECURRENCE.lookup(p - 1)
-    return row[ell] if row is not None else _recurrence_single(p, ell)
+    return row[ell] if row is not None else _RECURRENCE.rolled(p - 1, ell + 1)[ell]
 
 
 def composition_sum(p: int, total: int, parts: int, min_part: int) -> int:
@@ -186,12 +170,13 @@ def c_eulerian2(p: int, ell: int) -> int:
     """(p - ell)! * sum of <<ell, i>> * C(p + ell - 1 - i, 2*ell).
 
     Row ell of <<., .>> is fetched once: from the table where lookup()
-    admits it, otherwise built on one rolling row (eulerian2_row).
+    admits it, otherwise rolled by the table's own step without storing
+    it (_RowTable.rolled).
     """
     _check_pair(p, ell)
     row = _EULERIAN2.lookup(ell)
     if row is None:
-        row = eulerian2_row(ell)
+        row = _EULERIAN2.rolled(ell)
     total = sum(e * math.comb(p + ell - 1 - i, 2 * ell) for i, e in enumerate(row))
     return math.factorial(p - ell) * total
 

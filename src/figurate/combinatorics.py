@@ -2,18 +2,19 @@
 
 Triangles covered: unsigned Stirling numbers of the first kind s(k,r),
 Stirling numbers of the second kind S(k,j), Eulerian numbers of the first
-kind, and Eulerian numbers of the second kind. Rows are built once by the
-triangular recurrence of each family and memoized for the process
-lifetime; the row tables only ever grow and are safe to use from several
-threads.
+kind, and Eulerian numbers of the second kind. Each family is a two-term
+triangular recurrence (Concrete Mathematics, 6.1-6.2) written once as a
+step over _padded, which reads the previous row as zero outside its range.
+Rows are memoized for the process lifetime; the row tables only ever grow
+and are safe to use from several threads.
 
 A table grows to any row asked of it through its accessor
 (stirling2(), number_triangle(), ...). Callers that need one value of a
 large row ask _RowTable.lookup() instead: it reads a stored row, and
 grows the table only up to ROW_CAP rows or by the row right after the
 last stored one. Past that it returns None and the caller computes the
-value with a single-value kernel in O(row) memory (stirling2_single,
-eulerian2_row), leaving the table as it was.
+value in O(row) memory, leaving the table as it was: by the table's own
+step on one rolling row (_RowTable.rolled), or by stirling2_single.
 
 Index conventions (they differ between families on purpose):
 
@@ -48,10 +49,11 @@ class _RowTable:
 
     Rows are tuples and only appended, never replaced, so readers that
     race the lock still see consistent data. row() grows the table to any
-    index; lookup() grows it past ROW_CAP rows only one row at a time.
+    index; lookup() grows it past ROW_CAP rows only one row at a time;
+    rolled() builds one row by the same step and stores nothing.
     """
 
-    def __init__(self, seed: Sequence[int], step: Callable[[tuple, int], list]):
+    def __init__(self, seed: Sequence[int], step: Callable[[Sequence[int], int], list]):
         self._rows: list[tuple[int, ...]] = [tuple(seed)]
         self._step = step
         self._lock = threading.Lock()
@@ -72,7 +74,7 @@ class _RowTable:
 
         The length is read without the lock. A thread that races a growing
         table can only see None where a row was just stored, or a row
-        where it would have seen None; its caller then takes the kernel
+        where it would have seen None; its caller then takes rolled()
         instead of the table or the other way round, and both give equal
         values.
         """
@@ -80,41 +82,45 @@ class _RowTable:
             return self.row(index)
         return None
 
+    def rolled(self, index: int, width: int | None = None) -> tuple[int, ...]:
+        """row(index)[:width] built from the seed by the table's own step on
+        one rolling row, without storing it: O(index * width) work in
+        O(width) memory. Entry j of a step reads only entries j and j - 1 of
+        the previous row, so the first `width` entries of each step are exact.
+        """
+        row = self._rows[0][:width]
+        for i in range(1, index + 1):
+            row = self._step(row, i)[:width]
+        return tuple(row)
 
-def _stirling1_step(prev: tuple, k: int) -> list:
+
+def _padded(prev: Sequence[int], length: int):
+    """(j, prev[j], prev[j - 1]) for j < length, reading prev as zero
+    outside its range. It stops after j = len(prev): both reads are zero
+    past it, so a step would give zeros there."""
+    return zip(range(length), itertools.chain(prev, (0,)), itertools.chain((0,), prev))
+
+
+def _stirling1_step(prev: Sequence[int], k: int) -> list:
     # s(k,r) = s(k-1,r-1) + (k-1) s(k-1,r)
-    return [
-        (prev[r - 1] if r >= 1 else 0) + (k - 1) * (prev[r] if r < len(prev) else 0)
-        for r in range(k + 1)
-    ]
+    return [below + (k - 1) * at for _, at, below in _padded(prev, k + 1)]
 
 
-def _stirling2_step(prev: tuple, k: int) -> list:
+def _stirling2_step(prev: Sequence[int], k: int) -> list:
     # S(k,j) = j S(k-1,j) + S(k-1,j-1)
-    return [
-        j * (prev[j] if j < len(prev) else 0) + (prev[j - 1] if j >= 1 else 0)
-        for j in range(k + 1)
-    ]
+    return [j * at + below for j, at, below in _padded(prev, k + 1)]
 
 
-def _eulerian1_step(prev: tuple, index: int) -> list:
-    # 1-based: <p,j> = j <p-1,j> + (p-j+1) <p-1,j-1>; row index i holds p = i+1
+def _eulerian1_step(prev: Sequence[int], index: int) -> list:
+    # 1-based: <p,j> = j <p-1,j> + (p-j+1) <p-1,j-1>; row index i holds
+    # p = i+1 with <p,j> at position t = j-1
     p = index + 1
-
-    def at(j: int) -> int:  # prev row is p-1, entries j = 1..p-1
-        return prev[j - 1] if 1 <= j <= p - 1 else 0
-
-    return [j * at(j) + (p - j + 1) * at(j - 1) for j in range(1, p + 1)]
+    return [(t + 1) * at + (p - t) * below for t, at, below in _padded(prev, p)]
 
 
-def _eulerian2_step(prev: tuple, n: int) -> list:
+def _eulerian2_step(prev: Sequence[int], n: int) -> list:
     # <<n,k>> = (k+1) <<n-1,k>> + (2n-1-k) <<n-1,k-1>>
-    prev_len = len(prev)
-
-    def at(k: int) -> int:
-        return prev[k] if 0 <= k < prev_len else 0
-
-    return [(k + 1) * at(k) + (2 * n - 1 - k) * at(k - 1) for k in range(n)]
+    return [(k + 1) * at + (2 * n - 1 - k) * below for k, at, below in _padded(prev, n)]
 
 
 _STIRLING1 = _RowTable((1,), _stirling1_step)
@@ -153,17 +159,6 @@ def stirling2_single(k: int, j: int) -> int:
         for t in range(1, k - j + 1):
             h[t] += i * h[t - 1]
     return h[-1]
-
-
-def eulerian2_row(l: int) -> tuple[int, ...]:
-    """Row l of the second-kind Eulerian numbers, the shape of
-    _EULERIAN2.row(l), built on one rolling row without storing it."""
-    if l < 0:
-        raise ValueError(f"negative row {l}")
-    row: Sequence[int] = (1,)
-    for n in range(1, l + 1):
-        row = _eulerian2_step(row, n)
-    return tuple(row)
 
 
 def stirling1_unsigned(k: int, r: int) -> int:

@@ -146,8 +146,6 @@ def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     supports = (0,) if ell == 0 else range(1, ell + 1)
     for s in supports:
         m = p + s - ell - 1
-        if m < s:
-            continue
         yield from _k_tuples_fixed(m, ell, s)
 
 
@@ -163,8 +161,6 @@ def enumerate_j_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     bigs = (0,) if ell == 0 else range(1, ell + 1)
     for t in bigs:
         m = p + t - ell - 1
-        if m < t:
-            continue
         yield from _j_tuples_fixed(m, ell + m, t)
 
 

@@ -60,11 +60,11 @@ class Polynomial:
         return cls((c,))
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: int | Fraction = 1) -> "Polynomial":
-        """coefficient * n**exponent"""
+    def monomial(cls, exponent: int) -> "Polynomial":
+        """n**exponent"""
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        return cls((0,) * exponent + (coefficient,))
+        return cls((0,) * exponent + (1,))
 
     @property
     def degree(self) -> int:
@@ -126,7 +126,7 @@ class Polynomial:
         return f"Polynomial({list(self.coefficients)!r})"
 
 
-def format_polynomial(poly: Polynomial, variable: str = "n") -> str:
+def format_polynomial(poly: Polynomial) -> str:
     """Human-readable form, highest power first, e.g. "1/2 n^2 + 1/2 n"."""
     if not poly.coefficients:
         return "0"
@@ -140,7 +140,7 @@ def format_polynomial(poly: Polynomial, variable: str = "n") -> str:
         if exp == 0:
             body = format_rational(mag)
         else:
-            var = variable if exp == 1 else f"{variable}^{exp}"
+            var = "n" if exp == 1 else f"n^{exp}"
             body = var if mag == 1 else f"{format_rational(mag)} {var}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")

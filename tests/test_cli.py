@@ -221,6 +221,13 @@ class TestCertify:
         assert code == 2
         assert "FIGURATE_SIZE_GUARD" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_env_guard(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("FIGURATE_SIZE_GUARD", value)
+        code, out, err = run(capsys, "certify", "--p", "4", "--ell", "1")
+        assert (code, out) == (2, "")
+        assert f"FIGURATE_SIZE_GUARD must be positive, got {value}" in err
+
 
 class TestTuples:
     def test_k_stream(self, capsys):

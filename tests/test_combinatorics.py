@@ -9,11 +9,11 @@ import pytest
 
 from figurate.coefficients import _recurrence_step, composition_sum
 from figurate.combinatorics import (
+    _EULERIAN2,
     FAMILIES,
     NumberTriangle,
     _RowTable,
     _stirling2_step,
-    eulerian2_row,
     eulerian_first,
     number_triangle,
     stirling1_unsigned,
@@ -153,9 +153,9 @@ class TestEulerianFirst:
 
 class TestEulerianSecond:
     def test_base_cases(self):
-        assert eulerian2_row(0) == (1,)
-        assert eulerian2_row(1) == (1,)
-        assert eulerian2_row(2) == (1, 2)
+        assert _EULERIAN2.row(0) == (1,)
+        assert _EULERIAN2.row(1) == (1,)
+        assert _EULERIAN2.row(2) == (1, 2)
 
     def test_stirling_permutation_oracle(self):
         for order in range(1, 5):
@@ -163,11 +163,11 @@ class TestEulerianSecond:
             for perm in stirling_permutations(order):
                 d = descents(perm)
                 counts[d] = counts.get(d, 0) + 1
-            assert eulerian2_row(order) == tuple(counts.get(j, 0) for j in range(order))
+            assert _EULERIAN2.row(order) == tuple(counts.get(j, 0) for j in range(order))
 
     def test_row_sum_double_factorial(self):
         for order in range(1, 10):
-            assert sum(eulerian2_row(order)) == math.prod(range(1, 2 * order, 2))
+            assert sum(_EULERIAN2.row(order)) == math.prod(range(1, 2 * order, 2))
 
 
 class TestSurjections:

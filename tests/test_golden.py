@@ -106,6 +106,9 @@ CORPUS = (
         ("verify --pmax 3 --suite nope", None),
         ("powersum --p 3 --n 2 --formula nope", None),
         ("triangle --pmax 3 --family nope", None),
+        ("coeff --p 5 --ell 2 --size-guard 0", None),
+        ("verify --pmax 3 --size-guard -1", None),
+        ("tuples --kind comp --total 5", None),
     ]
 )
 

@@ -13,7 +13,6 @@ import figurate
 from figurate import coefficients, combinatorics
 from figurate.coefficients import (
     _RECURRENCE,
-    _recurrence_single,
     _recurrence_step,
     build_triangle,
     c_alternating,
@@ -22,18 +21,20 @@ from figurate.coefficients import (
     c_recurrence,
 )
 from figurate.combinatorics import (
+    _EULERIAN1,
     _EULERIAN2,
+    _STIRLING1,
     _STIRLING2,
     ROW_CAP,
     _RowTable,
     _stirling2_step,
-    eulerian2_row,
     number_triangle,
     stirling2,
     stirling2_single,
 )
 
 TABLES = {"stirling2": _STIRLING2, "recurrence": _RECURRENCE, "eulerian2": _EULERIAN2}
+ALL_TABLES = {"stirling1": _STIRLING1, "eulerian1": _EULERIAN1, **TABLES}
 TABLE_ROUTES = (c_closed, c_recurrence, c_eulerian2)
 LARGE_P = (ROW_CAP, ROW_CAP + 1, 700)
 
@@ -59,8 +60,8 @@ def no_kernels(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"kernel called with {args}")
 
-    for name in ("stirling2_single", "_recurrence_single", "eulerian2_row"):
-        monkeypatch.setattr(coefficients, name, refuse)
+    monkeypatch.setattr(coefficients, "stirling2_single", refuse)
+    monkeypatch.setattr(_RowTable, "rolled", refuse)
 
 
 class TestKernelsMatchTables:
@@ -78,18 +79,25 @@ class TestKernelsMatchTables:
         with pytest.raises(ValueError):
             stirling2_single(-1, 0)
 
+    @pytest.mark.parametrize("name", ALL_TABLES)
+    def test_rolled_prefixes_match_rows(self, name):
+        table = ALL_TABLES[name]
+        rows = [table.row(i) for i in range(81)]
+        stored = len(table._rows)
+        for i, row in enumerate(rows):
+            for width in range(len(row) + 2):
+                assert table.rolled(i, width) == row[:width], (i, width)
+        assert len(table._rows) == stored
+
     @pytest.mark.parametrize("p", range(1, 81, 10))
     def test_recurrence_single(self, p):
         for q in range(p, p + 10):
-            assert tuple(_recurrence_single(q, ell) for ell in range(q)) == _RECURRENCE.row(
-                q - 1
-            )
+            values = tuple(_RECURRENCE.rolled(q - 1, ell + 1)[ell] for ell in range(q))
+            assert values == _RECURRENCE.row(q - 1)
 
     def test_eulerian2_row(self):
         for ell in range(81):
-            assert eulerian2_row(ell) == _EULERIAN2.row(ell)
-        with pytest.raises(ValueError):
-            eulerian2_row(-1)
+            assert _EULERIAN2.rolled(ell) == _EULERIAN2.row(ell)
 
     def test_routes_on_kernels_match_tables(self, monkeypatch):
         expected = {
@@ -172,7 +180,7 @@ class TestRowPolicy:
             assert len(table._rows) == stored + 1
 
     def test_racing_lookups_give_table_values(self, monkeypatch):
-        """8 threads mix table reads, growth and kernel calls on a fresh
+        """8 threads mix table reads, growth and rolled rows on a fresh
         table with a small cap; every value equals a single-threaded build."""
         monkeypatch.setattr(combinatorics, "ROW_CAP", 20)
         rows, threads_n = 90, 8
@@ -186,8 +194,9 @@ class TestRowPolicy:
             barrier.wait(timeout=5)
             for i in list(range(t, rows, 3)) + list(range(rows - 1 - t, -1, -5)):
                 row = table.lookup(i)
-                value = row[i // 2] if row is not None else _recurrence_single(i + 1, i // 2)
-                seen[t].append((i, value))
+                if row is None:
+                    row = table.rolled(i, i // 2 + 1)
+                seen[t].append((i, row[i // 2]))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

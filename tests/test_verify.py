@@ -1,5 +1,6 @@
 """The verify runner: suite dispatch and the fixed-range powersum checks."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,16 @@ def test_runs_replaced_suite(suite, monkeypatch):
     report = run_suites([suite], 3, 7)
     assert seen == [(3, 7)]
     assert [(c.suite, c.name) for c in report.checks] == [(suite, "stand-in")]
+
+
+@pytest.mark.parametrize(
+    "suites, size_guard, message",
+    [(["coeff"], 0, "size guard must be positive"), (["nope"], 14, "unknown suites ['nope']")],
+    ids=["size_guard", "suite"],
+)
+def test_refuses_bad_arguments(suites, size_guard, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_suites(suites, 3, size_guard)
 
 
 def test_faulhaber_nonzero_covers_p12_at_small_pmax(monkeypatch):
