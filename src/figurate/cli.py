@@ -8,7 +8,9 @@ rationals as "num/den" (abbreviated to "num" when the denominator is 1),
 so values survive consumers limited to 64-bit numbers.
 
 Exit codes: 0 success, 1 verification/certification failure, 2 usage
-error, 3 internal invariant breach.
+error, 3 internal invariant breach, 141 (128 + SIGPIPE, as a shell
+reports a process killed by that signal) when the reader closes stdout
+early; the rest of the output is then dropped without a traceback.
 
 The size guard for enumerative computations defaults to p <= 14 and can
 be overridden per invocation with --size-guard or globally with the
@@ -383,7 +385,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so a reader that closed the pipe is caught below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot fail too (the "Note on SIGPIPE" in the signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

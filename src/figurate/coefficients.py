@@ -29,11 +29,11 @@ certify() runs them all (enumerative ones behind a size guard) and
 reports whether they agree; their agreement is the checkable content of
 the whole construction.
 
-The closed, recurrence and eulerian2 routes read their row table where
-_RowTable.lookup() admits it. Otherwise the recurrence and eulerian2
-routes roll their table's own step (_RowTable.rolled) and the closed
-route runs stirling2_single, each in O(p) memory, so a cold large p
-never builds a whole triangle.
+The recurrence and eulerian2 routes read their one row by
+_RowTable.once(): from the table where lookup() admits it, else rolled
+by the table's own step. The closed route reads the Stirling table where
+lookup() admits it, else runs stirling2_single, a kernel apart from
+both. So a cold large p never builds a whole triangle.
 """
 
 from __future__ import annotations
@@ -131,13 +131,12 @@ _RECURRENCE = _RowTable((1,), _recurrence_step)  # rows[i] holds p = i + 1
 def c_recurrence(p: int, ell: int) -> int:
     """Dynamic programming on (p - ell) * [c(p-1, ell) + c(p-1, ell-1)].
 
-    Reads row p of the recurrence table where lookup() admits it, and
-    otherwise rolls the table's step up to row p on one row kept to
-    columns 0..ell (_RowTable.rolled): O(p * ell) work in O(ell) memory.
+    Reads row p of the recurrence table once (_RowTable.once): where
+    lookup() refuses, the table's step is rolled up to row p on one row
+    kept to columns 0..ell, O(p * ell) work in O(ell) memory.
     """
     _check_pair(p, ell)
-    row = _RECURRENCE.lookup(p - 1)
-    return row[ell] if row is not None else _RECURRENCE.rolled(p - 1, ell + 1)[ell]
+    return _RECURRENCE.once(p - 1, ell + 1)[ell]
 
 
 def composition_sum(p: int, total: int, parts: int, min_part: int) -> int:
@@ -169,14 +168,11 @@ def c_decompose(p: int, ell: int) -> int:
 def c_eulerian2(p: int, ell: int) -> int:
     """(p - ell)! * sum of <<ell, i>> * C(p + ell - 1 - i, 2*ell).
 
-    Row ell of <<., .>> is fetched once: from the table where lookup()
-    admits it, otherwise rolled by the table's own step without storing
-    it (_RowTable.rolled).
+    Row ell of <<., .>> is read once (_RowTable.once): from the table
+    where lookup() admits it, otherwise rolled without storing it.
     """
     _check_pair(p, ell)
-    row = _EULERIAN2.lookup(ell)
-    if row is None:
-        row = _EULERIAN2.rolled(ell)
+    row = _EULERIAN2.once(ell)
     total = sum(e * math.comb(p + ell - 1 - i, 2 * ell) for i, e in enumerate(row))
     return math.factorial(p - ell) * total
 

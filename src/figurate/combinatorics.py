@@ -9,12 +9,13 @@ Rows are memoized for the process lifetime; the row tables only ever grow
 and are safe to use from several threads.
 
 A table grows to any row asked of it through its accessor
-(stirling2(), number_triangle(), ...). Callers that need one value of a
-large row ask _RowTable.lookup() instead: it reads a stored row, and
-grows the table only up to ROW_CAP rows or by the row right after the
-last stored one. Past that it returns None and the caller computes the
-value in O(row) memory, leaving the table as it was: by the table's own
-step on one rolling row (_RowTable.rolled), or by stirling2_single.
+(stirling2(), number_triangle(), ...). A caller that needs one row reads
+it by _RowTable.once(): a stored row, or a row the table grows to below
+ROW_CAP rows or as the row right after the last stored one
+(_RowTable.lookup); past that, the row rolled by the table's own step in
+O(row) memory (_RowTable.rolled), leaving the table as it was. Every
+consumer of the surjection counts j! S(m, j) reads them so, by
+_surjection_row; c_closed's single values use stirling2_single instead.
 
 Index conventions (they differ between families on purpose):
 
@@ -50,7 +51,8 @@ class _RowTable:
     Rows are tuples and only appended, never replaced, so readers that
     race the lock still see consistent data. row() grows the table to any
     index; lookup() grows it past ROW_CAP rows only one row at a time;
-    rolled() builds one row by the same step and stores nothing.
+    rolled() builds one row by the same step and stores nothing; once()
+    is lookup() or, where it refuses, rolled().
     """
 
     def __init__(self, seed: Sequence[int], step: Callable[[Sequence[int], int], list]):
@@ -92,6 +94,11 @@ class _RowTable:
         for i in range(1, index + 1):
             row = self._step(row, i)[:width]
         return tuple(row)
+
+    def once(self, index: int, width: int | None = None) -> tuple[int, ...]:
+        """lookup(index), or rolled(index, width) where lookup() refuses: a
+        row (at least its first `width` entries) read once by one caller."""
+        return self.lookup(index) or self.rolled(index, width)
 
 
 def _padded(prev: Sequence[int], length: int):
@@ -169,18 +176,14 @@ def stirling1_unsigned(k: int, r: int) -> int:
     """
     if k < 0:
         raise ValueError(f"negative row {k}")
-    if r < 0 or r > k:
-        return 0
-    return _STIRLING1.row(k)[r]
+    return _STIRLING1.row(k)[r] if 0 <= r <= k else 0
 
 
 def stirling2(k: int, j: int) -> int:
     """Stirling number of the second kind S(k, j); zero when j > k."""
     if k < 0:
         raise ValueError(f"negative row {k}")
-    if j < 0 or j > k:
-        return 0
-    return _STIRLING2.row(k)[j]
+    return _STIRLING2.row(k)[j] if 0 <= j <= k else 0
 
 
 def eulerian_first(p: int, j: int) -> int:
@@ -199,9 +202,12 @@ def surjection_count(m: int, n: int) -> int:
     """
     if m < 1 or n < 1:
         raise ValueError(f"set sizes must be positive, got ({m}, {n})")
-    if m < n:
-        return 0
     return math.factorial(n) * stirling2(m, n)
+
+
+def _surjection_row(m: int) -> list[int]:
+    """j! * S(m, j) for j = 0..m, from one row of S read by once()."""
+    return [math.factorial(j) * s for j, s in enumerate(_STIRLING2.once(m))]
 
 
 def surjection_brute(m: int, n: int) -> int:

@@ -3,10 +3,11 @@
 A_p is lower triangular with entries a(k, j) = s(k, j) / k! (unsigned
 first-kind Stirling numbers), so that the column vector of F_n^1..F_n^p
 equals A_p times the column vector of n..n^p. Its inverse has the closed
-form a'(k, j) = (-1)^(k-j) * j! * S(k, j), and certify_inverse checks the
-closed form as a two-sided inverse and against a forward-substitution
-inversion, exactly. Row k of A_p times k! is the integer row s(k, .), so
-all three checks run over plain integers after that one row scaling.
+form a'(k, j) = (-1)^(k-j) * j! * S(k, j), read from one row of surjection
+counts per k. certify_inverse checks the closed form as a two-sided
+inverse and against a forward-substitution inversion, exactly. Row k of
+A_p times k! is the integer row s(k, .), so all three checks run over
+plain integers after that one row scaling.
 
 Matrix indices are 1-based at the API surface.
 """
@@ -17,7 +18,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .combinatorics import stirling1_unsigned, surjection_count
+from .combinatorics import _STIRLING1, _surjection_row, stirling1_unsigned
 from .exact import Polynomial, _rational
 
 
@@ -92,10 +93,7 @@ def build_fermat(p: int) -> RationalMatrix:
         raise ValueError(f"p must be positive, got {p}")
     return RationalMatrix(
         [
-            [
-                Fraction(stirling1_unsigned(k, j), math.factorial(k)) if j <= k else Fraction(0)
-                for j in range(1, p + 1)
-            ]
+            [Fraction(stirling1_unsigned(k, j), math.factorial(k)) for j in range(1, p + 1)]
             for k in range(1, p + 1)
         ]
     )
@@ -103,16 +101,14 @@ def build_fermat(p: int) -> RationalMatrix:
 
 def inverse_closed(p: int) -> RationalMatrix:
     """The closed-form inverse of A_p: (-1)^(k-j) * j! * S(k, j), where
-    j! * S(k, j) counts the surjections of a k-set onto a j-set."""
+    j! * S(k, j) counts the surjections of a k-set onto a j-set. Row k
+    reads the surjection row of k once."""
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
     return RationalMatrix(
         [
-            [
-                (-1) ** (k - j) * surjection_count(k, j) if j <= k else 0
-                for j in range(1, p + 1)
-            ]
-            for k in range(1, p + 1)
+            [(-1) ** (k - j) * row[j] if j <= k else 0 for j in range(1, p + 1)]
+            for k, row in enumerate(map(_surjection_row, range(1, p + 1)), 1)
         ]
     )
 
@@ -207,11 +203,9 @@ def figurate_polynomial(k: int) -> Polynomial:
     """F_n^k as an exact polynomial in n: (1/k!) * sum of s(k, r) n^r.
 
     Degree k, zero constant term; its coefficient list is row k of A_p
-    for any p >= k.
+    for any p >= k, read once from the table of s.
     """
     if k < 1:
         raise ValueError(f"dimension must be positive, got {k}")
     kfact = math.factorial(k)
-    return Polynomial(
-        Fraction(stirling1_unsigned(k, r), kfact) for r in range(k + 1)
-    )
+    return Polynomial(Fraction(s, kfact) for s in _STIRLING1.once(k))

@@ -24,12 +24,14 @@ factorial product n(n+1)...(n+k-1)/k!, which vanishes exactly at
 n = 0, -1, ..., -(k-1); the shifted arguments in alt1/alt3 rely on that.
 
 Each figurate expansion is a term tuple ((integer coefficient, dimension,
-argument shift), ...) that representation() builds and caches; one
-evaluator and one symbolic expander read it, and the expander also turns
-the Faulhaber interpolation's Newton terms into a polynomial. The
-expander works in integers: each term is the product of its k linear
-factors (n+shift+i), weighted over the common denominator (largest
-dimension)!, and the sum is divided by that denominator once.
+argument shift), ...) that representation() builds from one row read
+once (the surjection counts j! S(p, j) = c(p, p-j) for eq5, alt1 and
+power_ml1, S(p+1, .) for alt3, <p, .> for alt2) and caches; one evaluator
+and one symbolic expander read it, and the expander also turns the
+Faulhaber interpolation's Newton terms into a polynomial. The expander
+works in integers: each term is the product of its k linear factors
+(n+shift+i), weighted over the common denominator (largest dimension)!,
+and the sum is divided by that denominator once.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .coefficients import c_closed
-from .combinatorics import eulerian_first, stirling2, surjection_count
+from .combinatorics import _EULERIAN1, _STIRLING2, _surjection_row
 
 # fractions and exact are imported where a polynomial is built, so that
 # evaluation never loads them; this block only names them for annotations.
@@ -117,15 +118,16 @@ def _rising_product(start: int, count: int) -> list[int]:
 #: figurate term list; the formulas are given in the module docstring.
 _TERM_BUILDERS = {
     "eq5": lambda p: (
-        ((-1) ** (i - 1) * surjection_count(p, p - i + 1), p - i + 2, 0)
-        for i in range(1, p + 1)
+        ((-1) ** (i - 1) * c, p - i + 2, 0) for i, c in enumerate(_surjection_row(p)[:0:-1], 1)
     ),
-    "alt1": lambda p: ((surjection_count(p, j), j + 1, 1 - j) for j in range(1, p + 1)),
-    "alt2": lambda p: ((eulerian_first(p, j), p + 1, j - p) for j in range(1, p + 1)),
+    "alt1": lambda p: ((c, j + 1, 1 - j) for j, c in enumerate(_surjection_row(p)) if j),
+    "alt2": lambda p: ((e, p + 1, t + 1 - p) for t, e in enumerate(_EULERIAN1.once(p - 1))),
     "alt3": lambda p: (
-        (math.factorial(j - 1) * stirling2(p + 1, j), j, 1 - j) for j in range(1, p + 2)
+        (math.factorial(j - 1) * s, j, 1 - j) for j, s in enumerate(_STIRLING2.once(p + 1)) if j
     ),
-    "power_ml1": lambda p: (((-1) ** ell * c_closed(p, ell), p - ell, 0) for ell in range(p)),
+    "power_ml1": lambda p: (
+        ((-1) ** ell * c, p - ell, 0) for ell, c in enumerate(_surjection_row(p)[:0:-1])
+    ),
 }
 
 #: Tags expressed as figurate term lists.

@@ -138,8 +138,13 @@ def _skip(results: list[CheckResult], suite: str, name: str, detail: str) -> Non
 # ---------------------------------------------------------------------------
 
 def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
+    # Row p, the reference triangle and the guard's route split are read
+    # from these reports.
+    all_reports = [
+        [coefficients.certify(p, ell, guard) for ell in range(p)] for p in range(1, pmax + 1)
+    ]
     ref_rows = min(pmax, 9)
-    got = coefficients.build_triangle(ref_rows, "closed")
+    got = tuple(tuple(r.value for r in reports) for reports in all_reports[:ref_rows])
     _check(
         results,
         "coeff",
@@ -147,9 +152,7 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
         got == REFERENCE_TRIANGLE[:ref_rows],
     )
 
-    for p in range(1, pmax + 1):
-        # Row p and the guard's route split are read from these reports.
-        reports = [coefficients.certify(p, ell, guard) for ell in range(p)]
+    for p, reports in enumerate(all_reports, 1):
         _check(
             results,
             "coeff",

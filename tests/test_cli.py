@@ -520,14 +520,20 @@ class TestUsageErrors:
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_fresh(argv, **env):
-    """Exit code, stdout bytes and stderr text of argv in a fresh
-    interpreter that imports this checkout's figurate."""
+def fresh_env(**env):
+    """The environment of a fresh interpreter that imports this checkout's
+    figurate, without FIGURATE_SIZE_GUARD."""
     src = str(Path(figurate.__file__).resolve().parents[1])
     environ = {k: v for k, v in os.environ.items() if k != "FIGURATE_SIZE_GUARD"}
     environ.update(PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1", **env)
+    return environ
+
+
+def run_fresh(argv, **env):
+    """Exit code, stdout bytes and stderr text of argv in a fresh
+    interpreter that imports this checkout's figurate."""
     done = subprocess.run(
-        [sys.executable, *argv], env=environ, capture_output=True, timeout=120
+        [sys.executable, *argv], env=fresh_env(**env), capture_output=True, timeout=120
     )
     return done.returncode, done.stdout, done.stderr.decode()
 
@@ -550,6 +556,26 @@ class TestReproducibleStdout:
         second = run_fresh(cli, PYTHONHASHSEED="4242")
         assert first[0] == second[0] == 0
         assert first[1] == second[1]
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early ends the run with exit 141 and
+    no traceback, as `figurate ... | head` does."""
+
+    @pytest.mark.parametrize("argv", ["triangle --pmax 300", "tuples --p 20 --ell 10"])
+    def test_exit_141_without_traceback(self, argv):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "figurate.cli", *argv.split()],
+            env=fresh_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert head and err == b""
 
 
 #: Runs cli.main on the arguments after the first, then prints to stderr

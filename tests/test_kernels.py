@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import figurate
-from figurate import coefficients, combinatorics
+from figurate import coefficients, combinatorics, powersum
 from figurate.coefficients import (
     _RECURRENCE,
     _recurrence_step,
@@ -32,6 +32,7 @@ from figurate.combinatorics import (
     stirling2,
     stirling2_single,
 )
+from figurate.powersum import TERM_TAGS, representation, sum_brute
 
 TABLES = {"stirling2": _STIRLING2, "recurrence": _RECURRENCE, "eulerian2": _EULERIAN2}
 ALL_TABLES = {"stirling1": _STIRLING1, "eulerian1": _EULERIAN1, **TABLES}
@@ -179,9 +180,28 @@ class TestRowPolicy:
             assert route(p, 1) == c_alternating(p, 1)
             assert len(table._rows) == stored + 1
 
+    def test_representation_above_cap_reads_one_row(self, monkeypatch):
+        """Every term list past the cap rolls its one row: no table grows,
+        and no per-value accessor, c_closed or stirling2_single runs."""
+
+        def refuse(*args):
+            raise AssertionError(f"per-value call with {args}")
+
+        names = ("c_closed", "stirling2_single", "surjection_count", "stirling2", "eulerian_first")
+        for module in (coefficients, combinatorics, powersum):
+            for name in names:
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        # Rows p - 1..p + 1 are read; none may be the next row to store.
+        p = max(900, *(len(t._rows) + 2 for t in ALL_TABLES.values()))
+        before = {name: len(t._rows) for name, t in ALL_TABLES.items()}
+        for tag in TERM_TAGS:
+            assert len(representation.__wrapped__(tag, p)) in (p, p + 1)
+        assert {name: len(t._rows) for name, t in ALL_TABLES.items()} == before
+
     def test_racing_lookups_give_table_values(self, monkeypatch):
-        """8 threads mix table reads, growth and rolled rows on a fresh
-        table with a small cap; every value equals a single-threaded build."""
+        """8 threads mix table reads, growth and rolled rows (once()) on a
+        fresh table with a small cap; every value equals a single-threaded
+        build."""
         monkeypatch.setattr(combinatorics, "ROW_CAP", 20)
         rows, threads_n = 90, 8
         reference = _RowTable((1,), _recurrence_step)
@@ -193,10 +213,7 @@ class TestRowPolicy:
         def worker(t):
             barrier.wait(timeout=5)
             for i in list(range(t, rows, 3)) + list(range(rows - 1 - t, -1, -5)):
-                row = table.lookup(i)
-                if row is None:
-                    row = table.rolled(i, i // 2 + 1)
-                seen[t].append((i, row[i // 2]))
+                seen[t].append((i, table.once(i, i // 2 + 1)[i // 2]))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -238,13 +255,16 @@ class TestColdMemory:
 
     LIMIT_MB = 64
 
+    POWERSUM_FLAGS = ("eq5", "stir", "euler", "alt3", "ml1-power")
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["coeff", "--p", "1200", "--ell", "600"],
             ["coeff", "--p", "800", "--ell", "400", "--route", "recurrence"],
+            *(["powersum", "--p", "900", "--n", "10", "--formula", f] for f in POWERSUM_FLAGS),
         ],
-        ids=["closed", "recurrence"],
+        ids=["closed", "recurrence", *(f"powersum-{f}" for f in POWERSUM_FLAGS)],
     )
     def test_peak_rss(self, argv):
         src = str(Path(figurate.__file__).resolve().parents[1])
@@ -258,6 +278,10 @@ class TestColdMemory:
         )
         code, maxrss_kib, value = done.stdout.split()
         assert code == "0"
-        p, ell = int(argv[2]), int(argv[4])
-        assert int(value) == c_alternating(p, ell)
+        p, second = int(argv[2]), int(argv[4])
+        if argv[0] == "coeff":
+            expected = c_alternating(p, second)
+        else:
+            expected = second**p if argv[-1] == "ml1-power" else sum_brute(second, p)
+        assert int(value) == expected
         assert int(maxrss_kib) / 1024 < self.LIMIT_MB

@@ -1,11 +1,13 @@
 """Power-sum formulas against the brute-force oracle, pointwise and symbolic."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from figurate import powersum
 from figurate.exact import Polynomial
+from figurate.fermat import inverse_closed
 from figurate.powersum import (
     FORMULA_FLAGS,
     FORMULA_TAGS,
@@ -321,3 +323,32 @@ class TestDispatch:
         assert isinstance(rep, tuple)
         assert all(len(term) == 3 and all(type(x) is int for x in term) for term in rep)
         assert sum(c * figurate(10 + shift, dim) for c, dim, shift in rep) == oracle(10, 5)
+
+
+class TestRecordedTerms:
+    """Term tuples and the closed Fermat inverse equal the values the
+    per-value builders gave: sha256 digests of their repr, recorded from
+    code that read surjection_count, stirling2, eulerian_first and
+    c_closed once per term or entry."""
+
+    PS = (*range(1, 61), 511, 512, 513, 900)
+    DIGESTS = {
+        "eq5": "c5a41ef8e26cbd8a4e38f49fd6ae49aba6934b919b3196841d26586d87f9df3a",
+        "alt1": "1a43fde32bceffff67f273eb9d3265fa1aa6769518b06c5cafe880ffe2ee25b5",
+        "alt2": "49a4a512e829aeda29d727e83033491d8af9903c6033c830d956b755b1dee59a",
+        "alt3": "15155fd40b6ecee99ebabe467239313dd5c8dd5233b10a934a05bbd2389837ed",
+        "power_ml1": "45f3c8c6cd858d44bc89b35e7fbda3a290cb01ee78250d56c331fd2e8aaa987c",
+    }
+    INVERSE_DIGEST = "cc1ede5cb8a2f61359f1dcd5efb1dc366302de21bb061fb94fd0fa1e8ce27c5c"
+
+    @staticmethod
+    def digest(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    @pytest.mark.parametrize("tag", TERM_TAGS)
+    def test_representation(self, tag):
+        assert self.digest(tuple(representation(tag, p) for p in self.PS)) == self.DIGESTS[tag]
+
+    def test_inverse_closed(self):
+        rows = tuple(inverse_closed(p).rows for p in range(1, 61))
+        assert self.digest(rows) == self.INVERSE_DIGEST
