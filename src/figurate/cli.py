@@ -6,6 +6,8 @@ identical bytes (verify's wall-clock timing goes to stderr). All numbers
 are serialized exactly; JSON carries integers as decimal strings and
 rationals as "num/den" (abbreviated to "num" when the denominator is 1),
 so values survive consumers limited to 64-bit numbers.
+Tables are written row by row, and every cell is converted to a string
+before the first byte, so a refused conversion leaves stdout empty.
 
 Exit codes: 0 success, 1 verification/certification failure, 2 usage
 error, 3 internal invariant breach, 141 (128 + SIGPIPE, as a shell
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import zip_longest
 
 from . import __version__, combinatorics, powersum
 from .coefficients import (
@@ -69,32 +72,28 @@ def _resolve_size_guard(args: argparse.Namespace) -> int:
     return DEFAULT_SIZE_GUARD
 
 
-def _aligned(rows: list[list[str]]) -> list[str]:
-    """Right-align a ragged table column by column."""
-    widths: list[int] = []
-    for row in rows:
-        for i, cell in enumerate(row):
-            if i >= len(widths):
-                widths.append(len(cell))
-            else:
-                widths[i] = max(widths[i], len(cell))
-    return [
-        "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in rows
-    ]
-
-
 def _print_formatted(fmt: str, plain, rows: list[list[str]], obj: dict) -> None:
-    """Print one result in the chosen --format: the lines plain() returns,
-    one CSV line per row, or obj as JSON."""
+    """Print one result in the chosen --format, one line at a time: the
+    rows plain() returns, right-aligned column by column; one CSV line per
+    row; or json.dumps(obj, sort_keys=True), written chunk by chunk. Every
+    cell is a string already, so a refused conversion precedes any output."""
+    write = sys.stdout.write
     if fmt == "plain":
-        print("\n".join(plain()))
+        table = plain()
+        widths: list[int] = []
+        for row in table:
+            widths = [max(w, n) for w, n in zip_longest(widths, map(len, row), fillvalue=0)]
+        for row in table:
+            write("  ".join(map(str.rjust, row, widths)).rstrip() + "\n")
     elif fmt == "csv":
-        print("\n".join(",".join(row) for row in rows))
+        for row in rows:
+            write(",".join(row) + "\n")
     else:
         import json
 
-        print(json.dumps(obj, sort_keys=True))
+        for chunk in json.JSONEncoder(sort_keys=True).iterencode(obj):
+            write(chunk)
+        write("\n")
 
 
 def _refuse_over_guard(routes, p: int, guard: int, how: str) -> None:
@@ -133,7 +132,7 @@ def cmd_triangle(args: argparse.Namespace) -> int:
         first = triangle.first_row
         _print_formatted(
             args.format,
-            lambda: _aligned([[f"{args.family[0]}={first + i}"] + r for i, r in enumerate(rows)]),
+            lambda: [[f"{args.family[0]}={first + i}", *r] for i, r in enumerate(rows)],
             rows,
             {"triangle": args.family, "first_row": first, "max_row": args.pmax, "rows": rows},
         )
@@ -145,7 +144,7 @@ def cmd_triangle(args: argparse.Namespace) -> int:
     header = ["p\\ell"] + [str(ell) for ell in range(args.pmax)]
     _print_formatted(
         args.format,
-        lambda: _aligned([header] + [[str(p + 1)] + row for p, row in enumerate(rows)]),
+        lambda: [header] + [[str(p), *row] for p, row in enumerate(rows, 1)],
         rows,
         {"triangle": "coefficients", "route": args.route, "pmax": args.pmax, "rows": rows},
     )
@@ -192,7 +191,7 @@ def cmd_fermat(args: argparse.Namespace) -> int:
     rows = [[format_rational(x) for x in row] for row in matrix.rows]
     _print_formatted(
         args.format,
-        lambda: _aligned(rows),
+        lambda: rows,
         rows,
         {"matrix": "inverse" if args.inverse else "fermat", "p": args.p, "entries": rows},
     )
@@ -210,7 +209,7 @@ def cmd_powersum(args: argparse.Namespace) -> int:
         strings = [format_rational(c) for c in poly.coefficients]
         _print_formatted(
             args.format,
-            lambda: [format_polynomial(poly)],
+            lambda: [[format_polynomial(poly)]],
             [strings],
             {"p": args.p, "formula": args.formula, "polynomial": strings},
         )
@@ -221,7 +220,7 @@ def cmd_powersum(args: argparse.Namespace) -> int:
     value = str(powersum.evaluate_formula(tag, args.n, args.p))
     _print_formatted(
         args.format,
-        lambda: [value],
+        lambda: [[value]],
         [[value]],
         {"p": args.p, "n": args.n, "formula": args.formula, "value": value},
     )

@@ -18,7 +18,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .combinatorics import _STIRLING1, _surjection_row, stirling1_unsigned
+from .combinatorics import _STIRLING1, _surjection_row
 from .exact import Polynomial, _rational
 
 
@@ -93,8 +93,9 @@ def build_fermat(p: int) -> RationalMatrix:
         raise ValueError(f"p must be positive, got {p}")
     return RationalMatrix(
         [
-            [Fraction(stirling1_unsigned(k, j), math.factorial(k)) for j in range(1, p + 1)]
+            [Fraction(s, kfact) for s in _STIRLING1.row(k)[1:]] + [0] * (p - k)
             for k in range(1, p + 1)
+            for kfact in (math.factorial(k),)
         ]
     )
 

@@ -1,6 +1,7 @@
 """CLI behaviours: output formats, determinism, exit codes, size guard."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import figurate
-from figurate import powersum
+from figurate import combinatorics, powersum
 from figurate.cli import build_parser, main
 from figurate.coefficients import ROUTES
 from figurate.combinatorics import FAMILIES
@@ -361,6 +362,121 @@ class TestPowersum:
         assert "nonnegative" in err
 
 
+
+def _joined_aligned(table):
+    """The table right-aligned column by column and joined into one
+    string, as the CLI formatted it before it printed line by line."""
+    widths = []
+    for row in table:
+        for i, cell in enumerate(row):
+            if i >= len(widths):
+                widths.append(len(cell))
+            else:
+                widths[i] = max(widths[i], len(cell))
+    return "\n".join(
+        "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip()
+        for row in table
+    )
+
+
+def _expected_outputs(command, size, option):
+    """argv and the stdout of each --format for one table result, built
+    from the library: json is json.dumps of the whole object, plain and
+    csv are whole joined strings."""
+    from figurate.coefficients import build_triangle
+    from figurate.exact import format_polynomial, format_rational
+    from figurate.fermat import build_fermat, inverse_closed
+
+    size_flag = {"triangle": "--pmax", "fermat": "--p", "powersum": "--p"}[command]
+    argv = [command, size_flag, str(size)]
+    if command == "triangle" and option is None:
+        rows = [[str(v) for v in row] for row in build_triangle(size, "closed")]
+        header = ["p\\ell"] + [str(ell) for ell in range(size)]
+        plain = _joined_aligned([header] + [[str(p + 1)] + row for p, row in enumerate(rows)])
+        obj = {"triangle": "coefficients", "route": "closed", "pmax": size, "rows": rows}
+    elif command == "triangle":
+        argv += ["--family", option]
+        triangle = combinatorics.number_triangle(option, size)
+        rows = [[str(v) for v in row] for row in triangle.rows]
+        first = triangle.first_row
+        plain = _joined_aligned([[f"{option[0]}={first + i}"] + r for i, r in enumerate(rows)])
+        obj = {"triangle": option, "first_row": first, "max_row": size, "rows": rows}
+    elif command == "fermat":
+        argv += ["--inverse"] if option else []
+        matrix = inverse_closed(size) if option else build_fermat(size)
+        rows = [[format_rational(x) for x in row] for row in matrix.rows]
+        plain = _joined_aligned(rows)
+        obj = {"matrix": "inverse" if option else "fermat", "p": size, "entries": rows}
+    else:
+        argv += ["--symbolic", "--formula", option]
+        poly = powersum.expand_symbolic(size, FORMULA_FLAGS[option])
+        strings = [format_rational(c) for c in poly.coefficients]
+        rows = [strings]
+        plain = format_polynomial(poly)
+        obj = {"p": size, "formula": option, "polynomial": strings}
+    return argv, {
+        "plain": plain + "\n",
+        "csv": "\n".join(",".join(row) for row in rows) + "\n",
+        "json": json.dumps(obj, sort_keys=True) + "\n",
+    }
+
+
+TABLE_RESULTS = [
+    *(("triangle", n, None) for n in (1, 2, 40)),
+    *(("triangle", n, family) for family in FAMILIES for n in (1, 2, 40)),
+    *(("fermat", p, inverse) for p in (1, 40) for inverse in (False, True)),
+    *(("powersum", 40, flag) for flag in FORMULA_FLAGS if flag != "brute"),
+]
+
+
+class TestTableOutput:
+    """Every --format of the table results prints exactly the text of
+    whole-string formatting: json.dumps of the whole object, and plain
+    and csv lines joined into one string."""
+
+    @pytest.mark.parametrize(
+        "command,size,option", TABLE_RESULTS, ids=lambda v: str(v).lower()
+    )
+    def test_formats_equal_whole_string_text(self, capsys, command, size, option):
+        argv, expected = _expected_outputs(command, size, option)
+        for fmt, text in expected.items():
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out == text, fmt
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit"
+)
+class TestRefusalBeforeOutput:
+    """A value the interpreter refuses to convert to a string is refused
+    before the first byte of output, whatever the format."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "triangle --pmax 320",
+            "triangle --pmax 320 --format csv",
+            "triangle --pmax 320 --format json",
+            "triangle --pmax 320 --family stirling1 --format csv",
+            "fermat --p 320 --format csv",
+            "fermat --p 320 --format json",
+            "fermat --p 320 --inverse",
+        ],
+    )
+    def test_over_digit_limit_prints_nothing(self, capsys, argv):
+        # 320! has 665 digits; the last row of each table holds such a value.
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, *argv.split())
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert code == 2
+        assert out == ""
+        assert "Exceeds the limit (640 digits)" in err
+
+
 class TestFaulhaber:
     def test_output(self, capsys):
         code, out, _ = run(capsys, "faulhaber", "--p", "5")
@@ -576,6 +692,58 @@ class TestClosedPipe:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 141
         assert head and err == b""
+
+
+
+#: Runs the command in argv[1:] and prints its exit code, its peak RSS in
+#: KiB and the sha256 of its stdout. The command is started from this
+#: small process: started from the test process itself, its ru_maxrss
+#: would include the test process's high-water mark, which Linux carries
+#: across exec.
+_PEAK_AND_DIGEST = """
+import hashlib, os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+digest = hashlib.sha256()
+for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+    digest.update(chunk)
+proc.stdout.close()
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+class TestStreamedMemory:
+    """A large table is printed line by line: peak RSS in a fresh process
+    stays well under the several copies of its text that whole-string
+    formatting holds (about 28.9 MB of plain text at pmax 300)."""
+
+    @pytest.mark.parametrize(
+        "command,size,option,fmt,limit_mb",
+        [
+            ("triangle", 300, None, "plain", 55),
+            ("triangle", 300, None, "csv", 55),
+            ("triangle", 300, None, "json", 55),
+            ("triangle", 300, "eulerian2", "plain", 55),
+            ("fermat", 300, False, "json", 80),
+        ],
+        ids=["triangle-plain", "triangle-csv", "triangle-json", "eulerian2-plain", "fermat-json"],
+    )
+    def test_peak_rss(self, command, size, option, fmt, limit_mb):
+        argv, expected = _expected_outputs(command, size, option)
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_AND_DIGEST, sys.executable, "-m", "figurate.cli",
+             *argv, "--format", fmt],
+            env=fresh_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        code, maxrss_kib, digest = done.stdout.split()
+        assert code == "0"
+        assert digest == hashlib.sha256(expected[fmt].encode()).hexdigest()
+        assert int(maxrss_kib) / 1024 < limit_mb
 
 
 #: Runs cli.main on the arguments after the first, then prints to stderr

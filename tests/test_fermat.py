@@ -7,6 +7,7 @@ import pytest
 
 from figurate import fermat
 from figurate.coefficients import c_closed
+from figurate.combinatorics import stirling1_unsigned
 from figurate.exact import Polynomial
 from figurate.fermat import (
     RationalMatrix,
@@ -84,6 +85,13 @@ class TestBuildFermat:
         assert a5.row(4) == A5[3]
         assert a5.row(5) == A5[4]
         assert a5.rows == A5
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 60])
+    def test_entries_are_stirling_over_factorial(self, p):
+        assert build_fermat(p).rows == tuple(
+            tuple(F(stirling1_unsigned(k, j), math.factorial(k)) for j in range(1, p + 1))
+            for k in range(1, p + 1)
+        )
 
     def test_structure(self):
         a = build_fermat(8)
