@@ -10,6 +10,7 @@ from figurate.exact import Polynomial
 from figurate.fermat import inverse_closed
 from figurate.powersum import (
     FORMULA_FLAGS,
+    _expand,
     FORMULA_TAGS,
     TERM_TAGS,
     evaluate_formula,
@@ -352,3 +353,26 @@ class TestRecordedTerms:
     def test_inverse_closed(self):
         rows = tuple(inverse_closed(p).rows for p in range(1, 61))
         assert self.digest(rows) == self.INVERSE_DIGEST
+
+
+class TestRecordedExpansions:
+    """Expansions and Faulhaber coefficients equal the values recorded
+    (sha256 of the repr) from the expander that rebuilt every term's
+    rising product from scratch."""
+
+    PS = (*range(1, 61), 100, 200)
+    SUM_DIGEST = "bec11a05d10bbb185afc8cda8fc30132d6a323536958bdd30513258f8d4a31be"
+    DIGESTS = {
+        **dict.fromkeys(("eq5", "alt1", "alt2", "alt3"), SUM_DIGEST),
+        "power_ml1": "5b96b412916dab3fb54e7a48995bfce8c8b88eee551acb006a81c5e12c1c472b",
+    }
+    FAULHABER_DIGEST = "7794af1d66b1b3ddc8b29aaf615415bff307e0ea4b86927c2e8dda1922ad7c08"
+
+    @pytest.mark.parametrize("tag", TERM_TAGS)
+    def test_expansion(self, tag):
+        polys = tuple(_expand(representation(tag, p)).coefficients for p in self.PS)
+        assert TestRecordedTerms.digest(polys) == self.DIGESTS[tag]
+
+    def test_faulhaber_coefficients(self):
+        coeffs = tuple(faulhaber_coefficients(p) for p in range(2, 41))
+        assert TestRecordedTerms.digest(coeffs) == self.FAULHABER_DIGEST
