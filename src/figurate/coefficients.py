@@ -169,19 +169,43 @@ def c_eulerian2(p: int, ell: int) -> int:
     """(p - ell)! * sum of <<ell, i>> * C(p + ell - 1 - i, 2*ell).
 
     Row ell of <<., .>> is read once (_RowTable.once): from the table
-    where lookup() admits it, otherwise rolled without storing it.
+    where lookup() admits it, otherwise rolled without storing it. Only
+    the first binomial C(m, k), m = p + ell - 1, k = 2*ell, comes from
+    math.comb; each later one steps down from it as
+    C(m - 1, k) = C(m, k) * (m - k) / m, the division checked exact by
+    _exact_div. No step follows the last term: at p = 1, ell = 0 it would
+    divide by m = 0.
     """
     _check_pair(p, ell)
     row = _EULERIAN2.once(ell)
-    total = sum(e * math.comb(p + ell - 1 - i, 2 * ell) for i, e in enumerate(row))
+    k, m = 2 * ell, p + ell - 1
+    binom = math.comb(m, k)
+    terms = iter(row)
+    total = next(terms) * binom
+    for e in terms:
+        binom = _exact_div(binom * (m - k), m)
+        m -= 1
+        total += e * binom
     return math.factorial(p - ell) * total
 
 
 def c_alternating(p: int, ell: int) -> int:
-    """Inclusion-exclusion at j = p - ell: sum of (-1)^r C(j, r) (j - r)^p."""
+    """Inclusion-exclusion at j = p - ell: sum of (-1)^r C(j, r) (j - r)^p.
+
+    One running binomial steps from term to term,
+    C(j, r + 1) = C(j, r) * (j - r) / (r + 1), each division checked
+    exact by _exact_div; the power (j - r)^p is computed for its own term,
+    so no list of powers is held.
+    """
     _check_pair(p, ell)
     j = p - ell
-    return sum((-1) ** r * math.comb(j, r) * (j - r) ** p for r in range(j))
+    total = 0
+    binom = 1
+    for r in range(j):
+        term = binom * (j - r) ** p
+        total = total - term if r & 1 else total + term
+        binom = _exact_div(binom * (j - r), r + 1)
+    return total
 
 
 def w_sum(p: int, j: int) -> int:

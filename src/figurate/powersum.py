@@ -30,8 +30,10 @@ power_ml1, S(p+1, .) for alt3, <p, .> for alt2) and caches; one evaluator
 and one symbolic expander read it, and the expander also turns the
 Faulhaber interpolation's Newton terms into a polynomial. The expander
 works in integers: each term is the product of its k linear factors
-(n+shift+i), weighted over the common denominator (largest dimension)!,
-and the sum is divided by that denominator once.
+(n+shift+i), reached from the previous term's product by dividing out
+and multiplying in the factors at its ends, weighted over the common
+denominator (largest dimension)!, and the sum is divided by that
+denominator once.
 """
 
 from __future__ import annotations
@@ -86,6 +88,14 @@ def _expand(terms) -> Polynomial:
     c * F_(n+shift)^k is the integer polynomial
     c * (L / k!) * (n+shift)(n+shift+1)...(n+shift+k-1); the integer
     sum is divided by L once.
+
+    One window holds the integer coefficients of the product of (n+a) over
+    a in [lo, hi). Neighbouring terms differ by a factor or two at the
+    ends, so the window reaches each term's [shift, shift+k) by dividing
+    out the factors that leave (_divide_linear, which raises RuntimeError
+    on a nonzero remainder) and multiplying in those that enter
+    (_multiply_linear). It is rebuilt only when the two ranges are
+    disjoint. A chain of p terms so costs O(p^2) integer operations.
     """
     from fractions import Fraction
 
@@ -94,24 +104,42 @@ def _expand(terms) -> Polynomial:
     top = max((dim for _, dim, _ in terms), default=0)
     denom = math.factorial(top)
     acc = [0] * (top + 1)
+    window, lo, hi = [1], 0, 0
     for c, dim, shift in terms:
+        end = shift + dim
+        if shift >= hi or end <= lo:
+            window, lo, hi = [1], shift, shift
+        for a in (*range(lo, shift), *range(end, hi)):
+            _divide_linear(window, a)
+        for a in (*range(shift, lo), *range(hi, end)):
+            _multiply_linear(window, a)
+        lo, hi = shift, end
         weight = c * (denom // math.factorial(dim))
-        for i, x in enumerate(_rising_product(shift, dim)):
+        for i, x in enumerate(window):
             acc[i] += weight * x
     return Polynomial(Fraction(x, denom) for x in acc)
 
 
-def _rising_product(start: int, count: int) -> list[int]:
-    """Integer coefficients, lowest power first, of the polynomial
-    (n+start)(n+start+1)...(n+start+count-1) in n."""
-    coeffs = [1]
-    for a in range(start, start + count):
-        # Multiply by (n + a) in place, highest power first.
-        coeffs.append(0)
-        for i in range(len(coeffs) - 1, 0, -1):
-            coeffs[i] = coeffs[i - 1] + a * coeffs[i]
-        coeffs[0] *= a
-    return coeffs
+def _multiply_linear(coeffs: list[int], a: int) -> None:
+    """Multiply the polynomial with integer coefficients `coeffs`, lowest
+    power first, by (n + a) in place."""
+    coeffs.append(0)
+    for i in range(len(coeffs) - 1, 0, -1):
+        coeffs[i] = coeffs[i - 1] + a * coeffs[i]
+    coeffs[0] *= a
+
+
+def _divide_linear(coeffs: list[int], a: int) -> None:
+    """Divide the polynomial with integer coefficients `coeffs`, lowest
+    power first, by (n + a) in place by synthetic division; RuntimeError
+    when the remainder is not zero."""
+    q = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        q = coeffs[i] - a * q
+        coeffs[i] = q  # the quotient's coefficient of n^(i-1)
+    if coeffs[0] != a * q:
+        raise RuntimeError(f"internal error: product window not divisible by (n + {a})")
+    del coeffs[0]
 
 
 #: Term builders, tag -> (p -> terms), one per formula expressed as a

@@ -1,6 +1,5 @@
 """The coefficient routes, their identities, and cross-certification."""
 
-import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -28,7 +27,7 @@ from figurate.coefficients import (
     summand_count,
     w_sum,
 )
-from figurate.combinatorics import _EULERIAN2, _eulerian2_step, surjection_count
+from figurate.combinatorics import surjection_count
 
 ENUMERATIVE = {route for route, enumerative in ROUTE_TABLE.items() if enumerative}
 
@@ -133,61 +132,6 @@ class TestAlternatingRoute:
             c_alternating(5, -1)
         with pytest.raises(ValueError):
             c_alternating(5, 5)
-
-
-def alternating_sum(p, ell):
-    """The alternating route as one sum with math.comb for every term."""
-    j = p - ell
-    return sum((-1) ** r * math.comb(j, r) * (j - r) ** p for r in range(j))
-
-
-def eulerian2_sum(p, ell, row):
-    """The eulerian2 route as one sum with math.comb for every term, over
-    row ell of the second-kind Eulerian numbers."""
-    total = sum(e * math.comb(p + ell - 1 - i, 2 * ell) for i, e in enumerate(row))
-    return math.factorial(p - ell) * total
-
-
-class TestSteppedSums:
-    """c_alternating and c_eulerian2 step each binomial from its neighbour.
-    They equal the sums that call math.comb for every term, and the
-    triangles those sums built (sha256 of the repr, recorded from them)."""
-
-    TRIANGLE_60_DIGEST = "5130f3fed18fb55914a074bd00c830f9d33e7c09898e5f0760ba2dc875e3e7dc"
-    LARGE_P = (400, 511, 512, 513, 900, 1200)
-
-    @staticmethod
-    def large_ells(p):
-        return [*range(0, p - 1, 7), p - 1]
-
-    @pytest.mark.parametrize("route", ["alternating", "eulerian2"])
-    def test_recorded_triangle(self, route):
-        digest = hashlib.sha256(repr(build_triangle(60, route)).encode()).hexdigest()
-        assert digest == self.TRIANGLE_60_DIGEST
-
-    def test_every_ell_up_to_130(self):
-        for p in range(1, 131):
-            for ell in range(p):
-                assert c_alternating(p, ell) == alternating_sum(p, ell), (p, ell)
-                row = _EULERIAN2.row(ell)
-                assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
-
-    @pytest.mark.parametrize("p", LARGE_P)
-    def test_alternating_large(self, p):
-        for ell in self.large_ells(p):
-            assert c_alternating(p, ell) == alternating_sum(p, ell), (p, ell)
-
-    def test_eulerian2_large(self, monkeypatch):
-        """Rows ell of <<., .>> are rolled once in ascending order and
-        handed to the route, so no row past the cap is rolled twice."""
-        ells = {p: set(self.large_ells(p)) for p in self.LARGE_P}
-        row = _EULERIAN2.row(0)
-        for ell in range(max(self.LARGE_P)):
-            if ell:
-                row = tuple(_eulerian2_step(row, ell))
-            monkeypatch.setattr(_EULERIAN2, "once", lambda index, width=None: row)
-            for p in (p for p in self.LARGE_P if ell in ells[p]):
-                assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
 
 
 class TestTupleLengthLimit:

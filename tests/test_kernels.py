@@ -1,6 +1,9 @@
-"""Single-value kernels of the table routes and the policy that picks
-between them and the row tables."""
+"""Single-value kernels of the table routes, the policy that picks
+between them and the row tables, and the term-stepped sums of the
+alternating and eulerian2 routes."""
 
+import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +30,7 @@ from figurate.combinatorics import (
     _STIRLING2,
     ROW_CAP,
     _RowTable,
+    _eulerian2_step,
     _stirling2_step,
     number_triangle,
     stirling2,
@@ -118,6 +122,66 @@ class TestKernelsAboveCap:
             expected = c_alternating(p, ell)
             for route in TABLE_ROUTES:
                 assert route(p, ell) == expected, (route.__name__, p, ell)
+
+
+def alternating_sum(p, ell):
+    """The alternating route as one sum with math.comb for every term."""
+    j = p - ell
+    return sum((-1) ** r * math.comb(j, r) * (j - r) ** p for r in range(j))
+
+
+def eulerian2_sum(p, ell, row):
+    """The eulerian2 route as one sum with math.comb for every term, over
+    row ell of the second-kind Eulerian numbers."""
+    total = sum(e * math.comb(p + ell - 1 - i, 2 * ell) for i, e in enumerate(row))
+    return math.factorial(p - ell) * total
+
+
+class TestSteppedSums:
+    """c_alternating and c_eulerian2 step each binomial from its neighbour.
+    They equal the sums that call math.comb for every term, and the
+    triangles those sums built (sha256 of the repr, recorded from them)."""
+
+    TRIANGLE_60_DIGEST = "5130f3fed18fb55914a074bd00c830f9d33e7c09898e5f0760ba2dc875e3e7dc"
+    LARGE_P = (400, 511, 512, 513, 900, 1200)
+
+    @staticmethod
+    def large_ells(p):
+        return [*range(0, p - 1, 7), p - 1]
+
+    @pytest.mark.parametrize("route", ["alternating", "eulerian2"])
+    def test_recorded_triangle(self, route):
+        digest = hashlib.sha256(repr(build_triangle(60, route)).encode()).hexdigest()
+        assert digest == self.TRIANGLE_60_DIGEST
+
+    def test_every_ell_up_to_130(self):
+        for p in range(1, 131):
+            for ell in range(p):
+                assert c_alternating(p, ell) == alternating_sum(p, ell), (p, ell)
+                row = _EULERIAN2.row(ell)
+                assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
+
+    @pytest.mark.parametrize("p", LARGE_P)
+    def test_alternating_large(self, p):
+        for ell in self.large_ells(p):
+            assert c_alternating(p, ell) == alternating_sum(p, ell), (p, ell)
+
+    def test_eulerian2_large(self, monkeypatch):
+        """Rows ell of <<., .>> are rolled once in ascending order and
+        handed to the route, so no row past the cap is rolled twice."""
+
+        def current_row(index, width=None):
+            assert index == ell
+            return row
+
+        monkeypatch.setattr(_EULERIAN2, "once", current_row)
+        ells = {p: set(self.large_ells(p)) for p in self.LARGE_P}
+        row = _EULERIAN2.row(0)
+        for ell in range(max(self.LARGE_P)):
+            if ell:
+                row = tuple(_eulerian2_step(row, ell))
+            for p in (p for p in self.LARGE_P if ell in ells[p]):
+                assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
 
 
 class TestRowPolicy:
@@ -232,6 +296,48 @@ class TestRowPolicy:
                 assert value == expected[i], i
         for i, row in enumerate(table._rows):
             assert row == reference.row(i)
+
+
+class TestRouteIndependence:
+    """The alternating route reads no row table, and the eulerian2 route
+    reads only the second-kind Eulerian one; neither runs the closed
+    route's kernel."""
+
+    PAIRS = [(p, ell) for p in (*range(1, 25), 60, ROW_CAP + 2) for ell in _fractions(p)]
+
+    @pytest.fixture
+    def refuse_tables(self, monkeypatch):
+        """Every row table access but those of the tables in the returned
+        set fails the test."""
+        allowed = set()
+
+        def guard(name):
+            method = getattr(_RowTable, name)
+
+            def guarded(self, *args):
+                if self not in allowed:
+                    raise AssertionError(f"{name}{args} on a row table")
+                return method(self, *args)
+
+            monkeypatch.setattr(_RowTable, name, guarded)
+
+        for name in ("row", "lookup", "rolled", "once"):
+            guard(name)
+
+        def refuse(*args):
+            raise AssertionError(f"stirling2_single{args}")
+
+        monkeypatch.setattr(coefficients, "stirling2_single", refuse)
+        return allowed
+
+    def test_alternating_reads_no_table(self, refuse_tables):
+        for p, ell in self.PAIRS:
+            assert c_alternating(p, ell) == alternating_sum(p, ell), (p, ell)
+
+    def test_eulerian2_reads_its_own_table(self, refuse_tables):
+        expected = [alternating_sum(p, ell) for p, ell in self.PAIRS]
+        refuse_tables.add(_EULERIAN2)
+        assert [c_eulerian2(p, ell) for p, ell in self.PAIRS] == expected
 
 
 # Runs a command and prints its exit code, its ru_maxrss from os.wait4 and

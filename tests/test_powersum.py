@@ -1,6 +1,8 @@
 """Power-sum formulas against the brute-force oracle, pointwise and symbolic."""
 
 import hashlib
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from figurate.exact import Polynomial
 from figurate.fermat import inverse_closed
 from figurate.powersum import (
     FORMULA_FLAGS,
+    _divide_linear,
     _expand,
     FORMULA_TAGS,
     TERM_TAGS,
@@ -376,3 +379,48 @@ class TestRecordedExpansions:
     def test_faulhaber_coefficients(self):
         coeffs = tuple(faulhaber_coefficients(p) for p in range(2, 41))
         assert TestRecordedTerms.digest(coeffs) == self.FAULHABER_DIGEST
+
+
+def newton_terms(p):
+    """The Faulhaber interpolation's terms d_k F_(n+1-k)^k, k = 0..p+1,
+    from the forward differences d_k of sum_brute at n = 0..p+1."""
+    diffs = [sum_brute(n, p) for n in range(p + 2)]
+    terms = []
+    for k in range(p + 2):
+        terms.append((diffs[0], k, 1 - k))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return terms
+
+
+def expand_rebuilt(terms):
+    """Each term c * F_(n+shift)^k rebuilt from scratch as c / k! times
+    the Polynomial product of its k linear factors."""
+    total = Polynomial()
+    for c, dim, shift in terms:
+        product = Polynomial.constant(F(c, math.factorial(dim)))
+        for a in range(shift, shift + dim):
+            product = product * Polynomial((a, 1))
+        total = total + product
+    return total
+
+
+class TestProductWindow:
+    def test_inexact_division_refused(self):
+        product = [2, 3, 1]  # (n + 1)(n + 2)
+        with pytest.raises(RuntimeError):
+            _divide_linear(product, 3)
+
+    def test_exact_division(self):
+        product = [0, 2, 3, 1]  # n(n + 1)(n + 2)
+        _divide_linear(product, 0)
+        assert product == [2, 3, 1]
+        _divide_linear(product, 2)
+        assert product == [1, 1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_terms_match_rebuilt_products(self, seed):
+        """alt2 terms slide, the Newton terms grow at the bottom; shuffled,
+        the window also jumps to disjoint ranges and shrinks at either end."""
+        terms = [*representation("alt2", 14), *newton_terms(14), *representation("eq5", 9)]
+        random.Random(seed).shuffle(terms)
+        assert _expand(terms) == expand_rebuilt(terms)
