@@ -193,18 +193,18 @@ def c_alternating(p: int, ell: int) -> int:
     """Inclusion-exclusion at j = p - ell: sum of (-1)^r C(j, r) (j - r)^p.
 
     One running binomial steps from term to term,
-    C(j, r + 1) = C(j, r) * (j - r) / (r + 1), each division checked
-    exact by _exact_div; the power (j - r)^p is computed for its own term,
-    so no list of powers is held.
+    C(j, r) = C(j, r - 1) * (j - r + 1) / r, each division checked exact
+    by _exact_div; the power (j - r)^p is computed for its own term, so
+    no list of powers is held.
     """
     _check_pair(p, ell)
     j = p - ell
-    total = 0
+    total = j**p
     binom = 1
-    for r in range(j):
+    for r in range(1, j):
+        binom = _exact_div(binom * (j - r + 1), r)
         term = binom * (j - r) ** p
         total = total - term if r & 1 else total + term
-        binom = _exact_div(binom * (j - r), r + 1)
     return total
 
 
