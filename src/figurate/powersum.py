@@ -109,9 +109,13 @@ def _expand(terms) -> Polynomial:
         end = shift + dim
         if shift >= hi or end <= lo:
             window, lo, hi = [1], shift, shift
-        for a in (*range(lo, shift), *range(end, hi)):
+        for a in range(lo, shift):
             _divide_linear(window, a)
-        for a in (*range(shift, lo), *range(hi, end)):
+        for a in range(end, hi):
+            _divide_linear(window, a)
+        for a in range(shift, lo):
+            _multiply_linear(window, a)
+        for a in range(hi, end):
             _multiply_linear(window, a)
         lo, hi = shift, end
         weight = c * (denom // math.factorial(dim))
