@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -21,6 +22,16 @@ from figurate.combinatorics import (
     surjection_brute,
     surjection_count,
 )
+
+
+def frozenset_surjections(m, n):
+    """Surjection count as the frozenset test over itertools.product: the
+    one-map-at-a-time brute force, kept as the reference for the byte-mask
+    kernel."""
+    if m < n:
+        return 0
+    full = frozenset(range(n))
+    return sum(1 for f in itertools.product(range(n), repeat=m) if frozenset(f) == full)
 
 
 def stirling_permutations(order):
@@ -189,6 +200,24 @@ class TestSurjections:
     def test_bijections(self):
         for m in range(1, 6):
             assert surjection_brute(m, m) == math.factorial(m)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_brute_equals_one_map_at_a_time(self, m):
+        for n in range(1, m + 2):
+            assert surjection_brute(m, n) == frozenset_surjections(m, n), n
+
+    def test_brute_on_eight_points(self):
+        for n in range(1, 8):
+            assert surjection_brute(8, n) == surjection_count(8, n), n
+
+    def test_brute_peaks_under_1mb(self):
+        tracemalloc.start()
+        try:
+            assert surjection_brute(7, 7) == math.factorial(7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_brute_size_guard(self):
         with pytest.raises(ValueError, match="bound"):

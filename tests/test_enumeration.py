@@ -32,6 +32,26 @@ def brute_compositions(total, parts, min_part):
     ]
 
 
+def recursive_compositions(total, parts, min_part):
+    """Compositions by one recursion level per part, lexicographically
+    ascending: the reference for the odometer generator."""
+    if total < parts * min_part:
+        return
+    buf = [0] * parts
+
+    def rec(i, rem):
+        if i == parts - 1:
+            if rem >= min_part:
+                buf[i] = rem
+                yield tuple(buf)
+            return
+        for v in range(min_part, rem - (parts - i - 1) * min_part + 1):
+            buf[i] = v
+            yield from rec(i + 1, rem - v)
+
+    yield from rec(0, total)
+
+
 def brute_k_tuples(p, ell):
     """The admissible nonnegative tuples by filtering the full cube.
 
@@ -176,6 +196,16 @@ class TestCompositions:
                 count = sum(1 for _ in enumerate_compositions(total, parts, 1))
                 assert count == math.comb(total - 1, parts - 1)
 
+    @pytest.mark.parametrize("min_part", [1, 2, 3])
+    def test_equals_recursive_reference(self, min_part):
+        for total in range(25):
+            for parts in range(1, 11):
+                got = list(enumerate_compositions(total, parts, min_part))
+                assert got == list(recursive_compositions(total, parts, min_part)), (
+                    total,
+                    parts,
+                )
+
     def test_lexicographic_without_duplicates(self):
         got = list(enumerate_compositions(9, 3, 2))
         assert got == sorted(set(got))
@@ -193,8 +223,10 @@ class TestLazyStreaming:
             (lambda: enumerate_k_tuples(40, 20), lambda t: (len(t), t)),
             (lambda: enumerate_j_tuples(40, 20), lambda t: (len(t), t)),
             (lambda: enumerate_compositions(60, 30, 1), lambda t: t),
+            # About 5e17 compositions; the last two parts alone take 1e9 values.
+            (lambda: enumerate_compositions(10**9, 3, 1), lambda t: t),
         ],
-        ids=["k", "j", "comp"],
+        ids=["k", "j", "comp", "comp-wide"],
     )
     def test_first_thousand_in_order_under_1mb(self, stream, key):
         tracemalloc.start()
