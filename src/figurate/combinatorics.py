@@ -34,7 +34,8 @@ import threading
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-#: surjection_brute refuses instances with more than this many functions.
+#: surjection_brute refuses instances whose exhaustive pass writes more than
+#: this many map entries, m * n**m.
 BRUTE_FORCE_LIMIT = 10**8
 
 
@@ -210,25 +211,49 @@ def _surjection_row(m: int) -> list[int]:
     return [math.factorial(j) * s for j, s in enumerate(_STIRLING2.once(m))]
 
 
-def surjection_brute(m: int, n: int) -> int:
-    """Surjection count by exhaustive enumeration of all n**m functions.
+def _image_masks(k: int, n: int, or_tables: Sequence[bytes]) -> bytes:
+    """The image bitmask of every map from a k-set into {0..n-1}, one byte
+    per map. Each coordinate takes n translate passes over the masks so
+    far, one per value; or_tables[a] takes a byte x to x | a."""
+    masks = b"\0"
+    for _ in range(k):
+        masks = b"".join([masks.translate(or_tables[1 << v]) for v in range(n)])
+    return masks
 
-    Independent of surjection_count: every map from {1..m} to {1..n} is
-    generated and tested for being onto. Refuses instances beyond
-    BRUTE_FORCE_LIMIT functions.
+
+def surjection_brute(m: int, n: int) -> int:
+    """Surjection count by testing every one of the n**m maps from {1..m}
+    to {1..n}.
+
+    Independent of surjection_count: a map is onto when the bitmask of its
+    image is full. The masks of all maps on the last q = min(m, 5)
+    coordinates sit in one bytes object of n**q bytes. For each map on the
+    other m - q coordinates, one bytes.translate ORs its mask into all of
+    them and count() finds the full ones, so every map is built and tested
+    in C-level passes.
+
+    Refuses instances whose exhaustive pass would write more than
+    BRUTE_FORCE_LIMIT entries, m * n**m, before any work; n**m is never
+    formed for large m. Every admitted instance with m >= n has n <= 7
+    (8 * 8**8 is over the limit), so a mask fits in one byte.
     """
     if m < 1 or n < 1:
         raise ValueError(f"set sizes must be positive, got ({m}, {n})")
-    if n**m > BRUTE_FORCE_LIMIT:
+    # For n >= 2, n**m passes the limit as soon as 2**m does.
+    huge = n > 1 and m >= BRUTE_FORCE_LIMIT.bit_length()
+    if huge or m * min(n, BRUTE_FORCE_LIMIT + 1) ** m > BRUTE_FORCE_LIMIT:
         raise ValueError(
-            f"refusing brute-force enumeration: {n}**{m} functions exceeds "
+            f"refusing brute-force enumeration: {m} * {n}**{m} map entries exceed "
             f"the bound {BRUTE_FORCE_LIMIT}"
         )
     if m < n:
         return 0
-    full = frozenset(range(n))
+    or_tables = [bytes(x | a for x in range(256)) for a in range(1 << n)]
+    q = min(m, 5)
+    suffixes = _image_masks(q, n, or_tables)
+    full = (1 << n) - 1
     return sum(
-        1 for f in itertools.product(range(n), repeat=m) if frozenset(f) == full
+        suffixes.translate(or_tables[a]).count(full) for a in _image_masks(m - q, n, or_tables)
     )
 
 

@@ -168,6 +168,11 @@ def enumerate_compositions(total: int, parts: int, min_part: int) -> Iterator[tu
     """Ordered compositions of total into exactly `parts` parts, each at
     least min_part, lexicographically ascending.
 
+    One generator frame, no recursion: an odometer steps the first
+    parts - 2 parts through their values in lexicographic order, and for
+    each setting the last two parts (v, rem - v) come out of one
+    map(tuple.__add__, zip(range, range)) pass, lazily.
+
     Infeasible instances (total < parts * min_part) yield nothing, and
     allocate nothing however many parts they ask for.
     """
@@ -178,17 +183,25 @@ def enumerate_compositions(total: int, parts: int, min_part: int) -> Iterator[tu
     if total < parts * min_part:
         return
     _check_length(parts)
+    if parts == 1:
+        yield (total,)
+        return
 
-    buf = [0] * parts
-
-    def rec(i: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if i == parts - 1:
-            if rem >= min_part:
-                buf[i] = rem
-                yield tuple(buf)
+    head = [min_part] * (parts - 2)
+    rem = total - (parts - 2) * min_part  # what the last two parts share
+    while True:
+        yield from map(
+            tuple(head).__add__,
+            zip(range(min_part, rem - min_part + 1), range(rem - min_part, min_part - 1, -1)),
+        )
+        # Lexicographic successor of head: the rightmost part that can take
+        # one more while every later part drops back to min_part.
+        i = len(head) - 1
+        while i >= 0 and rem <= 2 * min_part:
+            rem += head[i] - min_part
+            head[i] = min_part
+            i -= 1
+        if i < 0:
             return
-        for v in range(min_part, rem - (parts - i - 1) * min_part + 1):
-            buf[i] = v
-            yield from rec(i + 1, rem - v)
-
-    yield from rec(0, total)
+        head[i] += 1
+        rem -= 1
