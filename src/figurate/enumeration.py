@@ -17,10 +17,11 @@ each tuple length for the k/j families, lengths ascending) and never
 materialize the full family. The ordering is a reproducibility
 convention, nothing more.
 
-Each entry of a tuple under construction is one level of recursion, so
-the generators refuse, with ValueError, any request whose tuples would be
-longer than MAX_TUPLE_LENGTH; that keeps the deepest tuple well inside
-the interpreter's default limit of 1000 frames.
+The k- and j-tuple generators recurse once per entry of the tuple under
+construction; compositions come from one generator frame instead. Every
+family refuses, with ValueError, any request whose tuples would be longer
+than MAX_TUPLE_LENGTH; for the recursive families that keeps the deepest
+tuple well inside the interpreter's default limit of 1000 frames.
 """
 
 from __future__ import annotations

@@ -224,19 +224,19 @@ class TestSurjections:
         with pytest.raises(ValueError, match="bound"):
             surjection_brute(50, 50)
 
-    @pytest.mark.parametrize("m, n", [(10**6, 10**6), (3 * 10**6, 3 * 10**6), (10**9, 1)])
-    def test_huge_inputs_refused_quickly(self, m, n):
+    @pytest.mark.parametrize(
+        "m, n",
+        [(10**6, 10**6), (3 * 10**6, 3 * 10**6), (10**9, 1), (8, 8), (23, 2), (10**8 + 1, 1)],
+    )
+    def test_over_entries_bound_refused_quickly(self, m, n):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="bound"):
             surjection_brute(m, n)
         assert time.perf_counter() - start < 0.5
 
-    def test_entries_bound_is_m_times_n_to_the_m(self):
-        assert surjection_brute(7, 7) == math.factorial(7)  # 7 * 7**7 ~ 5.8e6
-        assert surjection_brute(22, 2) == 2**22 - 2  # 22 * 2**22 ~ 9.2e7
-        for m, n in [(8, 8), (23, 2), (10**8 + 1, 1)]:
-            with pytest.raises(ValueError, match="bound"):
-                surjection_brute(m, n)
+    def test_entries_bound_admits_its_edge(self):
+        # 22 * 2**22 entries, about 9.2e7; (23, 2) is refused above.
+        assert surjection_brute(22, 2) == 2**22 - 2
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
