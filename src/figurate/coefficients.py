@@ -29,11 +29,9 @@ certify() runs them all (enumerative ones behind a size guard) and
 reports whether they agree; their agreement is the checkable content of
 the whole construction.
 
-The recurrence and eulerian2 routes read their one row by
-_RowTable.once(): from the table where lookup() admits it, else rolled
-by the table's own step. The closed route reads the Stirling table where
-lookup() admits it, else runs stirling2_single, a kernel apart from
-both. So a cold large p never builds a whole triangle.
+The table routes read rows by _RowTable.row() (its docstring gives the
+policy) and the closed route its one value by combinatorics.stirling2(),
+so a cold large p never builds a whole triangle.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .combinatorics import _EULERIAN2, _STIRLING2, _padded, _RowTable, stirling2_single
+from .combinatorics import _EULERIAN2, _padded, _RowTable, stirling2
 from .enumeration import enumerate_compositions, enumerate_j_tuples, enumerate_k_tuples
 
 #: Route name -> enumerative, in the canonical order used everywhere
@@ -92,19 +90,13 @@ def _multinomial_sum(p: int, tuples) -> int:
 
 
 def c_closed(p: int, ell: int) -> int:
-    """(p - ell)! * S(p, p - ell).
-
-    S is read from the Stirling table where lookup() admits row p, and
-    otherwise computed alone by stirling2_single: j = p - ell prefix
-    passes of eq. 7.47 of Concrete Mathematics, S(p, j) = h_(p-j)(1..j).
-    That kernel is neither the row recurrence of c_recurrence nor the
-    inclusion-exclusion of c_alternating, so certify() still compares
-    independent computations at every p.
-    """
+    """(p - ell)! * S(p, p - ell), with S from combinatorics.stirling2(),
+    which stays apart from the recurrence and alternating routes at every
+    p (see its docstring), so certify() still compares independent
+    computations."""
     _check_pair(p, ell)
     j = p - ell
-    row = _STIRLING2.lookup(p)
-    return math.factorial(j) * (row[j] if row is not None else stirling2_single(p, j))
+    return math.factorial(j) * stirling2(p, j)
 
 
 def c_enum_k(p: int, ell: int) -> int:
@@ -131,12 +123,12 @@ _RECURRENCE = _RowTable((1,), _recurrence_step)  # rows[i] holds p = i + 1
 def c_recurrence(p: int, ell: int) -> int:
     """Dynamic programming on (p - ell) * [c(p-1, ell) + c(p-1, ell-1)].
 
-    Reads row p of the recurrence table once (_RowTable.once): where
-    lookup() refuses, the table's step is rolled up to row p on one row
-    kept to columns 0..ell, O(p * ell) work in O(ell) memory.
+    Reads row p of the recurrence table once; a row the table does not
+    store is rolled on columns 0..ell only, O(p * ell) work in O(ell)
+    memory.
     """
     _check_pair(p, ell)
-    return _RECURRENCE.once(p - 1, ell + 1)[ell]
+    return _RECURRENCE.row(p - 1, ell + 1)[ell]
 
 
 def composition_sum(p: int, total: int, parts: int, min_part: int) -> int:
@@ -168,16 +160,14 @@ def c_decompose(p: int, ell: int) -> int:
 def c_eulerian2(p: int, ell: int) -> int:
     """(p - ell)! * sum of <<ell, i>> * C(p + ell - 1 - i, 2*ell).
 
-    Row ell of <<., .>> is read once (_RowTable.once): from the table
-    where lookup() admits it, otherwise rolled without storing it. Only
-    the first binomial C(m, k), m = p + ell - 1, k = 2*ell, comes from
-    math.comb; each later one steps down from it as
-    C(m - 1, k) = C(m, k) * (m - k) / m, the division checked exact by
-    _exact_div. No step follows the last term: at p = 1, ell = 0 it would
-    divide by m = 0.
+    Row ell of <<., .>> is read once, by _RowTable.row(). Only the first
+    binomial C(m, k), m = p + ell - 1, k = 2*ell, comes from math.comb;
+    each later one steps down from it as C(m - 1, k) = C(m, k) * (m - k) / m,
+    the division checked exact by _exact_div. No step follows the last
+    term: at p = 1, ell = 0 it would divide by m = 0.
     """
     _check_pair(p, ell)
-    row = _EULERIAN2.once(ell)
+    row = _EULERIAN2.row(ell)
     k, m = 2 * ell, p + ell - 1
     binom = math.comb(m, k)
     terms = iter(row)

@@ -8,14 +8,10 @@ step over _padded, which reads the previous row as zero outside its range.
 Rows are memoized for the process lifetime; the row tables only ever grow
 and are safe to use from several threads.
 
-A table grows to any row asked of it through its accessor
-(stirling2(), number_triangle(), ...). A caller that needs one row reads
-it by _RowTable.once(): a stored row, or a row the table grows to below
-ROW_CAP rows or as the row right after the last stored one
-(_RowTable.lookup); past that, the row rolled by the table's own step in
-O(row) memory (_RowTable.rolled), leaving the table as it was. Every
-consumer of the surjection counts j! S(m, j) reads them so, by
-_surjection_row; c_closed's single values use stirling2_single instead.
+Every row is read by _RowTable.row(), whose docstring gives the one
+policy: which rows a table stores and which it rolls without storing.
+Where the table would only roll row k, stirling2() computes its one
+value by stirling2_single instead, a kernel apart from the row step.
 
 Index conventions (they differ between families on purpose):
 
@@ -39,10 +35,10 @@ from collections.abc import Callable, Sequence
 BRUTE_FORCE_LIMIT = 10**8
 
 
-#: lookup() grows a table to a row at or above this index only when it is
-#: the row right after the last stored one. At 512 rows the rows and
-#: entries of the Stirling table of the second kind take about 26 MB, and
-#: those of the recurrence and second-kind Eulerian tables 45-47 MB.
+#: row() stores a row at or above this index only when it is the row right
+#: after the last stored one. At 512 rows the rows and entries of the
+#: Stirling table of the second kind take about 26 MB, and those of the
+#: recurrence and second-kind Eulerian tables 45-47 MB.
 ROW_CAP = 512
 
 
@@ -50,10 +46,7 @@ class _RowTable:
     """Monotonically growing memo of triangle rows.
 
     Rows are tuples and only appended, never replaced, so readers that
-    race the lock still see consistent data. row() grows the table to any
-    index; lookup() grows it past ROW_CAP rows only one row at a time;
-    rolled() builds one row by the same step and stores nothing; once()
-    is lookup() or, where it refuses, rolled().
+    race the lock still see consistent data.
     """
 
     def __init__(self, seed: Sequence[int], step: Callable[[Sequence[int], int], list]):
@@ -61,45 +54,42 @@ class _RowTable:
         self._step = step
         self._lock = threading.Lock()
 
-    def row(self, index: int) -> tuple[int, ...]:
-        if index < len(self._rows):
-            return self._rows[index]
-        with self._lock:
-            while len(self._rows) <= index:
-                prev = self._rows[-1]
-                self._rows.append(tuple(self._step(prev, len(self._rows))))
-        return self._rows[index]
-
-    def lookup(self, index: int) -> tuple[int, ...] | None:
-        """Row `index` when the table holds it, when it lies below ROW_CAP,
-        or when it is the row right after the last stored one (growing the
-        table to it); None otherwise, with the table left as it was.
+    def stores(self, index: int) -> bool:
+        """Whether row(index) returns a stored row: one the table holds,
+        one below ROW_CAP, or the row right after the last stored one.
 
         The length is read without the lock. A thread that races a growing
-        table can only see None where a row was just stored, or a row
-        where it would have seen None; its caller then takes rolled()
-        instead of the table or the other way round, and both give equal
+        table can only see False where a row was just stored, or True
+        where it would have seen False; it then rolls a row instead of
+        reading the table or the other way round, and both give equal
         values.
         """
-        if index <= len(self._rows) or index < ROW_CAP:
-            return self.row(index)
-        return None
+        return index <= len(self._rows) or index < ROW_CAP
 
-    def rolled(self, index: int, width: int | None = None) -> tuple[int, ...]:
-        """row(index)[:width] built from the seed by the table's own step on
-        one rolling row, without storing it: O(index * width) work in
-        O(width) memory. Entry j of a step reads only entries j and j - 1 of
-        the previous row, so the first `width` entries of each step are exact.
+    def row(self, index: int, width: int | None = None) -> tuple[int, ...]:
+        """Row `index`, the one read path of every table.
+
+        Where stores(index) holds, the row is stored first if the table
+        does not hold it yet, and the whole stored row is returned. Any
+        other row is rolled from the seed by the table's own step on one
+        row of `width` entries (all of them when width is None) and stored
+        nowhere: O(index * width) work in O(width) memory, the table left
+        as it was. Entry j of a step reads only entries j and j - 1 of the
+        previous row, so the first `width` entries of each step are exact.
+        So a whole triangle read in row order stores every row, past
+        ROW_CAP too: each is the next row.
         """
-        row = self._rows[0][:width]
-        for i in range(1, index + 1):
-            row = self._step(row, i)[:width]
-        return tuple(row)
-
-    def once(self, index: int, width: int | None = None) -> tuple[int, ...]:
-        """lookup(index), or rolled(index, width) where lookup() refuses: a
-        row (at least its first `width` entries) read once by one caller."""
-        return self.lookup(index) or self.rolled(index, width)
+        if not self.stores(index):
+            row = self._rows[0][:width]
+            for i in range(1, index + 1):
+                row = self._step(row, i)[:width]
+            return tuple(row)
+        if index >= len(self._rows):
+            with self._lock:
+                while len(self._rows) <= index:
+                    prev = self._rows[-1]
+                    self._rows.append(tuple(self._step(prev, len(self._rows))))
+        return self._rows[index]
 
 
 def _padded(prev: Sequence[int], length: int):
@@ -177,14 +167,22 @@ def stirling1_unsigned(k: int, r: int) -> int:
     """
     if k < 0:
         raise ValueError(f"negative row {k}")
-    return _STIRLING1.row(k)[r] if 0 <= r <= k else 0
+    return _STIRLING1.row(k, r + 1)[r] if 0 <= r <= k else 0
 
 
 def stirling2(k: int, j: int) -> int:
-    """Stirling number of the second kind S(k, j); zero when j > k."""
+    """Stirling number of the second kind S(k, j); zero when j > k.
+
+    Read from the table where it stores row k, and otherwise computed
+    alone by stirling2_single. That kernel is neither the row recurrence
+    of c_recurrence nor the inclusion-exclusion of c_alternating, so the
+    closed route stays independent of both at every k.
+    """
     if k < 0:
         raise ValueError(f"negative row {k}")
-    return _STIRLING2.row(k)[j] if 0 <= j <= k else 0
+    if not 0 <= j <= k:
+        return 0
+    return _STIRLING2.row(k)[j] if _STIRLING2.stores(k) else stirling2_single(k, j)
 
 
 def eulerian_first(p: int, j: int) -> int:
@@ -193,7 +191,7 @@ def eulerian_first(p: int, j: int) -> int:
         raise ValueError(f"row must be positive, got {p}")
     if not 1 <= j <= p:
         raise ValueError(f"index {j} out of range 1..{p}")
-    return _EULERIAN1.row(p - 1)[j - 1]
+    return _EULERIAN1.row(p - 1, j)[j - 1]
 
 
 def surjection_count(m: int, n: int) -> int:
@@ -207,8 +205,8 @@ def surjection_count(m: int, n: int) -> int:
 
 
 def _surjection_row(m: int) -> list[int]:
-    """j! * S(m, j) for j = 0..m, from one row of S read by once()."""
-    return [math.factorial(j) * s for j, s in enumerate(_STIRLING2.once(m))]
+    """j! * S(m, j) for j = 0..m, from one row of S."""
+    return [math.factorial(j) * s for j, s in enumerate(_STIRLING2.row(m))]
 
 
 def _image_masks(k: int, n: int, or_tables: Sequence[bytes]) -> bytes:

@@ -209,4 +209,4 @@ def figurate_polynomial(k: int) -> Polynomial:
     if k < 1:
         raise ValueError(f"dimension must be positive, got {k}")
     kfact = math.factorial(k)
-    return Polynomial(Fraction(s, kfact) for s in _STIRLING1.once(k))
+    return Polynomial(Fraction(s, kfact) for s in _STIRLING1.row(k))

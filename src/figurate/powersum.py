@@ -24,10 +24,10 @@ factorial product n(n+1)...(n+k-1)/k!, which vanishes exactly at
 n = 0, -1, ..., -(k-1); the shifted arguments in alt1/alt3 rely on that.
 
 Each figurate expansion is a term tuple ((integer coefficient, dimension,
-argument shift), ...) that representation() builds from one row read
-once (the surjection counts j! S(p, j) = c(p, p-j) for eq5, alt1 and
-power_ml1, S(p+1, .) for alt3, <p, .> for alt2) and caches; one evaluator
-and one symbolic expander read it, and the expander also turns the
+argument shift), ...) that representation() builds from one row read by
+_RowTable.row() (the surjection counts j! S(p, j) = c(p, p-j) for eq5,
+alt1 and power_ml1, S(p+1, .) for alt3, <p, .> for alt2) and caches; one
+evaluator and one symbolic expander read it, and the expander also turns the
 Faulhaber interpolation's Newton terms into a polynomial. The expander
 works in integers: each term is the product of its k linear factors
 (n+shift+i), reached from the previous term's product by dividing out
@@ -69,16 +69,13 @@ FORMULA_TAGS = tuple(FORMULA_FLAGS.values())
 def figurate(n: int, k: int) -> int:
     """F_n^k = n(n+1)...(n+k-1) / k! for any integer n and k >= 1.
 
-    Equals C(n+k-1, k) for n >= 1 and is zero exactly on
+    Computed as C(n+k-1, k) for n >= 1 and as (-1)^k C(-n, k) otherwise,
+    the product with every factor negated; that is zero exactly on
     n in {0, -1, ..., -(k-1)}.
     """
     if k < 1:
         raise ValueError(f"dimension must be positive, got {k}")
-    num = math.prod(range(n, n + k))
-    q, r = divmod(num, math.factorial(k))
-    if r:
-        raise RuntimeError(f"internal error: F_{n}^{k} product not divisible by {k}!")
-    return q
+    return math.comb(n + k - 1, k) if n >= 1 else (-1) ** k * math.comb(-n, k)
 
 
 def _expand(terms) -> Polynomial:
@@ -153,9 +150,9 @@ _TERM_BUILDERS = {
         ((-1) ** (i - 1) * c, p - i + 2, 0) for i, c in enumerate(_surjection_row(p)[:0:-1], 1)
     ),
     "alt1": lambda p: ((c, j + 1, 1 - j) for j, c in enumerate(_surjection_row(p)) if j),
-    "alt2": lambda p: ((e, p + 1, t + 1 - p) for t, e in enumerate(_EULERIAN1.once(p - 1))),
+    "alt2": lambda p: ((e, p + 1, t + 1 - p) for t, e in enumerate(_EULERIAN1.row(p - 1))),
     "alt3": lambda p: (
-        (math.factorial(j - 1) * s, j, 1 - j) for j, s in enumerate(_STIRLING2.once(p + 1)) if j
+        (math.factorial(j - 1) * s, j, 1 - j) for j, s in enumerate(_STIRLING2.row(p + 1)) if j
     ),
     "power_ml1": lambda p: (
         ((-1) ** ell * c, p - ell, 0) for ell, c in enumerate(_surjection_row(p)[:0:-1])

@@ -269,7 +269,7 @@ def _tuple_families(p: int) -> bool:
         j_tuples = list(enumeration.enumerate_j_tuples(p, ell))
         if len(set(k_tuples)) != len(k_tuples) or len(set(j_tuples)) != len(j_tuples):
             return False
-        if sorted(tuple(e + 1 for e in t) for t in k_tuples) != sorted(j_tuples):
+        if [tuple(e + 1 for e in t) for t in k_tuples] != j_tuples:
             return False
         for t in k_tuples:
             s = enumeration.support(t)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from figurate.combinatorics import (
     stirling2,
     stirling2_single,
 )
+from figurate.fermat import build_fermat
 from figurate.powersum import TERM_TAGS, representation, sum_brute
 
 TABLES = {"stirling2": _STIRLING2, "recurrence": _RECURRENCE, "eulerian2": _EULERIAN2}
@@ -44,29 +46,67 @@ TABLE_ROUTES = (c_closed, c_recurrence, c_eulerian2)
 LARGE_P = (ROW_CAP, ROW_CAP + 1, 700)
 
 
+def _stirling1_3(k):
+    """s(k, 3) = (k - 1)!/2 * (H^2 - H2), with H and H2 the sums of 1/i
+    and 1/i^2 over i < k."""
+    h = sum(Fraction(1, i) for i in range(1, k))
+    h2 = sum(Fraction(1, i * i) for i in range(1, k))
+    return int(math.factorial(k - 1) * (h * h - h2) / 2)
+
+
+#: Per-value accessor -> (row k past ROW_CAP, the accessor's value at
+#: (k, 3) by a closed form).
+ACCESSORS = {
+    "stirling2": (2000, lambda k: (3**k - 3 * 2**k + 3) // 6),
+    "surjection_count": (2000, lambda k: 3**k - 3 * 2**k + 3),
+    "eulerian_first": (1500, lambda k: 3**k - (k + 1) * 2**k + math.comb(k + 1, 2)),
+    "stirling1_unsigned": (1500, _stirling1_3),
+}
+
+
 def _fractions(p):
     return sorted({int(p * f / 10) for f in range(1, 10)})
 
 
-def _row_counts():
-    return {name: len(table._rows) for name, table in TABLES.items()}
+def _row_counts(tables=TABLES):
+    return {name: len(table._rows) for name, table in tables.items()}
+
+
+def _store_rows(table, index):
+    """Store rows 0..index of a table, reading them in order so that each
+    is below ROW_CAP or the next row."""
+    for i in range(index + 1):
+        table.row(i)
+
+
+def _roll_every_row(monkeypatch):
+    """From here on no table stores or reads back a row: every row is
+    rolled, and stirling2() runs stirling2_single."""
+    monkeypatch.setattr(_RowTable, "stores", lambda self, index: False)
 
 
 @pytest.fixture
 def kernels_only(monkeypatch):
-    """Every table lookup misses, so the routes run their kernels."""
-    monkeypatch.setattr(_RowTable, "lookup", lambda self, index: None)
+    """Every row is rolled, so the routes run their kernels."""
+    _roll_every_row(monkeypatch)
 
 
 @pytest.fixture
 def no_kernels(monkeypatch):
-    """Any kernel call fails the test."""
+    """Any kernel call or rolled row fails the test."""
 
     def refuse(*args):
         raise AssertionError(f"kernel called with {args}")
 
-    monkeypatch.setattr(coefficients, "stirling2_single", refuse)
-    monkeypatch.setattr(_RowTable, "rolled", refuse)
+    stores = _RowTable.stores
+
+    def stores_or_refuse(self, index):
+        if not stores(self, index):
+            refuse(index)
+        return True
+
+    monkeypatch.setattr(combinatorics, "stirling2_single", refuse)
+    monkeypatch.setattr(_RowTable, "stores", stores_or_refuse)
 
 
 class TestKernelsMatchTables:
@@ -85,31 +125,36 @@ class TestKernelsMatchTables:
             stirling2_single(-1, 0)
 
     @pytest.mark.parametrize("name", ALL_TABLES)
-    def test_rolled_prefixes_match_rows(self, name):
+    def test_rolled_prefixes_match_rows(self, name, monkeypatch):
         table = ALL_TABLES[name]
         rows = [table.row(i) for i in range(81)]
         stored = len(table._rows)
+        _roll_every_row(monkeypatch)
         for i, row in enumerate(rows):
             for width in range(len(row) + 2):
-                assert table.rolled(i, width) == row[:width], (i, width)
+                assert table.row(i, width) == row[:width], (i, width)
         assert len(table._rows) == stored
 
     @pytest.mark.parametrize("p", range(1, 81, 10))
-    def test_recurrence_single(self, p):
-        for q in range(p, p + 10):
-            values = tuple(_RECURRENCE.rolled(q - 1, ell + 1)[ell] for ell in range(q))
-            assert values == _RECURRENCE.row(q - 1)
+    def test_recurrence_single(self, p, monkeypatch):
+        rows = [_RECURRENCE.row(q - 1) for q in range(p, p + 10)]
+        _roll_every_row(monkeypatch)
+        for q, row in zip(range(p, p + 10), rows):
+            values = tuple(_RECURRENCE.row(q - 1, ell + 1)[ell] for ell in range(q))
+            assert values == row
 
-    def test_eulerian2_row(self):
-        for ell in range(81):
-            assert _EULERIAN2.rolled(ell) == _EULERIAN2.row(ell)
+    def test_eulerian2_row(self, monkeypatch):
+        rows = [_EULERIAN2.row(ell) for ell in range(81)]
+        _roll_every_row(monkeypatch)
+        for ell, row in enumerate(rows):
+            assert _EULERIAN2.row(ell) == row
 
     def test_routes_on_kernels_match_tables(self, monkeypatch):
         expected = {
             route: [route(p, ell) for p in range(1, 81) for ell in range(p)]
             for route in TABLE_ROUTES
         }
-        monkeypatch.setattr(_RowTable, "lookup", lambda self, index: None)
+        _roll_every_row(monkeypatch)
         for route in TABLE_ROUTES:
             got = [route(p, ell) for p in range(1, 81) for ell in range(p)]
             assert got == expected[route], route.__name__
@@ -174,9 +219,9 @@ class TestSteppedSums:
             assert index == ell
             return row
 
-        monkeypatch.setattr(_EULERIAN2, "once", current_row)
-        ells = {p: set(self.large_ells(p)) for p in self.LARGE_P}
         row = _EULERIAN2.row(0)
+        monkeypatch.setattr(_EULERIAN2, "row", current_row)
+        ells = {p: set(self.large_ells(p)) for p in self.LARGE_P}
         for ell in range(max(self.LARGE_P)):
             if ell:
                 row = tuple(_eulerian2_step(row, ell))
@@ -201,14 +246,22 @@ class TestRowPolicy:
             assert _row_counts() == before, route.__name__
 
     def test_lookup_policy(self):
+        """row() stores a row below ROW_CAP or the next row, and rolls any
+        other; stores() says which before the read."""
         table = _RowTable((1,), _stirling2_step)
-        assert table.lookup(ROW_CAP - 1) == table.row(ROW_CAP - 1)
+        assert table.stores(ROW_CAP - 1)
+        last = table.row(ROW_CAP - 1)
+        assert len(table._rows) == ROW_CAP and table._rows[-1] is last
+        following = tuple(_stirling2_step(last, ROW_CAP))
+        beyond = tuple(_stirling2_step(following, ROW_CAP + 1))
+        assert not table.stores(ROW_CAP + 1)
+        assert table.row(ROW_CAP + 1, 5) == beyond[:5]
         assert len(table._rows) == ROW_CAP
-        assert table.lookup(ROW_CAP + 1) is None
-        assert len(table._rows) == ROW_CAP
-        assert table.lookup(ROW_CAP) is not None  # the next row
+        assert table.stores(ROW_CAP)  # the next row
+        assert table.row(ROW_CAP, 5) == following  # stored, so whole
         assert len(table._rows) == ROW_CAP + 1
-        assert table.lookup(3) is table._rows[3]
+        assert table.stores(ROW_CAP + 1)
+        assert table.row(3, 1) is table._rows[3]
 
     def test_number_triangle_past_cap_stores_rows(self):
         triangle = number_triangle("stirling2", ROW_CAP + 3)
@@ -216,6 +269,14 @@ class TestRowPolicy:
         last = triangle.rows[ROW_CAP + 3]
         for j in _fractions(ROW_CAP + 3):
             assert last[j] == stirling2_single(ROW_CAP + 3, j)
+
+    def test_build_fermat_past_cap_stores_rows(self):
+        p = ROW_CAP + 3
+        matrix = build_fermat(p)
+        assert len(_STIRLING1._rows) >= p + 1
+        # Row k of A_p gives F_1^k = 1 at n = 1, and a(k, 1) = (k - 1)!/k!.
+        assert sum(matrix.row(p)) == 1
+        assert matrix.entry(p, 1) == Fraction(1, p)
 
     def test_build_triangle_past_cap_stores_rows(self):
         pmax = ROW_CAP + 3
@@ -229,20 +290,26 @@ class TestRowPolicy:
 
     def test_stored_rows_are_read(self, no_kernels):
         p = ROW_CAP + 3
-        _STIRLING2.row(p)
-        _RECURRENCE.row(p - 1)
-        _EULERIAN2.row(40)
+        _store_rows(_STIRLING2, p)
+        _store_rows(_RECURRENCE, p - 1)
+        _store_rows(_EULERIAN2, 40)
         for ell in (0, 1, p // 2, p - 1):
             assert c_closed(p, ell) == c_recurrence(p, ell)
         assert c_eulerian2(p, 40) == c_closed(p, 40)
 
     def test_next_row_grows_table(self, no_kernels):
         for route, table, offset in ((c_closed, _STIRLING2, 0), (c_recurrence, _RECURRENCE, 1)):
-            table.row(ROW_CAP)
+            _store_rows(table, ROW_CAP)
             stored = len(table._rows)
             p = stored + offset
             assert route(p, 1) == c_alternating(p, 1)
             assert len(table._rows) == stored + 1
+
+    def test_accessors_above_cap_leave_tables(self):
+        before = _row_counts(ALL_TABLES)
+        for name, (k, value) in ACCESSORS.items():
+            assert getattr(combinatorics, name)(k, 3) == value(k), name
+        assert _row_counts(ALL_TABLES) == before
 
     def test_representation_above_cap_reads_one_row(self, monkeypatch):
         """Every term list past the cap rolls its one row: no table grows,
@@ -263,7 +330,7 @@ class TestRowPolicy:
         assert {name: len(t._rows) for name, t in ALL_TABLES.items()} == before
 
     def test_racing_lookups_give_table_values(self, monkeypatch):
-        """8 threads mix table reads, growth and rolled rows (once()) on a
+        """8 threads mix table reads, growth and rolled rows (row()) on a
         fresh table with a small cap; every value equals a single-threaded
         build."""
         monkeypatch.setattr(combinatorics, "ROW_CAP", 20)
@@ -277,7 +344,7 @@ class TestRowPolicy:
         def worker(t):
             barrier.wait(timeout=5)
             for i in list(range(t, rows, 3)) + list(range(rows - 1 - t, -1, -5)):
-                seen[t].append((i, table.once(i, i // 2 + 1)[i // 2]))
+                seen[t].append((i, table.row(i, i // 2 + 1)[i // 2]))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -321,13 +388,13 @@ class TestRouteIndependence:
 
             monkeypatch.setattr(_RowTable, name, guarded)
 
-        for name in ("row", "lookup", "rolled", "once"):
+        for name in ("row", "stores"):
             guard(name)
 
         def refuse(*args):
             raise AssertionError(f"stirling2_single{args}")
 
-        monkeypatch.setattr(coefficients, "stirling2_single", refuse)
+        monkeypatch.setattr(combinatorics, "stirling2_single", refuse)
         return allowed
 
     def test_alternating_reads_no_table(self, refuse_tables):
@@ -357,25 +424,40 @@ print(proc.returncode, usage.ru_maxrss, out.decode().strip())
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
 class TestColdMemory:
-    """A cold large coefficient stays in O(p) memory in a fresh process."""
+    """A cold large coefficient, and a per-value accessor past the cap,
+    stays in O(p) memory in a fresh process."""
 
     LIMIT_MB = 64
 
     POWERSUM_FLAGS = ("eq5", "stir", "euler", "alt3", "ml1-power")
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["coeff", "--p", "1200", "--ell", "600"],
-            ["coeff", "--p", "800", "--ell", "400", "--route", "recurrence"],
-            *(["powersum", "--p", "900", "--n", "10", "--formula", f] for f in POWERSUM_FLAGS),
-        ],
-        ids=["closed", "recurrence", *(f"powersum-{f}" for f in POWERSUM_FLAGS)],
-    )
-    def test_peak_rss(self, argv):
+    #: Case -> figurate CLI argv.
+    CLI_RUNS = {
+        "closed": ["coeff", "--p", "1200", "--ell", "600"],
+        "recurrence": ["coeff", "--p", "800", "--ell", "400", "--route", "recurrence"],
+        **{
+            f"powersum-{f}": ["powersum", "--p", "900", "--n", "10", "--formula", f]
+            for f in POWERSUM_FLAGS
+        },
+    }
+
+    @pytest.mark.parametrize("case", [*CLI_RUNS, *ACCESSORS])
+    def test_peak_rss(self, case):
+        if case in self.CLI_RUNS:
+            argv = self.CLI_RUNS[case]
+            command = ["-m", "figurate.cli", *argv]
+            p, second = int(argv[2]), int(argv[4])
+            if argv[0] == "coeff":
+                expected = c_alternating(p, second)
+            else:
+                expected = second**p if argv[-1] == "ml1-power" else sum_brute(second, p)
+        else:
+            k, value = ACCESSORS[case]
+            command = ["-c", f"from figurate import combinatorics as c; print(c.{case}({k}, 3))"]
+            expected = value(k)
         src = str(Path(figurate.__file__).resolve().parents[1])
         done = subprocess.run(
-            [sys.executable, "-c", _MEASURE, sys.executable, "-m", "figurate.cli", *argv],
+            [sys.executable, "-c", _MEASURE, sys.executable, *command],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
             text=True,
@@ -384,10 +466,5 @@ class TestColdMemory:
         )
         code, maxrss_kib, value = done.stdout.split()
         assert code == "0"
-        p, second = int(argv[2]), int(argv[4])
-        if argv[0] == "coeff":
-            expected = c_alternating(p, second)
-        else:
-            expected = second**p if argv[-1] == "ml1-power" else sum_brute(second, p)
         assert int(value) == expected
         assert int(maxrss_kib) / 1024 < self.LIMIT_MB

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from figurate import coefficients, powersum, verify
+from figurate import coefficients, enumeration, powersum, verify
 from figurate.verify import SUITES, CheckResult, run_suites
 
 
@@ -64,6 +64,23 @@ def test_eulerian_symmetry_covers_p12_at_small_pmax(monkeypatch):
     monkeypatch.setattr(powersum, "representation", planted)
     report = run_suites(["powersum"], 5, 14)
     assert _status(report, "eulerian coefficient symmetry p<=12") == "fail"
+    assert report.failed == 1
+
+
+def test_tuple_families_check_emission_order(monkeypatch):
+    # Two neighbours swapped leave the j stream's set of tuples as it was;
+    # only the +1 image of the k stream in emission order tells them apart.
+    real = enumeration.enumerate_j_tuples
+
+    def planted(p, ell):
+        tuples = list(real(p, ell))
+        if (p, ell) == (6, 3):
+            tuples[4], tuples[5] = tuples[5], tuples[4]
+        return iter(tuples)
+
+    monkeypatch.setattr(enumeration, "enumerate_j_tuples", planted)
+    report = run_suites(["enumeration"], 6, 14)
+    assert _status(report, "tuple families p=6") == "fail"
     assert report.failed == 1
 
 
