@@ -9,10 +9,9 @@ value is refused with TypeError, so no floating point enters anywhere.
 
 There are no wrappers that rename these operators: Fraction(num, den)
 normalizes, Fraction(s) parses what format_rational prints, and the
-Polynomial operators (+, *, divmod, calling, ==) are the polynomial
-arithmetic; divmod is exact long division, c * P is written
-Polynomial.constant(c) * P, the zero polynomial is Polynomial() and a
-polynomial P is zero when `not P.coefficients`.
+Polynomial operators (+, *, calling, ==) are the polynomial arithmetic;
+c * P is written Polynomial.constant(c) * P, the zero polynomial is
+Polynomial() and a polynomial P is zero when `not P.coefficients`.
 """
 
 from __future__ import annotations
@@ -97,22 +96,6 @@ class Polynomial:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
         return Polynomial(out)
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """(quotient, remainder) of exact long division: self equals
-        quotient * other + remainder, with deg remainder < deg other."""
-        divisor = other.coefficients
-        if not divisor:
-            raise ZeroDivisionError("polynomial division by zero")
-        *lower, lead = divisor
-        rem = list(self.coefficients)
-        quot = [Fraction(0)] * max(len(rem) - len(lower), 0)
-        for i in reversed(range(len(quot))):
-            q = quot[i] = rem[i + len(lower)] / lead
-            for j, d in enumerate(lower):
-                if d:
-                    rem[i + j] -= q * d
-        return Polynomial(quot), Polynomial(rem[: len(lower)])
 
     def __call__(self, x: int | Fraction) -> Fraction:
         """Exact value at x, by Horner's rule."""

@@ -12,8 +12,8 @@ polynomial form:
 * faulhaber: S_2(n) times a polynomial in the triangular number T_n for
   even p, T_n^2 times such a polynomial for odd p. Its coefficients are
   derived from sum_brute alone, never from the other formulas, by exact
-  polynomial division (Knuth, "Johann Faulhaber and sums of powers",
-  Math. Comp. 61, 1993); any remainder is an internal error.
+  division by linear factors (Knuth, "Johann Faulhaber and sums of
+  powers", Math. Comp. 61, 1993); any remainder is an internal error.
 
 plus the plain power identity
 
@@ -32,8 +32,9 @@ Faulhaber interpolation's Newton terms into a polynomial. The expander
 works in integers: each term is the product of its k linear factors
 (n+shift+i), reached from the previous term's product by dividing out
 and multiplying in the factors at its ends, weighted over the common
-denominator (largest dimension)!, and the sum is divided by that
-denominator once.
+denominator (largest dimension)!. The Faulhaber form is derived from and
+rebuilt into such integer polynomials by the same two steps, division
+and multiplication by (n + a); a Polynomial is built only at the edge.
 """
 
 from __future__ import annotations
@@ -78,13 +79,14 @@ def figurate(n: int, k: int) -> int:
     return math.comb(n + k - 1, k) if n >= 1 else (-1) ** k * math.comb(-n, k)
 
 
-def _expand(terms) -> Polynomial:
-    """A term tuple as a single exact polynomial in n.
+def _expand(terms) -> tuple[list[int], int]:
+    """A term tuple as one polynomial in n: its integer coefficients,
+    lowest power first, and their common denominator.
 
     Over the common denominator L = (largest dimension)!, the term
     c * F_(n+shift)^k is the integer polynomial
-    c * (L / k!) * (n+shift)(n+shift+1)...(n+shift+k-1); the integer
-    sum is divided by L once.
+    c * (L / k!) * (n+shift)(n+shift+1)...(n+shift+k-1); the polynomial is
+    their integer sum over L.
 
     One window holds the integer coefficients of the product of (n+a) over
     a in [lo, hi). Neighbouring terms differ by a factor or two at the
@@ -94,10 +96,6 @@ def _expand(terms) -> Polynomial:
     (_multiply_linear). It is rebuilt only when the two ranges are
     disjoint. A chain of p terms so costs O(p^2) integer operations.
     """
-    from fractions import Fraction
-
-    from .exact import Polynomial
-
     top = max((dim for _, dim, _ in terms), default=0)
     denom = math.factorial(top)
     acc = [0] * (top + 1)
@@ -118,7 +116,7 @@ def _expand(terms) -> Polynomial:
         weight = c * (denom // math.factorial(dim))
         for i, x in enumerate(window):
             acc[i] += weight * x
-    return Polynomial(Fraction(x, denom) for x in acc)
+    return acc, denom
 
 
 def _multiply_linear(coeffs: list[int], a: int) -> None:
@@ -139,7 +137,7 @@ def _divide_linear(coeffs: list[int], a: int) -> None:
         q = coeffs[i] - a * q
         coeffs[i] = q  # the quotient's coefficient of n^(i-1)
     if coeffs[0] != a * q:
-        raise RuntimeError(f"internal error: product window not divisible by (n + {a})")
+        raise RuntimeError(f"internal error: polynomial not divisible by (n + {a})")
     del coeffs[0]
 
 
@@ -217,21 +215,6 @@ def sum_variant(n: int, p: int) -> int:
     return _evaluate_terms("alt3", n, p)
 
 
-def _faulhaber_basis(p: int) -> tuple[Polynomial, Polynomial]:
-    """(prefactor, T_n) as polynomials in n: the Faulhaber prefactor is
-    S_2(n) for even p and T_n^2 for odd p, and T_n = n(n+1)/2."""
-    from fractions import Fraction
-
-    from .exact import Polynomial
-
-    half = Fraction(1, 2)
-    if p % 2 == 0:
-        prefactor = Polynomial((0, Fraction(1, 6), half, Fraction(1, 3)))
-    else:
-        prefactor = Polynomial((0, 0, Fraction(1, 4), half, Fraction(1, 4)))
-    return prefactor, Polynomial((0, half, half))
-
-
 @lru_cache(maxsize=None)
 def faulhaber_coefficients(p: int) -> tuple[Fraction, ...]:
     """Coefficients (q_0, ..., q_(k-1)), k = p // 2, of the Faulhaber form of S_p(n):
@@ -241,12 +224,17 @@ def faulhaber_coefficients(p: int) -> tuple[Fraction, ...]:
 
     S_p(n) is interpolated from sum_brute at n = 0..p+1 by its forward
     differences d_k, as sum_k d_k C(n, k) with C(n, k) = F_(n+1-k)^k, and
-    expanded. The expansion is divided exactly by the prefactor, and the
-    quotient Q is rewritten in T_n by repeated division, Q = Q' T_n + q_j:
-    each remainder q_j = Q(0) must be a constant, so that Q - q_j divides
-    exactly by T_n. A remainder of the wrong form, or other than p // 2
-    coefficients, raises RuntimeError.
+    expanded into an integer polynomial N over a denominator L. Dividing
+    N exactly by n(n + 1) for even p, and by n^2 (n + 1) for odd p, leaves
+    R = (L / 6 or L / 4) * w * sum_j q_j T_n^j with w = 2n + 1 or n + 1.
+    As w(0) = 1, q_j is R(0) times that scale; R - R(0) w then divides
+    exactly by n(n + 1) = 2 T_n, which doubles the scale, and the next
+    q_j is read the same way. Every division is checked for a zero
+    remainder; a nonzero one, or other than p // 2 coefficients, raises
+    RuntimeError.
     """
+    from fractions import Fraction
+
     if p < 2:
         raise ValueError(f"Faulhaber form requires p >= 2, got {p}")
     diffs = [sum_brute(n, p) for n in range(p + 2)]
@@ -254,15 +242,21 @@ def faulhaber_coefficients(p: int) -> tuple[Fraction, ...]:
     for k in range(p + 2):
         terms.append((diffs[0], k, 1 - k))
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    prefactor, triangular = _faulhaber_basis(p)
-    quotient, remainder = divmod(_expand(terms), prefactor)
-    exact = not remainder.coefficients
+    rest, denom = _expand(terms)
+    odd = p % 2
+    for a in (0, 1, 0)[: 2 + odd]:
+        _divide_linear(rest, a)
+    scale = Fraction(4 if odd else 6, denom)
     coeffs = []
-    while exact and quotient.coefficients:
-        quotient, remainder = divmod(quotient, triangular)
-        exact = remainder.degree < 1
-        coeffs.append(remainder(0))
-    if not exact or len(coeffs) != p // 2:
+    while any(rest):
+        q = rest[0]
+        coeffs.append(q * scale)
+        scale *= 2
+        # rest - q w has a zero constant term; dropping it divides by n.
+        rest[1] -= (2 - odd) * q
+        del rest[0]
+        _divide_linear(rest, 1)
+    if len(coeffs) != p // 2:
         raise RuntimeError(f"internal error: S_{p}(n) has no exact Faulhaber form")
     return tuple(coeffs)
 
@@ -285,18 +279,35 @@ def expand_symbolic(p: int, tag: str) -> Polynomial:
     The sum formulas (eq5, alt1, alt2, alt3, faulhaber) all expand to the
     degree-(p+1) polynomial for S_p(n); power_ml1 expands to the monomial
     n^p. The brute tag has no symbolic form.
-    """
-    if tag in TERM_TAGS:
-        return _expand(representation(tag, p))
-    if tag == "faulhaber":
-        from .exact import Polynomial
 
-        prefactor, triangular = _faulhaber_basis(p)
-        acc = Polynomial()
-        for c in reversed(faulhaber_coefficients(p)):
-            acc = acc * triangular + Polynomial.constant(c)
-        return prefactor * acc
-    raise ValueError(f"no symbolic expansion for tag {tag!r}")
+    The Faulhaber form is rebuilt as sum_i c_i T_n^i, c = (0, q_0, q_1, ...)
+    times (2n + 1) / 3 for even p and c = (0, 0, q_0, q_1, ...) for odd p:
+    with T_n^i = (n(n + 1))^i / 2^i, Horner's rule in n(n + 1) runs over the
+    common denominator of the c_i / 2^i.
+    """
+    from fractions import Fraction
+
+    from .exact import Polynomial
+
+    if tag in TERM_TAGS:
+        coeffs, denom = _expand(representation(tag, p))
+    elif tag == "faulhaber":
+        in_u = [
+            Fraction(c, 2**i)
+            for i, c in enumerate((0,) * (1 + p % 2) + faulhaber_coefficients(p))
+        ]
+        denom = math.lcm(*(c.denominator for c in in_u))
+        coeffs = [int(in_u[-1] * denom)]
+        for c in reversed(in_u[:-1]):
+            _multiply_linear(coeffs, 0)
+            _multiply_linear(coeffs, 1)
+            coeffs[0] += int(c * denom)
+        if p % 2 == 0:
+            coeffs = [x + 2 * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+            denom *= 3
+    else:
+        raise ValueError(f"no symbolic expansion for tag {tag!r}")
+    return Polynomial(Fraction(x, denom) for x in coeffs)
 
 
 def evaluate_formula(tag: str, n: int, p: int) -> int:

@@ -347,13 +347,17 @@ def _fermat_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
 # ---------------------------------------------------------------------------
 
 def orthogonality_row(k: int, j_max: int) -> bool:
-    """Both Stirling orthogonality relations for row k against all j <= j_max."""
-    s1 = combinatorics.stirling1_unsigned
-    s2 = combinatorics.stirling2
+    """Both Stirling orthogonality relations for row k against all j <= j_max.
+
+    Rows 0..k of both triangles are read once; s(r, j) and S(r, j) vanish
+    for r < j, so each sum runs over r = j..k.
+    """
+    s1 = combinatorics.number_triangle("stirling1", k).rows
+    s2 = combinatorics.number_triangle("stirling2", k).rows
     for j in range(j_max + 1):
         delta = (-1) ** k if k == j else 0
-        first = sum((-1) ** r * s1(k, r) * s2(r, j) for r in range(k + 1))
-        second = sum((-1) ** r * s2(k, r) * s1(r, j) for r in range(k + 1))
+        first = sum((-1) ** r * s1[k][r] * s2[r][j] for r in range(j, k + 1))
+        second = sum((-1) ** r * s2[k][r] * s1[r][j] for r in range(j, k + 1))
         if first != delta or second != delta:
             return False
     return True
@@ -378,26 +382,19 @@ def _powersum_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
     from .exact import Polynomial
 
     for p in range(1, min(pmax, 10) + 1):
+        tags = ("eq5", "alt1", "alt2", "alt3") + (("faulhaber",) if p >= 2 else ())
         ok = True
         for n in range(101):
             brute = powersum.sum_brute(n, p)
-            ok = (
-                powersum.sum_eq5(n, p) == brute
-                and powersum.sum_stirling(n, p) == brute
-                and powersum.sum_eulerian(n, p) == brute
-                and powersum.sum_variant(n, p) == brute
-                and (p < 2 or powersum.faulhaber_eval(n, p) == brute)
-            )
+            ok = all(powersum.evaluate_formula(tag, n, p) == brute for tag in tags)
             if not ok:
                 break
         power_ok = all(
-            powersum.power_via_ml1(n, p) == n**p for n in range(1, 101)
+            powersum.evaluate_formula("power_ml1", n, p) == n**p for n in range(1, 101)
         )
         _check(results, "powersum", f"pointwise agreement p={p}", ok and power_ok)
 
-        expansions = [powersum.expand_symbolic(p, tag) for tag in ("eq5", "alt1", "alt2", "alt3")]
-        if p >= 2:
-            expansions.append(powersum.expand_symbolic(p, "faulhaber"))
+        expansions = [powersum.expand_symbolic(p, tag) for tag in tags]
         base = expansions[0]
         sym_ok = (
             all(e == base for e in expansions)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -230,7 +231,7 @@ class TestFaulhaber:
                 pre = n * (n + 1) * (2 * n + 1) // 6 if p % 2 == 0 else t * t
                 assert pre * sum(c * t**j for j, c in enumerate(coeffs)) == sum_brute(n, p)
 
-    @pytest.mark.parametrize("p", range(2, 9))
+    @pytest.mark.parametrize("p", [*range(2, 9), 20, 21, 40, 41])
     def test_wrong_sample_is_refused(self, p, monkeypatch):
         # The derivation reads sum_brute at n = 0..p+1; one sample off by
         # one at any of them must leave a remainder, not a wrong answer.
@@ -373,12 +374,39 @@ class TestRecordedExpansions:
 
     @pytest.mark.parametrize("tag", TERM_TAGS)
     def test_expansion(self, tag):
-        polys = tuple(_expand(representation(tag, p)).coefficients for p in self.PS)
+        polys = tuple(as_polynomial(_expand(representation(tag, p))).coefficients for p in self.PS)
         assert TestRecordedTerms.digest(polys) == self.DIGESTS[tag]
 
     def test_faulhaber_coefficients(self):
         coeffs = tuple(faulhaber_coefficients(p) for p in range(2, 41))
         assert TestRecordedTerms.digest(coeffs) == self.FAULHABER_DIGEST
+
+
+class TestRecordedFaulhaber:
+    """The Faulhaber coefficients and the rebuilt Faulhaber polynomial equal
+    the values (sha256 of the repr) recorded from the derivation by
+    Fraction long division and the rebuild by Polynomial Horner steps."""
+
+    COEFF_PS = (*range(41, 121), 200, 300, 400)
+    COEFF_DIGEST = "423c658550497ab49befb3e13d91d876bfe408b32198fd4b41f9088c13bb741c"
+    EXPANSION_PS = (*range(2, 61), 100, 200, 400)
+    EXPANSION_DIGEST = "12cf997fe412898f39ae497c92a2380d217e5e2eea36d6a298da9b51ced1bd28"
+
+    def test_coefficients(self):
+        coeffs = tuple(faulhaber_coefficients(p) for p in self.COEFF_PS)
+        assert all(type(c) is Fraction for row in coeffs for c in row)
+        assert TestRecordedTerms.digest(coeffs) == self.COEFF_DIGEST
+
+    def test_expansion(self):
+        polys = tuple(expand_symbolic(p, "faulhaber").coefficients for p in self.EXPANSION_PS)
+        assert all(type(c) is Fraction for poly in polys for c in poly)
+        assert TestRecordedTerms.digest(polys) == self.EXPANSION_DIGEST
+
+
+def as_polynomial(expansion):
+    """The Polynomial of _expand's (integer coefficients, denominator)."""
+    coeffs, denom = expansion
+    return Polynomial(F(x, denom) for x in coeffs)
 
 
 def newton_terms(p):
@@ -407,7 +435,7 @@ def expand_rebuilt(terms):
 class TestProductWindow:
     def test_inexact_division_refused(self):
         product = [2, 3, 1]  # (n + 1)(n + 2)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match=re.escape("polynomial not divisible by (n + 3)")):
             _divide_linear(product, 3)
 
     def test_exact_division(self):
@@ -423,4 +451,4 @@ class TestProductWindow:
         the window also jumps to disjoint ranges and shrinks at either end."""
         terms = [*representation("alt2", 14), *newton_terms(14), *representation("eq5", 9)]
         random.Random(seed).shuffle(terms)
-        assert _expand(terms) == expand_rebuilt(terms)
+        assert as_polynomial(_expand(terms)) == expand_rebuilt(terms)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from figurate import coefficients, enumeration, powersum, verify
+from figurate import coefficients, combinatorics, enumeration, powersum, verify
 from figurate.verify import SUITES, CheckResult, run_suites
 
 
@@ -65,6 +65,35 @@ def test_eulerian_symmetry_covers_p12_at_small_pmax(monkeypatch):
     report = run_suites(["powersum"], 5, 14)
     assert _status(report, "eulerian coefficient symmetry p<=12") == "fail"
     assert report.failed == 1
+
+
+@pytest.mark.parametrize("tag", [t for t in powersum.FORMULA_TAGS if t != "brute"])
+def test_pointwise_agreement_runs_the_formula_dispatcher(tag, monkeypatch):
+    real = powersum.evaluate_formula
+
+    def planted(t, n, p):
+        return real(t, n, p) + ((t, n, p) == (tag, 50, 4))
+
+    monkeypatch.setattr(powersum, "evaluate_formula", planted)
+    report = run_suites(["powersum"], 5, 14)
+    assert _status(report, "pointwise agreement p=4") == "fail"
+    assert report.failed == 1
+
+
+@pytest.mark.parametrize("family", ["stirling1", "stirling2"])
+def test_orthogonality_row_reads_rows_past_the_cap(family, monkeypatch):
+    k = combinatorics.ROW_CAP + 8
+    assert verify.orthogonality_row(k, 2)
+    real = combinatorics.number_triangle
+
+    def planted(fam, max_row):
+        rows = real(fam, max_row).rows
+        if fam == family:
+            rows = (*rows[:k], (rows[k][0], rows[k][1] + 1, *rows[k][2:]))
+        return combinatorics.NumberTriangle(rows, 0)
+
+    monkeypatch.setattr(combinatorics, "number_triangle", planted)
+    assert not verify.orthogonality_row(k, 2)
 
 
 def test_tuple_families_check_emission_order(monkeypatch):
