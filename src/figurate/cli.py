@@ -184,11 +184,10 @@ def cmd_tuples(args: argparse.Namespace) -> int:
 
 
 def cmd_fermat(args: argparse.Namespace) -> int:
-    from .exact import format_rational
     from .fermat import build_fermat, inverse_closed
 
     matrix = inverse_closed(args.p) if args.inverse else build_fermat(args.p)
-    rows = [[format_rational(x) for x in row] for row in matrix.rows]
+    rows = [list(map(str, matrix.row(k))) for k in range(1, matrix.order + 1)]
     _print_formatted(
         args.format,
         lambda: rows,

@@ -4,10 +4,11 @@ A_p is lower triangular with entries a(k, j) = s(k, j) / k! (unsigned
 first-kind Stirling numbers), so that the column vector of F_n^1..F_n^p
 equals A_p times the column vector of n..n^p. Its inverse has the closed
 form a'(k, j) = (-1)^(k-j) * j! * S(k, j), read from one row of surjection
-counts per k. certify_inverse checks the closed form as a two-sided
-inverse and against a forward-substitution inversion, exactly. Row k of
-A_p times k! is the integer row s(k, .), so all three checks run over
-plain integers after that one row scaling.
+counts per k. A RationalMatrix holds ints over one scale per row:
+A_p the Stirling rows s(k, .) over k!, the closed form the signed
+surjection rows over 1. Neither builder makes a Fraction; entries become
+Fractions only when read. certify_inverse checks the closed form as a
+two-sided inverse and against forward substitution, over the stored ints.
 
 Matrix indices are 1-based at the API surface.
 """
@@ -23,17 +24,30 @@ from .exact import Polynomial, _rational
 
 
 class RationalMatrix:
-    """Immutable dense square matrix of exact rationals, 1-based access."""
+    """Immutable dense square matrix of exact rationals, 1-based access.
 
-    __slots__ = ("_rows",)
+    Row k is held as a tuple of ints over one positive scale, always the
+    least common denominator of the row. That form is canonical, so == and
+    hash, which compare ints and scales, do not depend on how it was built.
+    """
 
-    def __init__(self, rows: Sequence[Sequence[Fraction | int]]):
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+    __slots__ = ("_rows", "_scales")
+
+    def __new__(cls, rows: Sequence[Sequence[Fraction | int]]):
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(
-            self, "_rows", tuple(tuple(_rational(x) for x in r) for r in rows)
-        )
+        rows = [[_rational(x) for x in r] for r in rows]
+        scales = tuple(math.lcm(*(x.denominator for x in r)) for r in rows)
+        ints = (tuple(x.numerator * (s // x.denominator) for x in r) for r, s in zip(rows, scales))
+        return cls._scaled(tuple(ints), scales)
+
+    @classmethod
+    def _scaled(cls, rows: tuple[tuple[int, ...], ...], scales: tuple[int, ...]) -> RationalMatrix:
+        """Row k is rows[k] over scales[k], each its row's least common denominator."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "_rows", rows)
+        object.__setattr__(matrix, "_scales", scales)
+        return matrix
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -50,67 +64,61 @@ class RationalMatrix:
 
     def entry(self, k: int, j: int) -> Fraction:
         """Entry in row k, column j, both 1-based."""
-        return self.row(k)[self._index(j)]
+        k = self._index(k)
+        return Fraction(self._rows[k][self._index(j)], self._scales[k])
 
     def row(self, k: int) -> tuple[Fraction, ...]:
-        return self._rows[self._index(k)]
+        k = self._index(k)
+        return tuple(Fraction(x, self._scales[k]) for x in self._rows[k])
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
+        return tuple(map(self.row, range(1, self.order + 1)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self._rows == other._rows and self._scales == other._scales
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash((self._rows, self._scales))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.order != other.order:
             raise ValueError("order mismatch")
-        cols = list(zip(*other._rows))
+        cols = list(zip(*other.rows))
         return RationalMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self._rows
-            ]
+            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
         )
 
     def is_lower_triangular(self) -> bool:
-        return all(
-            self._rows[i][j] == 0 for i in range(self.order) for j in range(i + 1, self.order)
-        )
+        return not any(any(row[k + 1 :]) for k, row in enumerate(self._rows))
 
     def __repr__(self) -> str:
         return f"RationalMatrix(order={self.order})"
 
 
 def build_fermat(p: int) -> RationalMatrix:
-    """A_p with entries s(k, j) / k!, zero above the diagonal."""
+    """A_p: row k is s(k, .) over k!, its least common denominator as s(k, k) = 1."""
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
-    return RationalMatrix(
-        [
-            [Fraction(s, kfact) for s in _STIRLING1.row(k)[1:]] + [0] * (p - k)
-            for k in range(1, p + 1)
-            for kfact in (math.factorial(k),)
-        ]
+    return RationalMatrix._scaled(
+        tuple(_STIRLING1.row(k)[1:] + (0,) * (p - k) for k in range(1, p + 1)),
+        tuple(map(math.factorial, range(1, p + 1))),
     )
 
 
 def inverse_closed(p: int) -> RationalMatrix:
-    """The closed-form inverse of A_p: (-1)^(k-j) * j! * S(k, j), where
-    j! * S(k, j) counts the surjections of a k-set onto a j-set. Row k
-    reads the surjection row of k once."""
+    """The closed-form inverse of A_p, (-1)^(k-j) * j! * S(k, j), as integer rows
+    over 1. Row k reads the surjection counts j! * S(k, j) of a k-set once."""
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
-    return RationalMatrix(
-        [
-            [(-1) ** (k - j) * row[j] if j <= k else 0 for j in range(1, p + 1)]
+    return RationalMatrix._scaled(
+        tuple(
+            tuple((-1) ** (k - j) * row[j] if j <= k else 0 for j in range(1, p + 1))
             for k, row in enumerate(map(_surjection_row, range(1, p + 1)), 1)
-        ]
+        ),
+        (1,) * p,
     )
 
 
@@ -135,17 +143,17 @@ def certify_inverse(p: int) -> bool:
     """True iff the closed-form inverse is the exact two-sided inverse of
     A_p and matches the forward-substitution inversion entrywise.
 
-    The checks run on the matrices build_fermat(p) and inverse_closed(p)
-    return, over integers. Let S1 be A_p with row k scaled by k! and C the
-    closed form. Then A_p C = I is S1 C = diag(k!), C A_p = I is
-    sum_i C[k][i] S1[i][j] (k!/i!) = k! [k == j], and forward substitution
-    on A_p is forward substitution on S1 with row k's right-hand side k!.
-    S1 and C must be integral and zero above the diagonal; both facts are
-    checked, so sums restricted to the triangle hide no error.
+    The checks read the stored ints of build_fermat(p) and inverse_closed(p).
+    Let S1 be A_p with row k scaled by k! and C the closed form. Then
+    A_p C = I is S1 C = diag(k!), C A_p = I is sum_i C[k][i] S1[i][j] (k!/i!)
+    = k! [k == j], and forward substitution on A_p is forward substitution
+    on S1 with row k's right-hand side k!. S1 and C must be integral (row
+    scales dividing k!, resp. 1) and zero above the diagonal; both facts
+    are checked, so sums restricted to the triangle hide no error.
     """
     fact = [math.factorial(k) for k in range(p + 1)]
-    s1 = _integral_triangle(build_fermat(p).rows, fact[1:])
-    closed = _integral_triangle(inverse_closed(p).rows, [1] * p)
+    s1 = _integral_triangle(build_fermat(p), fact[1:])
+    closed = _integral_triangle(inverse_closed(p), [1] * p)
     if s1 is None or closed is None:
         return False
     for k in range(p):
@@ -180,23 +188,15 @@ def certify_inverse(p: int) -> bool:
     return inv == closed
 
 
-def _integral_triangle(
-    rows: Sequence[Sequence[Fraction]], scale: Sequence[int]
-) -> list[list[int]] | None:
-    """Row k times scale[k], on and below the diagonal, as lists of ints;
-    None if a scaled entry is not an integer or an entry above the
-    diagonal is nonzero."""
+def _integral_triangle(matrix: RationalMatrix, scale: Sequence[int]) -> list[list[int]] | None:
+    """Row k times scale[k], on and below the diagonal, as lists of ints; None
+    if the row's scale does not divide scale[k] or the row is nonzero above the diagonal."""
     out = []
-    for k, row in enumerate(rows):
-        if any(row[k + 1 :]):
+    for k, (row, own) in enumerate(zip(matrix._rows, matrix._scales)):
+        q, rem = divmod(scale[k], own)
+        if rem or any(row[k + 1 :]):
             return None
-        ints = []
-        for x in row[: k + 1]:
-            q, rem = divmod(scale[k], x.denominator)
-            if rem:
-                return None
-            ints.append(x.numerator * q)
-        out.append(ints)
+        out.append([x * q for x in row[: k + 1]])
     return out
 
 

@@ -1,11 +1,12 @@
 """Transition matrices, their exact inverses, and the figurate polynomials."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
-from figurate import fermat
+from figurate import exact, fermat
 from figurate.coefficients import c_closed
 from figurate.combinatorics import stirling1_unsigned
 from figurate.exact import Polynomial
@@ -72,8 +73,54 @@ class TestRationalMatrix:
 
     def test_immutable(self):
         m = identity(2)
-        with pytest.raises(AttributeError):
-            m._rows = ()
+        for name in ("_rows", "_scales", "order"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, ())
+
+    @pytest.mark.parametrize("build", [build_fermat, inverse_closed])
+    def test_rows_round_trip_to_equal_matrix(self, build):
+        # The builders' integer rows over their scales and the public
+        # constructor's least common denominators are one canonical form.
+        for p in range(1, 61):
+            m = build(p)
+            again = RationalMatrix(m.rows)
+            assert again == m and hash(again) == hash(m)
+
+    def test_rows_held_over_least_common_denominator(self):
+        m = RationalMatrix([[F(1, 6), F(-1, 4)], [3, 0]])
+        assert (m._rows, m._scales) == (((2, -3), (3, 0)), (12, 1))
+        assert m == RationalMatrix([[F(1, 6), F(-1, 4)], [F(3), F(0)]])
+        assert m.row(2) == (3, 0) and m.entry(1, 2) == F(-1, 4)
+        assert all(type(x) is Fraction for row in m.rows for x in row)
+
+
+#: sha256 over "num/den;" of every entry of build_fermat(p).rows and of
+#: inverse_closed(p).rows, b"|" after each matrix, p = 1..60 and 200;
+#: recorded from the matrices as Fraction tuples, before they were held
+#: as integer rows.
+ENTRY_DIGEST = "c3dc43e5c3e7b246f09f3d296f55ff390c512e10153be4a0d2c2a0d4e698f90c"
+
+
+def test_entries_match_recorded_digest():
+    digest = hashlib.sha256()
+    for p in [*range(1, 61), 200]:
+        for matrix in (build_fermat(p), inverse_closed(p)):
+            for row in matrix.rows:
+                for x in row:
+                    assert type(x) is Fraction
+                    digest.update(f"{x.numerator}/{x.denominator};".encode())
+            digest.update(b"|")
+    assert digest.hexdigest() == ENTRY_DIGEST
+
+
+def test_builders_and_certification_build_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(fermat, "Fraction", refuse)
+    monkeypatch.setattr(exact, "Fraction", refuse)
+    assert build_fermat(40).order == inverse_closed(40).order == 40
+    assert certify_inverse(40) is True
 
 
 class TestBuildFermat:
@@ -195,6 +242,20 @@ class TestCertifyInverseRejects:
             fermat, target, _perturbed(getattr(fermat, target), k, j, delta)
         )
         assert certify_inverse(p) is False
+
+    @pytest.mark.parametrize(
+        "target, extra, scale",
+        [
+            ("build_fermat", F(1, 7 * math.factorial(5)), math.factorial(5)),
+            ("inverse_closed", F(1, 2), 1),
+        ],
+    )
+    def test_row_scale_not_dividing(self, monkeypatch, target, extra, scale):
+        # Row 5 gains a denominator that its scale (5! for A_p, 1 for the
+        # closed form) is no multiple of.
+        monkeypatch.setattr(fermat, target, _perturbed(getattr(fermat, target), 5, 1, extra))
+        assert scale % getattr(fermat, target)(12)._scales[4]
+        assert certify_inverse(12) is False
 
     def test_unperturbed_patch_certifies(self, monkeypatch):
         monkeypatch.setattr(fermat, "build_fermat", _perturbed(build_fermat, 3, 1, 0))
