@@ -18,7 +18,9 @@ materialize the full family. The ordering is a reproducibility
 convention, nothing more.
 
 The k- and j-tuple generators recurse once per entry of the tuple under
-construction; compositions come from one generator frame instead. Every
+construction; compositions come from one generator frame instead, which
+steps the leading parts like an odometer and takes the last parts from
+tail blocks built per call, at most 2,048 tuples held at once. Every
 family refuses, with ValueError, any request whose tuples would be longer
 than MAX_TUPLE_LENGTH; for the recursive families that keeps the deepest
 tuple well inside the interpreter's default limit of 1000 frames.
@@ -26,7 +28,9 @@ tuple well inside the interpreter's default limit of 1000 frames.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
+from itertools import count, takewhile
 
 #: Longest tuple any generator here builds.
 MAX_TUPLE_LENGTH = 900
@@ -165,14 +169,73 @@ def enumerate_j_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
         yield from _j_tuples_fixed(m, ell + m, t)
 
 
+#: Tuples the tail blocks of one composition request may hold at once.
+_TAIL_TUPLES = 2048
+
+#: Most parts a tail block spans. Past a few parts a wider block saves
+#: little per tuple, while every narrower width must be built first.
+_TAIL_WIDTH = 16
+
+
+def _widest_tail(spare: int) -> int:
+    """Widest tail, 2 up to _TAIL_WIDTH parts, whose blocks, C(spare + w, w)
+    tuples, and the narrower blocks they are built from,
+    C(spare + w - 1, w - 1), fit in _TAIL_TUPLES together."""
+    width = 2
+    while (
+        width < _TAIL_WIDTH
+        and math.comb(spare + width + 1, width + 1) + math.comb(spare + width, width)
+        <= _TAIL_TUPLES
+    ):
+        width += 1
+    return width
+
+
+#: _widest_tail(spare) for every spare up to the last that allows a tail
+#: wider than 2 parts.
+_WIDEST_TAIL = tuple(takewhile((2).__lt__, map(_widest_tail, count())))
+
+
+def _tail_blocks(spare: int, width: int, min_part: int) -> list[list[tuple[int, ...]]]:
+    """blocks[r] lists the compositions of r + width * min_part into
+    `width` parts of at least min_part, ascending, for r = 0..spare.
+
+    Built bottom-up, one part wider per step and no recursion: block r of
+    width w holds (min_part + v,) + t for v = 0..r and t in block r - v of
+    width w - 1, in that order. Only two widths are alive at a time.
+    """
+    firsts = [(min_part + v,) for v in range(spare + 1)]
+    blocks = [[first] for first in firsts]
+    for _ in range(width - 1):
+        narrower, blocks = blocks, []
+        for r in range(spare + 1):
+            block = []
+            for v in range(r + 1):
+                block += map(firsts[v].__add__, narrower[r - v])
+            blocks.append(block)
+    return blocks
+
+
 def enumerate_compositions(total: int, parts: int, min_part: int) -> Iterator[tuple[int, ...]]:
     """Ordered compositions of total into exactly `parts` parts, each at
     least min_part, lexicographically ascending.
 
-    One generator frame, no recursion: an odometer steps the first
-    parts - 2 parts through their values in lexicographic order, and for
-    each setting the last two parts (v, rem - v) come out of one
-    map(tuple.__add__, zip(range, range)) pass, lazily.
+    One generator frame, no recursion: an odometer steps the leading
+    parts - w parts through their values in lexicographic order, and for
+    each setting the last w parts come out of one C-level
+    map(tuple.__add__, tails) pass.
+
+    The tails are tail blocks: with spare = total - parts * min_part, one
+    list per remainder r = 0..spare of every w-part tail that adds r to
+    the minimum (_tail_blocks). w is the widest width up to 16 whose
+    blocks, with the narrower ones they are built from, fit in 2,048
+    tuples (_widest_tail), so a call holds at most that many tuples at
+    once; its blocks go with the generator. w is also at most parts - 2,
+    as behind one leading part each block would be emitted only once.
+    Blocks are built only when that leaves w > 2 and spare >= 2 (with
+    less to spare a stream has at most `parts` compositions). Otherwise
+    the last two parts (v, rem - v) come lazily from zip(range, range),
+    so a call holds O(parts) however large total is.
 
     Infeasible instances (total < parts * min_part) yield nothing, and
     allocate nothing however many parts they ask for.
@@ -188,17 +251,23 @@ def enumerate_compositions(total: int, parts: int, min_part: int) -> Iterator[tu
         yield (total,)
         return
 
-    head = [min_part] * (parts - 2)
-    rem = total - (parts - 2) * min_part  # what the last two parts share
+    spare = total - parts * min_part
+    width = 2
+    if parts > 4 and 2 <= spare < len(_WIDEST_TAIL):
+        width = min(parts - 2, _WIDEST_TAIL[spare])
+        blocks = _tail_blocks(spare, width, min_part)
+    head = [min_part] * (parts - width)
+    rem = spare  # what the last `width` parts share beyond min_part each
     while True:
-        yield from map(
-            tuple(head).__add__,
-            zip(range(min_part, rem - min_part + 1), range(rem - min_part, min_part - 1, -1)),
-        )
+        if width > 2:
+            tails = blocks[rem]
+        else:
+            tails = zip(range(min_part, min_part + rem + 1), range(min_part + rem, min_part - 1, -1))
+        yield from map(tuple(head).__add__, tails)
         # Lexicographic successor of head: the rightmost part that can take
         # one more while every later part drops back to min_part.
         i = len(head) - 1
-        while i >= 0 and rem <= 2 * min_part:
+        while i >= 0 and not rem:
             rem += head[i] - min_part
             head[i] = min_part
             i -= 1

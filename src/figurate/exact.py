@@ -54,6 +54,10 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the refusing __setattr__.
+        return Polynomial, (self.coefficients,)
+
     @classmethod
     def constant(cls, c: int | Fraction) -> "Polynomial":
         return cls((c,))

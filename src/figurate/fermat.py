@@ -52,6 +52,10 @@ class RationalMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _scaled, not the refusing __setattr__.
+        return RationalMatrix._scaled, (self._rows, self._scales)
+
     @property
     def order(self) -> int:
         return len(self._rows)

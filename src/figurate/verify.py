@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from collections import namedtuple
+from itertools import zip_longest
 
 from . import coefficients, combinatorics, enumeration, powersum
 
@@ -264,27 +265,37 @@ def _enumeration_checks(results: list[CheckResult], pmax: int, guard: int) -> No
 
 
 def _tuple_families(p: int) -> bool:
+    """Both tuple families for every ell < p, read together in one pass
+    and held nowhere: the k-tuples strictly ascend in (length, tuple)
+    order, so they are distinct; each j-tuple is its k-tuple + 1
+    entrywise; each tuple keeps its family's invariants; and each family
+    has C(p - 1, p - ell - 1) members."""
     for ell in range(p):
-        k_tuples = list(enumeration.enumerate_k_tuples(p, ell))
-        j_tuples = list(enumeration.enumerate_j_tuples(p, ell))
-        if len(set(k_tuples)) != len(k_tuples) or len(set(j_tuples)) != len(j_tuples):
-            return False
-        if [tuple(e + 1 for e in t) for t in k_tuples] != j_tuples:
-            return False
-        for t in k_tuples:
+        count, prev = 0, ()  # () sorts before every (length, tuple) key
+        pairs = zip_longest(
+            enumeration.enumerate_k_tuples(p, ell), enumeration.enumerate_j_tuples(p, ell)
+        )
+        for t, u in pairs:
+            if t is None or u is None:
+                return False
+            key = (len(t), t)
+            if not prev < key:
+                return False
+            prev = key
+            count += 1
+            if u != tuple(e + 1 for e in t):
+                return False
             s = enumeration.support(t)
             if sum(t) != ell or s != len(t) + ell + 1 - p:
                 return False
             if any(t[i] > 0 and t[i + 1] > 0 for i in range(len(t) - 1)):
                 return False
-        for t in j_tuples:
-            bigs = sum(1 for e in t if e >= 2)
-            if sum(t) != ell + len(t) or len(t) != p + bigs - ell - 1:
+            bigs = sum(1 for e in u if e >= 2)
+            if sum(u) != ell + len(u) or len(u) != p + bigs - ell - 1:
                 return False
-            if any(t[i] >= 2 and t[i + 1] != 1 for i in range(len(t) - 1)):
+            if any(u[i] >= 2 and u[i + 1] != 1 for i in range(len(u) - 1)):
                 return False
-        expected = math.comb(p - 1, p - ell - 1)
-        if len(k_tuples) != expected or len(j_tuples) != expected:
+        if count != math.comb(p - 1, p - ell - 1):
             return False
     return True
 

@@ -1,13 +1,18 @@
 """Tuple and composition generators: exact contents, order, and counts."""
 
+import gc
+import hashlib
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from figurate import enumeration
 from figurate.enumeration import (
     MAX_TUPLE_LENGTH,
     enumerate_compositions,
@@ -211,6 +216,106 @@ class TestCompositions:
         assert got == sorted(set(got))
 
 
+class TestRecordedCompositions:
+    """Every composition stream on a grid that crosses tail widths 2 to 10
+    equals the stream of the two-part-tail odometer: sha256 of the repr of
+    (total, parts, list of compositions) per instance, recorded from that
+    generator for every feasible instance with total <= 40, parts <= 12
+    and at most 20,000 compositions."""
+
+    DIGESTS = {
+        1: "2bcd4aafc1affeed9b5231272e0bcf8849f255a28d1b6c3c8fcc0ee0c2f7383a",
+        2: "5a87281af62d3ac107ea7f04725013fa73ef32454967c90bc0cdf9a9cf74482d",
+        3: "52718c1c45e6e09d55049d9a2d59301bf708afb309941595c32dc874406b9610",
+    }
+
+    @pytest.mark.parametrize("min_part", [1, 2, 3])
+    def test_grid_matches_recorded_digest(self, min_part):
+        digest = hashlib.sha256()
+        for total in range(41):
+            for parts in range(1, 13):
+                spare = total - parts * min_part
+                if spare >= 0 and math.comb(spare + parts - 1, parts - 1) <= 20_000:
+                    stream = list(enumerate_compositions(total, parts, min_part))
+                    digest.update(repr((total, parts, stream)).encode())
+        assert digest.hexdigest() == self.DIGESTS[min_part]
+
+
+class TestTailBlocks:
+    """The last parts of each composition come from per-call blocks that
+    hold a bounded number of tuples and go with the generator."""
+
+    def test_width_is_widest_within_bound(self):
+        def held(spare, width):
+            return math.comb(spare + width, width) + math.comb(spare + width - 1, width - 1)
+
+        for spare in range(60):
+            w = enumeration._widest_tail(spare)
+            assert 2 <= w <= enumeration._TAIL_WIDTH
+            if w > 2:
+                assert held(spare, w) <= enumeration._TAIL_TUPLES, spare
+            if w < enumeration._TAIL_WIDTH:
+                assert held(spare, w + 1) > enumeration._TAIL_TUPLES, spare
+        widest = enumeration._WIDEST_TAIL
+        assert widest == tuple(map(enumeration._widest_tail, range(len(widest))))
+        assert enumeration._widest_tail(len(widest)) == 2
+
+    @pytest.mark.parametrize("spare, width", [(0, 16), (3, 9), (12, 4), (26, 3)])
+    def test_blocks_list_every_tail(self, spare, width):
+        blocks = enumeration._tail_blocks(spare, width, 2)
+        assert sum(map(len, blocks)) == math.comb(spare + width, width)
+        for r, block in enumerate(blocks):
+            assert block == list(recursive_compositions(r + 2 * width, width, 2))
+
+    def test_wide_tails_match_recursive_reference(self):
+        # Little to spare makes the widest tails, up to the width cap.
+        for parts in range(12, 23):
+            for spare in range(4):
+                for min_part in (1, 2):
+                    total = parts * min_part + spare
+                    got = list(enumerate_compositions(total, parts, min_part))
+                    assert got == list(recursive_compositions(total, parts, min_part))
+
+    def test_blocks_freed_with_generator(self):
+        # With the collector off, a reference cycle would keep every call's
+        # blocks: about 2 MB per batch of the 160 streams below. The
+        # first batch fills the interpreter's tuple free lists, which stay
+        # traced; a second batch must add next to nothing to them.
+        def streams():
+            for total in range(1, 21):
+                for parts in range(1, 9):
+                    count = sum(1 for _ in enumerate_compositions(total, parts, 1))
+                    assert count == math.comb(total - 1, parts - 1)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            streams()
+            first, _ = tracemalloc.get_traced_memory()
+            streams()
+            second, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert second - first < 100_000
+
+    def test_many_parts_build_no_recursion(self):
+        # 900 parts with 0, 1 and 2 to spare: lazy tails, then 16-part
+        # tail blocks behind 884 leading parts. No frame per part anywhere.
+        code = (
+            "import itertools, sys; sys.setrecursionlimit(100)\n"
+            "from figurate.enumeration import enumerate_compositions\n"
+            "assert list(enumerate_compositions(1800, 900, 2)) == [(2,) * 900]\n"
+            "assert len(list(enumerate_compositions(1801, 900, 2))) == 900\n"
+            "first = list(itertools.islice(enumerate_compositions(1802, 900, 2), 3))\n"
+            "assert first == [(2,) * 898 + (2, 4), (2,) * 898 + (3, 3), (2,) * 898 + (4, 2)]\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+
 class TestLazyStreaming:
     """The first tuples of a family too large to hold come out in the
     documented order without the family being materialized."""
@@ -225,8 +330,13 @@ class TestLazyStreaming:
             (lambda: enumerate_compositions(60, 30, 1), lambda t: t),
             # About 5e17 compositions; the last two parts alone take 1e9 values.
             (lambda: enumerate_compositions(10**9, 3, 1), lambda t: t),
+            # Too much to spare for tail blocks: the lazy two-part tails.
+            (lambda: enumerate_compositions(500, 3, 1), lambda t: t),
+            (lambda: enumerate_compositions(120, 4, 1), lambda t: t),
+            # Three-part tail blocks behind five leading parts.
+            (lambda: enumerate_compositions(20, 8, 1), lambda t: t),
         ],
-        ids=["k", "j", "comp", "comp-wide"],
+        ids=["k", "j", "comp", "comp-wide", "comp-500-3", "comp-120-4", "comp-20-8"],
     )
     def test_first_thousand_in_order_under_1mb(self, stream, key):
         tracemalloc.start()

@@ -5,6 +5,8 @@ Fraction(s) parses what format_rational prints. Polynomial arithmetic is
 the Polynomial operators themselves.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -83,6 +85,19 @@ class TestPolynomialArithmetic:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             N.coefficients = ()
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda P: pickle.loads(pickle.dumps(P))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles_to_equal_polynomial(self, duplicate):
+        P = Polynomial((1, 2))
+        again = duplicate(P)
+        assert type(again) is Polynomial
+        assert again == P and hash(again) == hash(P)
+        with pytest.raises(AttributeError):
+            again.coefficients = ()
 
     @given(
         st.lists(st.integers(-9, 9), max_size=5),

@@ -1,7 +1,9 @@
 """Transition matrices, their exact inverses, and the figurate polynomials."""
 
+import copy
 import hashlib
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -76,6 +78,21 @@ class TestRationalMatrix:
         for name in ("_rows", "_scales", "order"):
             with pytest.raises(AttributeError):
                 setattr(m, name, ())
+
+    @pytest.mark.parametrize("build", [build_fermat, inverse_closed])
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles_to_equal_matrix(self, build, duplicate):
+        m = build(5)
+        again = duplicate(m)
+        assert type(again) is RationalMatrix
+        assert again == m and hash(again) == hash(m)
+        assert again.rows == m.rows
+        with pytest.raises(AttributeError):
+            again._rows = ()
 
     @pytest.mark.parametrize("build", [build_fermat, inverse_closed])
     def test_rows_round_trip_to_equal_matrix(self, build):

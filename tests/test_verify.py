@@ -113,6 +113,53 @@ def test_tuple_families_check_emission_order(monkeypatch):
     assert report.failed == 1
 
 
+def _plant_in_both_streams(monkeypatch, change):
+    """Both tuple families for (p, ell) = (6, 3) with `change` applied to
+    each stream's list."""
+    for name in ("enumerate_k_tuples", "enumerate_j_tuples"):
+        real = getattr(enumeration, name)
+
+        def planted(p, ell, real=real):
+            tuples = list(real(p, ell))
+            if (p, ell) == (6, 3):
+                change(tuples)
+            return iter(tuples)
+
+        monkeypatch.setattr(enumeration, name, planted)
+
+
+def _swap_neighbours(tuples):
+    tuples[4], tuples[5] = tuples[5], tuples[4]
+
+
+def _repeat_in_place_of_successor(tuples):
+    tuples[5] = tuples[4]
+
+
+@pytest.mark.parametrize("change", [_swap_neighbours, _repeat_in_place_of_successor])
+def test_tuple_families_check_order_and_distinctness(monkeypatch, change):
+    # Both streams still pair up entrywise, keep every invariant and the
+    # count, and a swap keeps each stream's set of tuples: only the k
+    # stream's (length, tuple) order gives either fault away.
+    _plant_in_both_streams(monkeypatch, change)
+    report = run_suites(["enumeration"], 6, 14)
+    assert _status(report, "tuple families p=6") == "fail"
+    assert report.failed == 1
+
+
+def test_tuple_families_check_stream_lengths(monkeypatch):
+    real = enumeration.enumerate_j_tuples
+
+    def short(p, ell):
+        tuples = list(real(p, ell))
+        return iter(tuples[:-1] if (p, ell) == (6, 3) else tuples)
+
+    monkeypatch.setattr(enumeration, "enumerate_j_tuples", short)
+    report = run_suites(["enumeration"], 6, 14)
+    assert _status(report, "tuple families p=6") == "fail"
+    assert report.failed == 1
+
+
 def test_coeff_suite_calls_each_route_once_per_cell(monkeypatch):
     # coefficient() resolves c_<route> at call time, so counters replaced
     # on the module see every call, certify()'s included.
