@@ -6,9 +6,9 @@ Three families feed the coefficient sums:
   and support (number of positive entries), and no two consecutive
   positive entries.
 * j-tuples: the entrywise +1 image of the k-tuples, i.e. positive entries
-  where every entry >= 2 is followed by a 1; generated independently here
-  so the bijection between the two families is a checkable fact rather
-  than a construction.
+  where every entry >= 2 except a last one is followed by a 1; generated
+  independently here so the bijection between the two families is a
+  checkable fact rather than a construction.
 * compositions: ordered tuples of a fixed length summing to a fixed total
   with a per-part lower bound.
 
@@ -92,8 +92,8 @@ def _k_tuples_fixed(m: int, total: int, positives: int) -> Iterator[tuple[int, .
 
 def _j_tuples_fixed(m: int, total: int, bigs: int) -> Iterator[tuple[int, ...]]:
     """Length-m tuples of positive entries summing to total with exactly
-    `bigs` entries >= 2, every entry >= 2 followed by a 1, ascending
-    lexicographic order."""
+    `bigs` entries >= 2, every entry >= 2 except a last one followed by
+    a 1, ascending lexicographic order."""
     if m == 0:
         if total == 0 and bigs == 0:
             yield ()
@@ -157,7 +157,7 @@ def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
 def enumerate_j_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     """All tuples of positive integers of length m = p + t - ell - 1
     summing to ell + m, where t counts the entries >= 2 and every entry
-    >= 2 is followed by a 1.
+    >= 2 except a last one is followed by a 1.
 
     Entrywise this family is the +1 image of enumerate_k_tuples(p, ell),
     emitted in the same order.

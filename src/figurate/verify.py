@@ -6,6 +6,10 @@ order-5 transition matrices, the p = 8 expansion coefficients). A check
 is pass, fail, or skipped; skipped means an enumerative check was
 clipped by the size guard, never that it failed. SUITES is the only list
 of suites: each one is run by `_<suite>_checks(results, pmax, size_guard)`.
+
+The two-way cross-checks live here: a library function computes its
+value one way and a suite computes the other side, so a mismatch fails
+one check line instead of raising.
 """
 
 from __future__ import annotations
@@ -218,14 +222,24 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
 
 
 def _composition_identity(p: int, reports: list[coefficients.RouteReport]) -> bool:
-    """min-part-1 sum equals min-part-2 sum plus the part-1 weight W(p, j),
-    and the decompose value certify() reported at ell = p - j."""
+    """One pass per j over the min-part-1 compositions of p into j parts,
+    each weighted p! / prod(s_i!) here as the oracle side, and three
+    comparisons: the total equals the decompose value certify() reported
+    at ell = p - j, the share of tuples containing a 1 equals w_sum(p, j),
+    and the rest equals composition_sum(p, p, j, 2)."""
+    fact_p = math.factorial(p)
     for j in range(1, p):
-        min1 = coefficients.composition_sum(p, p, j, 1)
-        min2 = coefficients.composition_sum(p, p, j, 2)
-        if min1 != min2 + coefficients.w_sum(p, j):
+        total = with_one = 0
+        for s in enumeration.enumerate_compositions(p, j, 1):
+            weight = fact_p // math.prod(map(math.factorial, s))
+            total += weight
+            if 1 in s:
+                with_one += weight
+        if total != reports[p - j].values["decompose"]:
             return False
-        if min1 != reports[p - j].values["decompose"]:
+        if with_one != coefficients.w_sum(p, j):
+            return False
+        if total - with_one != coefficients.composition_sum(p, p, j, 2):
             return False
     return True
 

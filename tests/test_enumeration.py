@@ -162,6 +162,13 @@ class TestJTuples:
                         t[i] >= 2 and t[i + 1] != 1 for i in range(len(t) - 1)
                     )
 
+    def test_last_entry_may_be_big(self):
+        # Every entry >= 2 except a last one is followed by a 1: these are
+        # the +1 images of the k-tuples that end in a positive entry.
+        emitted = list(enumerate_j_tuples(5, 2))
+        for t in [(1, 1, 3), (1, 2, 1, 2), (2, 1, 1, 2)]:
+            assert t in emitted
+
     def test_grouped_count_for_9_4(self):
         # 56 tuples for (p, ell) = (9, 5), grouped by the number of parts >= 2
         by_bigs = {}

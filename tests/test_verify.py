@@ -1,11 +1,12 @@
-"""The verify runner: suite dispatch and the fixed-range powersum checks."""
+"""The verify runner: suite dispatch, the fixed-range powersum checks and
+the planted faults each check must catch."""
 
 import re
 from fractions import Fraction
 
 import pytest
 
-from figurate import coefficients, combinatorics, enumeration, powersum, verify
+from figurate import cli, coefficients, combinatorics, enumeration, powersum, verify
 from figurate.verify import SUITES, CheckResult, run_suites
 
 
@@ -180,3 +181,57 @@ def test_coeff_suite_calls_each_route_once_per_cell(monkeypatch):
     # 105 certify cells (p = 1..14); the reference triangle is read from
     # their reports.
     assert calls == dict.fromkeys(coefficients.ROUTES, 105)
+
+
+def _drop_composition(monkeypatch, request, victim):
+    """enumerate_compositions, on both of its bindings, with `victim`
+    missing from the stream for `request` = (total, parts, min_part)."""
+    real = enumeration.enumerate_compositions
+
+    def planted(total, parts, min_part):
+        for s in real(total, parts, min_part):
+            if (total, parts, min_part) != request or s != victim:
+                yield s
+
+    monkeypatch.setattr(enumeration, "enumerate_compositions", planted)
+    monkeypatch.setattr(coefficients, "enumerate_compositions", planted)
+
+
+def _failed(report):
+    return [c.name for c in report.checks if c.status == "fail"]
+
+
+def test_bad_min_part_1_composition_fails_its_identity(monkeypatch, capsys):
+    # (1, 4) missing from the compositions of 5 into 2 parts: the decompose
+    # route never streams min-part-1 compositions, so only the identity
+    # sees it, and verify reports a failed line rather than raising.
+    _drop_composition(monkeypatch, (5, 2, 1), (1, 4))
+    assert _failed(run_suites(["coeff"], 6, 14)) == ["composition identity p=5"]
+    assert cli.main(["verify", "--suite", "coeff", "--pmax", "6"]) == 1
+    assert "[fail] coeff: composition identity p=5" in capsys.readouterr().out
+
+
+def test_bad_min_part_2_composition_fails_every_line_that_streams_it(monkeypatch):
+    # (2, 4) missing from the compositions of 6 into 2 parts, each >= 2:
+    # decompose at (p, ell) = (6, 4), the min-part-2 rest of the identity
+    # and the summand count all stream it.
+    _drop_composition(monkeypatch, (6, 2, 2), (2, 4))
+    assert _failed(run_suites(["coeff"], 6, 14)) == [
+        "routes agree p=6",
+        "composition identity p=6",
+        "summand counts p=6",
+    ]
+
+
+def test_wrong_w_sum_fails_its_identity(monkeypatch):
+    real = coefficients.w_sum
+    monkeypatch.setattr(coefficients, "w_sum", lambda p, j: real(p, j) + ((p, j) == (5, 2)))
+    assert _failed(run_suites(["coeff"], 6, 14)) == ["composition identity p=5"]
+
+
+def test_wrong_summand_count_fails_its_line(monkeypatch):
+    real = coefficients.summand_count
+    monkeypatch.setattr(
+        coefficients, "summand_count", lambda p, j: real(p, j) + ((p, j) == (6, 3))
+    )
+    assert _failed(run_suites(["coeff"], 6, 14)) == ["summand counts p=6"]
