@@ -187,7 +187,7 @@ def cmd_fermat(args: argparse.Namespace) -> int:
     from .fermat import build_fermat, inverse_closed
 
     matrix = inverse_closed(args.p) if args.inverse else build_fermat(args.p)
-    rows = [list(map(str, matrix.row(k))) for k in range(1, matrix.order + 1)]
+    rows = [matrix.row_strings(k) for k in range(1, matrix.order + 1)]
     _print_formatted(
         args.format,
         lambda: rows,

@@ -37,8 +37,10 @@ so a cold large p never builds a whole triangle.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import accumulate
 
 from .combinatorics import _EULERIAN2, _padded, _RowTable, stirling2
 from .enumeration import enumerate_compositions, enumerate_j_tuples, enumerate_k_tuples
@@ -83,10 +85,17 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _multinomial_sum(p: int, tuples) -> int:
-    """Sum of p! / prod(s_i!) over the given tuples (s_1, s_2, ...)."""
-    fact_p = math.factorial(p)
-    return sum(_exact_div(fact_p, math.prod(map(math.factorial, s))) for s in tuples)
+def _multinomial_sum(p: int, tuples, shift: int = 0) -> int:
+    """Sum of p! / prod((s_i + shift)!) over the given tuples (s_1, s_2, ...).
+
+    Each factorial is read from one table of 0!..p!, so every s_i + shift
+    must lie in 0..p: a larger one would leave no integer quotient. Each
+    tuple's quotient is still checked exact by _exact_div.
+    """
+    factorials = list(accumulate(range(1, p + 1), operator.mul, initial=1))
+    fact_p = factorials[p]
+    weight = factorials[shift:].__getitem__
+    return sum(_exact_div(fact_p, math.prod(map(weight, s))) for s in tuples)
 
 
 def c_closed(p: int, ell: int) -> int:
@@ -102,7 +111,7 @@ def c_closed(p: int, ell: int) -> int:
 def c_enum_k(p: int, ell: int) -> int:
     """Sum of p! / prod((k_i + 1)!) over the admissible nonnegative tuples."""
     _check_pair(p, ell)
-    return _multinomial_sum(p, ([k + 1 for k in t] for t in enumerate_k_tuples(p, ell)))
+    return _multinomial_sum(p, enumerate_k_tuples(p, ell), shift=1)
 
 
 def c_enum_j(p: int, ell: int) -> int:

@@ -17,13 +17,19 @@ each tuple length for the k/j families, lengths ascending) and never
 materialize the full family. The ordering is a reproducibility
 convention, nothing more.
 
-The k- and j-tuple generators recurse once per entry of the tuple under
-construction; compositions come from one generator frame instead, which
-steps the leading parts like an odometer and takes the last parts from
-tail blocks built per call, at most 2,048 tuples held at once. Every
-family refuses, with ValueError, any request whose tuples would be longer
-than MAX_TUPLE_LENGTH; for the recursive families that keeps the deepest
-tuple well inside the interpreter's default limit of 1000 frames.
+The k- and j-families recurse once per leading entry. In a family of
+at least 100 tuples the last few entries of each tuple come from suffix
+blocks: lists of every valid end for what the leading entries leave,
+built per call from narrower blocks, emitted in one map(tuple.__add__,
+block) pass per head. Each family has its own recursion and its own
+blocks, so the k/j bijection stays a checked fact. Compositions come from
+one generator frame, which steps the leading parts like an odometer and
+takes the last parts from tail blocks built per call. The blocks of one
+call hold at most 2,048 tuples and go with its generator; nothing is kept
+between calls. Every family refuses, with ValueError, any request whose
+tuples would be longer than MAX_TUPLE_LENGTH; for the recursive families
+that keeps the deepest tuple well inside the interpreter's default limit
+of 1000 frames.
 """
 
 from __future__ import annotations
@@ -34,6 +40,14 @@ from itertools import count, takewhile
 
 #: Longest tuple any generator here builds.
 MAX_TUPLE_LENGTH = 900
+
+#: Tuples the blocks of one request may hold at once: the tail blocks of
+#: a composition stream, or the suffix blocks of a k- or j-family.
+_TAIL_TUPLES = 2048
+
+#: Most entries a block spans. Past a few entries a wider block saves
+#: little per tuple, while every narrower width must be built first.
+_TAIL_WIDTH = 16
 
 
 def _check_length(length: int) -> None:
@@ -48,83 +62,152 @@ def support(entries: tuple[int, ...]) -> int:
     return sum(1 for e in entries if e > 0)
 
 
-def _max_spaced(slots: int, first_blocked: bool) -> int:
-    """Most positions markable in `slots` slots, no two adjacent, first
-    position unavailable when first_blocked."""
-    if first_blocked:
-        slots -= 1
-    return max(0, (slots + 1) // 2)
+def _k_rec(buf: list, m: int, i: int, rem: int, pos: int, prev: bool) -> Iterator[tuple[int, ...]]:
+    """The first len(buf) entries of the length-m k-tuples, each distinct
+    head once, ascending; entries 0..i-1 are already in buf and the rest
+    of buf holds zeros. One frame per entry.
 
-
-def _k_tuples_fixed(m: int, total: int, positives: int) -> Iterator[tuple[int, ...]]:
-    """Length-m tuples, nonnegative entries summing to total with exactly
-    `positives` positive entries and no two consecutive positives, in
-    ascending lexicographic order."""
-    if m == 0:
-        if total == 0 and positives == 0:
-            yield ()
+    rem is the content and pos the number of positive entries left for
+    the m - i slots from i on, prev whether entry i - 1 is positive.
+    Both branches enter a state only if it is feasible: pos positives,
+    each at least 1 and no two side by side, fit in `slots` slots exactly
+    when pos <= rem and 2 * pos <= slots + 1 (one slot fewer behind a
+    positive entry); pos = 0 needs rem = 0. So every head is emitted only
+    if some tuple starts with it.
+    """
+    if i == len(buf):
+        yield tuple(buf)
         return
-
-    buf = [0] * m
-
-    def feasible(slots: int, rem: int, pos: int, prev_positive: bool) -> bool:
-        if pos == 0:
-            return rem == 0
-        return pos <= rem and pos <= _max_spaced(slots, prev_positive)
-
-    def rec(i: int, rem: int, pos: int, prev_positive: bool) -> Iterator[tuple[int, ...]]:
-        if i == m:
-            yield tuple(buf)
-            return
-        left = m - i - 1
-        if feasible(left, rem, pos, False):
-            buf[i] = 0
-            yield from rec(i + 1, rem, pos, False)
-        if not prev_positive and pos >= 1:
-            for v in range(1, rem - (pos - 1) + 1):
-                if feasible(left, rem - v, pos - 1, True):
-                    buf[i] = v
-                    yield from rec(i + 1, rem - v, pos - 1, True)
-            buf[i] = 0
-
-    yield from rec(0, total, positives, False)
+    left = m - i - 1
+    if (pos <= rem and 2 * pos <= left + 1) if pos else not rem:
+        yield from _k_rec(buf, m, i + 1, rem, pos, False)  # entry i is 0
+    if pos and not prev and pos <= rem and 2 * pos <= left + 2:
+        last = rem - pos + 1  # the other pos - 1 positives take at least 1 each
+        for v in range(last if pos == 1 else 1, last + 1):  # a last positive takes all
+            buf[i] = v
+            yield from _k_rec(buf, m, i + 1, rem - v, pos - 1, True)
+        buf[i] = 0
 
 
-def _j_tuples_fixed(m: int, total: int, bigs: int) -> Iterator[tuple[int, ...]]:
-    """Length-m tuples of positive entries summing to total with exactly
-    `bigs` entries >= 2, every entry >= 2 except a last one followed by
-    a 1, ascending lexicographic order."""
-    if m == 0:
-        if total == 0 and bigs == 0:
-            yield ()
+def _k_suffixes(blocks: dict, width: int, rem: int, pos: int, prev: bool) -> list:
+    """Every `width`-entry end of a k-tuple with content rem and pos
+    positive entries, behind a positive entry when prev, ascending.
+
+    Built from the blocks one entry narrower, with the choices of _k_rec,
+    and kept in blocks under (width, rem, pos, prev).
+    """
+    if not width:
+        return [()]
+    key = (width, rem, pos, prev)
+    block = blocks.get(key)
+    if block is None:
+        block = []
+        left = width - 1
+        if (pos <= rem and 2 * pos <= left + 1) if pos else not rem:
+            block += map((0,).__add__, _k_suffixes(blocks, left, rem, pos, False))
+        if pos and not prev and pos <= rem and 2 * pos <= left + 2:
+            last = rem - pos + 1
+            for v in range(last if pos == 1 else 1, last + 1):
+                block += map((v,).__add__, _k_suffixes(blocks, left, rem - v, pos - 1, True))
+        blocks[key] = block
+    return block
+
+
+def _j_rec(buf: list, m: int, i: int, rem: int, big: int, prev: bool) -> Iterator[tuple[int, ...]]:
+    """The first len(buf) entries of the length-m j-tuples, each distinct
+    head once, ascending; entries 0..i-1 are already in buf and the rest
+    of buf holds ones. One frame per entry.
+
+    rem is what the m - i slots from i on sum to, big how many of them
+    are >= 2, prev whether entry i - 1 is >= 2. Each slot takes at least
+    1, and the big entries share the excess rem - slots, so a state is
+    feasible exactly when big <= excess and 2 * big <= slots + 1 (one
+    slot fewer behind a big entry); big = 0 needs no excess. Both
+    branches enter feasible states only.
+    """
+    if i == len(buf):
+        yield tuple(buf)
         return
+    left = m - i - 1
+    excess = rem - 1 - left  # with entry i at 1
+    if (big <= excess and 2 * big <= left + 1) if big else not excess:
+        yield from _j_rec(buf, m, i + 1, rem - 1, big, False)  # entry i is 1
+    if big and not prev and big <= excess and 2 * big <= left + 2:
+        last = excess - big + 2  # the other big - 1 entries take at least 2 each
+        for v in range(last if big == 1 else 2, last + 1):  # a last big entry takes all
+            buf[i] = v
+            yield from _j_rec(buf, m, i + 1, rem - v, big - 1, True)
+        buf[i] = 1
 
-    buf = [0] * m
 
-    def feasible(slots: int, rem: int, big: int, prev_big: bool) -> bool:
-        excess = rem - slots  # each slot carries at least 1
-        if excess < 0:
-            return False
-        if big == 0:
-            return excess == 0
-        return big <= excess and big <= _max_spaced(slots, prev_big)
+def _j_suffixes(blocks: dict, width: int, rem: int, big: int, prev: bool) -> list:
+    """Every `width`-entry end of a j-tuple summing to rem with big entries
+    >= 2, behind an entry >= 2 when prev, ascending.
 
-    def rec(i: int, rem: int, big: int, prev_big: bool) -> Iterator[tuple[int, ...]]:
-        if i == m:
-            yield tuple(buf)
-            return
-        left = m - i - 1
-        if feasible(left, rem - 1, big, False):
-            buf[i] = 1
-            yield from rec(i + 1, rem - 1, big, False)
-        if not prev_big and big >= 1:
-            for v in range(2, rem - left + 1):
-                if feasible(left, rem - v, big - 1, True):
-                    buf[i] = v
-                    yield from rec(i + 1, rem - v, big - 1, True)
-            buf[i] = 0
+    Built from the blocks one entry narrower, with the choices of _j_rec,
+    and kept in blocks under (width, rem, big, prev).
+    """
+    if not width:
+        return [()]
+    key = (width, rem, big, prev)
+    block = blocks.get(key)
+    if block is None:
+        block = []
+        left = width - 1
+        excess = rem - 1 - left
+        if (big <= excess and 2 * big <= left + 1) if big else not excess:
+            block += map((1,).__add__, _j_suffixes(blocks, left, rem - 1, big, False))
+        if big and not prev and big <= excess and 2 * big <= left + 2:
+            last = excess - big + 2
+            for v in range(last if big == 1 else 2, last + 1):
+                block += map((v,).__add__, _j_suffixes(blocks, left, rem - v, big - 1, True))
+        blocks[key] = block
+    return block
 
-    yield from rec(0, total, bigs, False)
+
+def _suffix_count(width: int, content: int) -> int:
+    """Number of k-suffixes of `width` entries and content at most
+    `content`, over every support: q positives, none side by side, take
+    one of C(width - q + 1, q) spacings and one of C(content, q) ways to
+    share at most `content` among them. The j-suffixes of `width` entries
+    and excess at most `content` are their entrywise +1 images, so there
+    are as many."""
+    return sum(
+        math.comb(width - q + 1, q) * math.comb(content, q) for q in range(width + 1)
+    )
+
+
+#: Families with fewer tuples stream without suffix blocks: per call,
+#: the blocks would cost about as much to build as they save.
+_BLOCK_FAMILY = 100
+
+
+def _suffix_width(p: int, ell: int) -> int:
+    """Width of the suffix blocks of the k- and j-families at (p, ell), 0
+    for none.
+
+    The widest width up to _TAIL_WIDTH at which every block the call could
+    build, of that width and every narrower one, holds at most
+    min(_TAIL_TUPLES, C(p - 1, ell)) tuples: so no call builds more block
+    tuples than it streams. A block behind a positive (big) entry holds
+    the suffixes that start with 0 (1), as many as the suffixes one entry
+    narrower. No blocks for a family under _BLOCK_FAMILY tuples, nor
+    below width 3, where the per-head lookup costs more than the blocks
+    save.
+    """
+    family = math.comb(p - 1, ell)
+    if family < _BLOCK_FAMILY:
+        return 0
+    budget = min(_TAIL_TUPLES, family)
+    width = held = 0
+    narrower = 1  # _suffix_count(0, ell): the empty suffix
+    while width < _TAIL_WIDTH:
+        wider = _suffix_count(width + 1, ell)
+        held += wider + narrower
+        if held > budget:
+            break
+        width, narrower = width + 1, wider
+    return width if width > 2 else 0
 
 
 def _check_bounds(p: int, ell: int) -> None:
@@ -146,12 +229,29 @@ def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     for ell = 0 or from 1 otherwise); within a length the order is
     lexicographic. For ell = 0 this is the single all-zero tuple of
     length p - 1 (empty for p = 1).
+
+    With suffix blocks (_suffix_width) the last w entries of each tuple
+    come from the call's block for what its head leaves, in one
+    map(head.__add__, block) pass per head.
     """
     _check_bounds(p, ell)
-    supports = (0,) if ell == 0 else range(1, ell + 1)
-    for s in supports:
+    if not ell:
+        yield (0,) * (p - 1)
+        return
+    width = _suffix_width(p, ell)
+    blocks: dict = {}
+    for s in range(1, ell + 1):
         m = p + s - ell - 1
-        yield from _k_tuples_fixed(m, ell, s)
+        w = min(width, m)
+        h = m - w
+        heads = _k_rec([0] * h, m, 0, ell, s, False)
+        if not w:  # the heads are the tuples
+            yield from heads
+            continue
+        for head in heads:
+            # What the head leaves for the last w entries.
+            rem, pos, prev = ell - sum(head), s - h + head.count(0), h > 0 and head[-1] > 0
+            yield from map(head.__add__, _k_suffixes(blocks, w, rem, pos, prev))
 
 
 def enumerate_j_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
@@ -160,21 +260,26 @@ def enumerate_j_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     >= 2 except a last one is followed by a 1.
 
     Entrywise this family is the +1 image of enumerate_k_tuples(p, ell),
-    emitted in the same order.
+    emitted in the same order, and streamed the same way from its own
+    suffix blocks (_j_suffixes).
     """
     _check_bounds(p, ell)
-    bigs = (0,) if ell == 0 else range(1, ell + 1)
-    for t in bigs:
+    if not ell:
+        yield (1,) * (p - 1)
+        return
+    width = _suffix_width(p, ell)
+    blocks: dict = {}
+    for t in range(1, ell + 1):
         m = p + t - ell - 1
-        yield from _j_tuples_fixed(m, ell + m, t)
-
-
-#: Tuples the tail blocks of one composition request may hold at once.
-_TAIL_TUPLES = 2048
-
-#: Most parts a tail block spans. Past a few parts a wider block saves
-#: little per tuple, while every narrower width must be built first.
-_TAIL_WIDTH = 16
+        w = min(width, m)
+        h = m - w
+        heads = _j_rec([1] * h, m, 0, ell + m, t, False)
+        if not w:  # the heads are the tuples
+            yield from heads
+            continue
+        for head in heads:
+            rem, big, prev = ell + m - sum(head), t - h + head.count(1), h > 0 and head[-1] > 1
+            yield from map(head.__add__, _j_suffixes(blocks, w, rem, big, prev))
 
 
 def _widest_tail(spare: int) -> int:

@@ -79,6 +79,13 @@ class RationalMatrix:
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(map(self.row, range(1, self.order + 1)))
 
+    def row_strings(self, k: int) -> list[str]:
+        """Row k as str() prints each entry; a row over the scale 1 is
+        formatted from its stored ints, with no Fraction built."""
+        if self._scales[self._index(k)] == 1:
+            return list(map(str, self._rows[k - 1]))
+        return list(map(str, self.row(k)))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented

@@ -6,13 +6,14 @@ import itertools
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from figurate import enumeration
+from figurate import cli, enumeration
 from figurate.enumeration import (
     MAX_TUPLE_LENGTH,
     enumerate_compositions,
@@ -55,6 +56,95 @@ def recursive_compositions(total, parts, min_part):
             yield from rec(i + 1, rem - v)
 
     yield from rec(0, total)
+
+
+def recursive_k_tuples(p, ell):
+    """The k-tuples by one recursion level per entry, pruned by a
+    feasibility test at every level: the reference for the generator
+    that takes the last entries from suffix blocks."""
+    supports = (0,) if ell == 0 else range(1, ell + 1)
+    for s in supports:
+        yield from _recursive_k_fixed(p + s - ell - 1, ell, s)
+
+
+def _max_spaced(slots, first_blocked):
+    if first_blocked:
+        slots -= 1
+    return max(0, (slots + 1) // 2)
+
+
+def _recursive_k_fixed(m, total, positives):
+    if m == 0:
+        if total == 0 and positives == 0:
+            yield ()
+        return
+
+    buf = [0] * m
+
+    def feasible(slots, rem, pos, prev_positive):
+        if pos == 0:
+            return rem == 0
+        return pos <= rem and pos <= _max_spaced(slots, prev_positive)
+
+    def rec(i, rem, pos, prev_positive):
+        if i == m:
+            yield tuple(buf)
+            return
+        left = m - i - 1
+        if feasible(left, rem, pos, False):
+            buf[i] = 0
+            yield from rec(i + 1, rem, pos, False)
+        if not prev_positive and pos >= 1:
+            for v in range(1, rem - (pos - 1) + 1):
+                if feasible(left, rem - v, pos - 1, True):
+                    buf[i] = v
+                    yield from rec(i + 1, rem - v, pos - 1, True)
+            buf[i] = 0
+
+    yield from rec(0, total, positives, False)
+
+
+def recursive_j_tuples(p, ell):
+    """The j-tuples by one recursion level per entry: the reference for
+    the generator that takes the last entries from suffix blocks."""
+    bigs = (0,) if ell == 0 else range(1, ell + 1)
+    for t in bigs:
+        m = p + t - ell - 1
+        yield from _recursive_j_fixed(m, ell + m, t)
+
+
+def _recursive_j_fixed(m, total, bigs):
+    if m == 0:
+        if total == 0 and bigs == 0:
+            yield ()
+        return
+
+    buf = [0] * m
+
+    def feasible(slots, rem, big, prev_big):
+        excess = rem - slots  # each slot carries at least 1
+        if excess < 0:
+            return False
+        if big == 0:
+            return excess == 0
+        return big <= excess and big <= _max_spaced(slots, prev_big)
+
+    def rec(i, rem, big, prev_big):
+        if i == m:
+            yield tuple(buf)
+            return
+        left = m - i - 1
+        if feasible(left, rem - 1, big, False):
+            buf[i] = 1
+            yield from rec(i + 1, rem - 1, big, False)
+        if not prev_big and big >= 1:
+            for v in range(2, rem - left + 1):
+                if feasible(left, rem - v, big - 1, True):
+                    buf[i] = v
+                    yield from rec(i + 1, rem - v, big - 1, True)
+            buf[i] = 0
+
+    yield from rec(0, total, bigs, False)
 
 
 def brute_k_tuples(p, ell):
@@ -321,6 +411,212 @@ class TestTailBlocks:
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+
+class TestRecordedTuples:
+    """The k- and j-streams equal those of the recursive generators that
+    one frame per entry built (recursive_k_tuples, recursive_j_tuples):
+    sha256 of the repr of (p, ell, list of tuples) over every (p, ell)
+    with p <= 18, and of the stdout of `tuples --p 18 --ell 9`, all
+    recorded from those generators."""
+
+    DIGESTS = {
+        "k": "8633f0f463e54e1d092610c83eb922ee8801244ba29bb0ba2cf44879ce5bb0f9",
+        "j": "ae45bbb92fed85ba2a169b413280d3532293e9ca91a078beba6d344e78501e63",
+    }
+    CLI_DIGESTS = {
+        "k": "612eef789dda7b9bb56be44752803f78094c6aedec154982f5d368db4ef17e71",
+        "j": "1bd2342a2eca42c81b8dfd5fb92bad192e7d13be5681ab32f8c125b580ca15f8",
+    }
+    FAMILIES = {"k": enumerate_k_tuples, "j": enumerate_j_tuples}
+    ORACLES = {"k": recursive_k_tuples, "j": recursive_j_tuples}
+
+    @pytest.mark.parametrize("kind", ["k", "j"])
+    def test_streams_match_recorded_digest(self, kind):
+        digest = hashlib.sha256()
+        for p in range(1, 19):
+            for ell in range(p):
+                digest.update(repr((p, ell, list(self.FAMILIES[kind](p, ell)))).encode())
+        assert digest.hexdigest() == self.DIGESTS[kind]
+
+    @pytest.mark.parametrize("kind", ["k", "j"])
+    def test_cli_stream_matches_recorded_digest(self, kind, capsys):
+        assert cli.main(["tuples", "--kind", kind, "--p", "18", "--ell", "9"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.CLI_DIGESTS[kind]
+
+    @pytest.mark.parametrize("kind", ["k", "j"])
+    def test_equal_to_recursive_oracle(self, kind):
+        for p in range(1, 15):
+            for ell in range(p):
+                got = list(self.FAMILIES[kind](p, ell))
+                assert got == list(self.ORACLES[kind](p, ell)), (p, ell)
+
+
+def _held(stream):
+    """Drain a k- or j-stream; the tuples its suffix blocks held at the end."""
+    next(stream)
+    blocks = stream.gi_frame.f_locals["blocks"]
+    for _ in stream:
+        pass
+    return sum(map(len, blocks.values()))
+
+
+def brute_suffixes(kind, width, rem, count, prev):
+    """Every end of `width` entries of a k-tuple (content rem, `count`
+    positives) or a j-tuple (sum rem, `count` entries >= 2), behind a
+    positive or big entry when prev, by filtering the full cube."""
+    low, big = (0, 1) if kind == "k" else (1, 2)
+    top = rem - (width - 1) * low  # the other entries take at least low each
+    out = []
+    for t in itertools.product(range(low, top + 1), repeat=width):
+        marks = [e >= big for e in t]
+        if sum(t) != rem or sum(marks) != count or (prev and marks and marks[0]):
+            continue
+        if kind == "k" and any(marks[i] and marks[i + 1] for i in range(width - 1)):
+            continue
+        if kind == "j" and any(marks[i] and t[i + 1] != 1 for i in range(width - 1)):
+            continue
+        out.append(t)
+    return out
+
+
+class TestSuffixBlocks:
+    """The last entries of each k- and j-tuple come from per-call suffix
+    blocks that hold a bounded number of tuples, go with the generator,
+    and are built only for families where they pay."""
+
+    @pytest.mark.parametrize("kind", ["k", "j"])
+    def test_blocks_list_every_suffix(self, kind):
+        build = enumeration._k_suffixes if kind == "k" else enumeration._j_suffixes
+        for width in range(1, 6):
+            for content in range(7):
+                rem = content if kind == "k" else content + width
+                for count in range(4):
+                    for prev in (False, True):
+                        block = build({}, width, rem, count, prev)
+                        assert block == brute_suffixes(kind, width, rem, count, prev), (
+                            width, rem, count, prev,
+                        )
+
+    def test_suffix_count_matches_brute(self):
+        for width in range(6):
+            for content in range(6):
+                brute = sum(
+                    sum(t) <= content and not any(map(min, zip(t, t[1:])))
+                    for t in itertools.product(range(content + 1), repeat=width)
+                )
+                assert enumeration._suffix_count(width, content) == brute, (width, content)
+
+    def test_width_is_widest_within_bound(self):
+        def held(width, ell):
+            return sum(
+                enumeration._suffix_count(u, ell) + enumeration._suffix_count(u - 1, ell)
+                for u in range(1, width + 1)
+            )
+
+        for p in range(1, 61):
+            for ell in range(p):
+                family = math.comb(p - 1, ell)
+                budget = min(enumeration._TAIL_TUPLES, family)
+                w = enumeration._suffix_width(p, ell)
+                if family < enumeration._BLOCK_FAMILY:
+                    assert w == 0, (p, ell)
+                elif w:
+                    assert 3 <= w <= enumeration._TAIL_WIDTH, (p, ell)
+                    assert held(w, ell) <= budget, (p, ell)
+                    if w < enumeration._TAIL_WIDTH:
+                        assert held(w + 1, ell) > budget, (p, ell)
+                else:
+                    assert held(3, ell) > budget, (p, ell)
+
+    @pytest.mark.parametrize("kind", ["k", "j"])
+    def test_call_holds_at_most_2048_tuples(self, kind):
+        family = enumerate_k_tuples if kind == "k" else enumerate_j_tuples
+        seen = 0
+        for p in range(10, 17):
+            for ell in range(1, p):
+                if enumeration._suffix_width(p, ell):
+                    held = _held(family(p, ell))
+                    assert 0 < held <= min(enumeration._TAIL_TUPLES, math.comb(p - 1, ell))
+                    seen = max(seen, held)
+        assert seen > 1000  # the bound is reached for, not trivially met
+        # A family far too large to stream: its blocks fill as heads need them.
+        stream = family(40, 20)
+        next(stream)
+        blocks = stream.gi_frame.f_locals["blocks"]
+        for _ in itertools.islice(stream, 200_000):
+            pass
+        assert 0 < sum(map(len, blocks.values())) <= enumeration._TAIL_TUPLES
+
+    @pytest.mark.parametrize("width", range(17))
+    def test_every_width_matches_recursive_oracle(self, width, monkeypatch):
+        # Widths past a tuple's length make its whole support one block.
+        monkeypatch.setattr(enumeration, "_suffix_width", lambda p, ell: width)
+        for p in range(1, 12):
+            for ell in range(p):
+                assert list(enumerate_k_tuples(p, ell)) == list(recursive_k_tuples(p, ell))
+                assert list(enumerate_j_tuples(p, ell)) == list(recursive_j_tuples(p, ell))
+
+    @pytest.mark.parametrize("kind", ["k", "j"])
+    def test_each_call_starts_from_no_blocks(self, kind):
+        # Nothing is kept between calls: a second stream of the same
+        # family builds its blocks again, starting with those of its first
+        # head, while the first stream's blocks go with it.
+        family = enumerate_k_tuples if kind == "k" else enumerate_j_tuples
+        full = _held(family(16, 8))
+        again = family(16, 8)
+        next(again)
+        started = sum(map(len, again.gi_frame.f_locals["blocks"].values()))
+        assert 0 < started < full // 10
+
+    def test_blocks_freed_with_generator(self):
+        # As for the tail blocks: with the collector off, a reference cycle
+        # would keep every call's blocks (about 1 MB per batch below); a
+        # second batch must add next to nothing to the first.
+        def streams():
+            for p in range(10, 14):
+                for ell in range(1, p):
+                    assert sum(1 for _ in enumerate_k_tuples(p, ell)) == math.comb(p - 1, ell)
+                    assert sum(1 for _ in enumerate_j_tuples(p, ell)) == math.comb(p - 1, ell)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            streams()
+            first, _ = tracemalloc.get_traced_memory()
+            streams()
+            second, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert second - first < 100_000
+
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_small_families_no_slower_than_recursion(self, p):
+        # Families under 100 tuples build no blocks; their own recursion
+        # (list-equal to the oracle: TestRecordedTuples) must be no slower
+        # than the one-frame-per-entry oracle. Both families summed over
+        # ell, best of 9 alternating samples of about 2,000 tuples each.
+        assert all(enumeration._suffix_width(p, ell) == 0 for ell in range(p))
+        reps = 2000 >> p
+
+        def timed(families):
+            start = time.perf_counter()
+            for _ in range(reps):
+                for family in families:
+                    for ell in range(p):
+                        for _ in family(p, ell):
+                            pass
+            return time.perf_counter() - start
+
+        new = old = math.inf
+        for _ in range(9):
+            new = min(new, timed((enumerate_k_tuples, enumerate_j_tuples)))
+            old = min(old, timed((recursive_k_tuples, recursive_j_tuples)))
+        assert new <= old, (new, old)
 
 
 class TestLazyStreaming:

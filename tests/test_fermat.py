@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from figurate import exact, fermat
+from figurate import cli, exact, fermat
 from figurate.coefficients import c_closed
 from figurate.combinatorics import stirling1_unsigned
 from figurate.exact import Polynomial
@@ -138,6 +138,28 @@ def test_builders_and_certification_build_no_fraction(monkeypatch):
     monkeypatch.setattr(exact, "Fraction", refuse)
     assert build_fermat(40).order == inverse_closed(40).order == 40
     assert certify_inverse(40) is True
+
+
+def test_row_strings_print_each_entry_as_str():
+    for p in (1, 7, 40):
+        for matrix in (build_fermat(p), inverse_closed(p)):
+            for k in range(1, p + 1):
+                assert matrix.row_strings(k) == [str(x) for x in matrix.row(k)]
+    for index in (0, -1, 4):
+        with pytest.raises(IndexError):
+            inverse_closed(3).row_strings(index)
+
+
+def test_inverse_prints_without_fraction(monkeypatch, capsys):
+    # The closed-form inverse is held over the scale 1: its rows print
+    # straight from their ints.
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(fermat, "Fraction", refuse)
+    monkeypatch.setattr(exact, "Fraction", refuse)
+    assert cli.main(["fermat", "--p", "40", "--inverse", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "-1,2" + ",0" * 38
 
 
 class TestBuildFermat:

@@ -235,3 +235,33 @@ def test_wrong_summand_count_fails_its_line(monkeypatch):
         coefficients, "summand_count", lambda p, j: real(p, j) + ((p, j) == (6, 3))
     )
     assert _failed(run_suites(["coeff"], 6, 14)) == ["summand counts p=6"]
+
+
+def _drop_suffix(monkeypatch, builder, key, victim):
+    """enumeration.<builder> with `victim` missing from the suffix block
+    for key = (width, rem, count, prev), however often it is read."""
+    real = getattr(enumeration, builder)
+
+    def planted(blocks, *args):
+        block = real(blocks, *args)
+        return [t for t in block if t != victim] if args == key else block
+
+    monkeypatch.setattr(enumeration, builder, planted)
+
+
+@pytest.mark.parametrize(
+    "builder, key, victim",
+    [
+        # Three entries, content 4 in one positive entry: (0, 0, 4), (0, 4, 0), (4, 0, 0).
+        ("_k_suffixes", (3, 4, 1, False), (0, 4, 0)),
+        # Three entries summing to 7 with one entry >= 2: its +1 image.
+        ("_j_suffixes", (3, 7, 1, False), (1, 5, 1)),
+    ],
+    ids=["k", "j"],
+)
+def test_dropped_suffix_fails_its_families_and_routes(monkeypatch, builder, key, victim):
+    # At pmax 10 only p = 10 streams suffix blocks (the families of 126
+    # tuples at ell = 4, 5), so one family's stream and its route fall
+    # short there, and nowhere else.
+    _drop_suffix(monkeypatch, builder, key, victim)
+    assert _failed(run_suites(["all"], 10, 14)) == ["routes agree p=10", "tuple families p=10"]
