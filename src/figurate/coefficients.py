@@ -43,7 +43,9 @@ from collections.abc import Sequence
 from itertools import accumulate
 
 from .combinatorics import _EULERIAN2, _padded, _RowTable, stirling2
-from .enumeration import enumerate_compositions, enumerate_j_tuples, enumerate_k_tuples
+from .enumeration import (
+    _check_pair, enumerate_compositions, enumerate_j_tuples, enumerate_k_tuples,
+)
 
 #: Route name -> enumerative, in the canonical order used everywhere
 #: output is serialized. An enumerative route's cost grows like
@@ -64,13 +66,6 @@ ROUTES = tuple(ROUTE_TABLE)
 DEFAULT_SIZE_GUARD = 14
 
 
-def _check_pair(p: int, ell: int) -> None:
-    if p < 1:
-        raise ValueError(f"p must be positive, got {p}")
-    if not 0 <= ell <= p - 1:
-        raise ValueError(f"ell must lie in 0..{p - 1}, got {ell}")
-
-
 def _check_j(p: int, j: int) -> None:
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
@@ -81,7 +76,7 @@ def _check_j(p: int, j: int) -> None:
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
-        raise RuntimeError(f"internal error: {num} not divisible by {den}")
+        raise RuntimeError(f"{num} not divisible by {den}")
     return q
 
 
@@ -251,8 +246,6 @@ def build_triangle(pmax: int, route: str = "closed") -> tuple[tuple[int, ...], .
     holds c(p, 0..p-1), so pmax is len(rows)."""
     if pmax < 1:
         raise ValueError(f"pmax must be positive, got {pmax}")
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     return tuple(
         tuple(coefficient(p, ell, route) for ell in range(p)) for p in range(1, pmax + 1)
     )

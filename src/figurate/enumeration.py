@@ -210,15 +210,11 @@ def _suffix_width(p: int, ell: int) -> int:
     return width if width > 2 else 0
 
 
-def _check_bounds(p: int, ell: int) -> None:
+def _check_pair(p: int, ell: int) -> None:
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
     if not 0 <= ell <= p - 1:
         raise ValueError(f"ell must lie in 0..{p - 1}, got {ell}")
-    # The longest tuples have support s = min(ell, p - ell): s positive
-    # entries, no two side by side, fit in length p + s - ell - 1 only
-    # while s <= p - ell.
-    _check_length(p - 1 - ell + min(ell, p - ell))
 
 
 def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
@@ -234,7 +230,11 @@ def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     come from the call's block for what its head leaves, in one
     map(head.__add__, block) pass per head.
     """
-    _check_bounds(p, ell)
+    _check_pair(p, ell)
+    # The longest tuples have support s = min(ell, p - ell): s positive
+    # entries, no two side by side, fit in length p + s - ell - 1 only
+    # while s <= p - ell.
+    _check_length(p - 1 - ell + min(ell, p - ell))
     if not ell:
         yield (0,) * (p - 1)
         return
@@ -263,7 +263,8 @@ def enumerate_j_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     emitted in the same order, and streamed the same way from its own
     suffix blocks (_j_suffixes).
     """
-    _check_bounds(p, ell)
+    _check_pair(p, ell)
+    _check_length(p - 1 - ell + min(ell, p - ell))  # as for the k-tuples
     if not ell:
         yield (1,) * (p - 1)
         return

@@ -137,7 +137,7 @@ def _divide_linear(coeffs: list[int], a: int) -> None:
         q = coeffs[i] - a * q
         coeffs[i] = q  # the quotient's coefficient of n^(i-1)
     if coeffs[0] != a * q:
-        raise RuntimeError(f"internal error: polynomial not divisible by (n + {a})")
+        raise RuntimeError(f"polynomial not divisible by (n + {a})")
     del coeffs[0]
 
 
@@ -257,7 +257,7 @@ def faulhaber_coefficients(p: int) -> tuple[Fraction, ...]:
         del rest[0]
         _divide_linear(rest, 1)
     if len(coeffs) != p // 2:
-        raise RuntimeError(f"internal error: S_{p}(n) has no exact Faulhaber form")
+        raise RuntimeError(f"S_{p}(n) has no exact Faulhaber form")
     return tuple(coeffs)
 
 
@@ -269,7 +269,7 @@ def faulhaber_eval(n: int, p: int) -> int:
     pre = n * (n + 1) * (2 * n + 1) // 6 if p % 2 == 0 else t * t
     value = pre * sum(c * t**j for j, c in enumerate(coeffs))
     if value.denominator != 1:
-        raise RuntimeError(f"internal error: Faulhaber value for ({n},{p}) not integral")
+        raise RuntimeError(f"Faulhaber value for ({n},{p}) not integral")
     return int(value)
 
 
