@@ -186,19 +186,38 @@ def c_eulerian2(p: int, ell: int) -> int:
 def c_alternating(p: int, ell: int) -> int:
     """Inclusion-exclusion at j = p - ell: sum of (-1)^r C(j, r) (j - r)^p.
 
-    One running binomial steps from term to term,
-    C(j, r) = C(j, r - 1) * (j - r + 1) / r, each division checked exact
-    by _exact_div; the power (j - r)^p is computed for its own term, so
-    no list of powers is held.
+    That is the sum of a_x x^p over x = 1..j, a_x = (-1)^(j - x) C(j, x).
+    With x = 2^a 3^b m, m prime to 6, it is the sum over m of m^p D_m, where
+    D_m is Horner's rule in 3^p over b of sum_a a_(2^a 3^b m) << (a p); so
+    only m^p and 3^p are powers. The j + 1 signed binomials are held in one
+    list, and no power: a_x = a_(x-1) (x - j - 1) / x from a_0 = (-1)^j,
+    each division checked exact by _exact_div, the only kernel called.
     """
     _check_pair(p, ell)
     j = p - ell
-    total = j**p
-    binom = 1
-    for r in range(1, j):
-        binom = _exact_div(binom * (j - r + 1), r)
-        term = binom * (j - r) ** p
-        total = total - term if r & 1 else total + term
+    binom = -1 if j & 1 else 1
+    signed = [binom]
+    for x in range(1, j + 1):
+        binom = _exact_div(binom * (x - j - 1), x)
+        signed.append(binom)
+    three_p = 3**p
+    total = 0
+    for m in range(1, j + 1, 2):
+        if m % 3:
+            y = m
+            while y * 3 <= j:
+                y *= 3
+            chain = 0
+            while y >= m:  # y = 3^b m, b descending
+                part = shift = 0
+                x = y
+                while x <= j:  # x = 2^a y, a ascending
+                    part += signed[x] << shift
+                    shift += p
+                    x += x
+                chain = chain * three_p + part
+                y //= 3
+            total += chain * m**p
     return total
 
 

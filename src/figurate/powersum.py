@@ -11,8 +11,8 @@ polynomial form:
 * alt3:  sum over j of (j-1)! S(p+1, j) F_(n-j+1)^j
 * faulhaber: S_2(n) times a polynomial in the triangular number T_n for
   even p, T_n^2 times such a polynomial for odd p. Its coefficients are
-  derived from sum_brute alone, never from the other formulas, by exact
-  division by linear factors (Knuth, "Johann Faulhaber and sums of
+  derived from brute-force sums alone, never from the other formulas, by
+  exact division by linear factors (Knuth, "Johann Faulhaber and sums of
   powers", Math. Comp. 61, 1993); any remainder is an internal error.
 
 plus the plain power identity
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 from .combinatorics import _EULERIAN1, _STIRLING2, _surjection_row
 
@@ -190,6 +191,11 @@ def sum_brute(n: int, p: int) -> int:
     return sum(r**p for r in range(1, n + 1))
 
 
+def _brute_sums(p: int, count: int) -> list[int]:
+    """S_p(0), ..., S_p(count - 1) by sum_brute's accumulation of r^p."""
+    return list(accumulate((r**p for r in range(1, count)), initial=0))
+
+
 def power_via_ml1(n: int, p: int) -> int:
     """n^p through the alternating figurate expansion, for n >= 0."""
     return _evaluate_terms("power_ml1", n, p)
@@ -222,7 +228,7 @@ def faulhaber_coefficients(p: int) -> tuple[Fraction, ...]:
         S_p(n) = S_2(n)  * sum_j q_j T_n^j   for even p,
         S_p(n) = T_n^2   * sum_j q_j T_n^j   for odd  p.
 
-    S_p(n) is interpolated from sum_brute at n = 0..p+1 by its forward
+    S_p(n) is interpolated from _brute_sums at n = 0..p+1 by its forward
     differences d_k, as sum_k d_k C(n, k) with C(n, k) = F_(n+1-k)^k, and
     expanded into an integer polynomial N over a denominator L. Dividing
     N exactly by n(n + 1) for even p, and by n^2 (n + 1) for odd p, leaves
@@ -237,7 +243,7 @@ def faulhaber_coefficients(p: int) -> tuple[Fraction, ...]:
 
     if p < 2:
         raise ValueError(f"Faulhaber form requires p >= 2, got {p}")
-    diffs = [sum_brute(n, p) for n in range(p + 2)]
+    diffs = _brute_sums(p, p + 2)
     terms = []
     for k in range(p + 2):
         terms.append((diffs[0], k, 1 - k))

@@ -492,7 +492,7 @@ class TestFaulhaber:
         assert code == 2
 
     def test_failed_derivation_is_internal_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(powersum, "sum_brute", lambda n, p: n**p)
+        monkeypatch.setattr(powersum, "_brute_sums", lambda p, count: [n**p for n in range(count)])
         powersum.faulhaber_coefficients.cache_clear()
         try:
             code, out, err = run(capsys, "faulhaber", "--p", "6")

@@ -169,10 +169,17 @@ class TestKernelsAboveCap:
                 assert route(p, ell) == expected, (route.__name__, p, ell)
 
 
-def alternating_sum(p, ell):
-    """The alternating route as one sum with math.comb for every term."""
+def powers(p):
+    """x^p for x = 0..p by plain pow, shared by alternating_sum at every ell."""
+    return [x**p for x in range(p + 1)]
+
+
+def alternating_sum(p, ell, power=None):
+    """The alternating route as one sum with math.comb for every term,
+    term r taking (j - r)^p from power (powers(p) when not given)."""
     j = p - ell
-    return sum((-1) ** r * math.comb(j, r) * (j - r) ** p for r in range(j))
+    power = powers(p) if power is None else power
+    return sum((-1) ** r * math.comb(j, r) * power[j - r] for r in range(j))
 
 
 def eulerian2_sum(p, ell, row):
@@ -201,15 +208,17 @@ class TestSteppedSums:
 
     def test_every_ell_up_to_130(self):
         for p in range(1, 131):
+            power = powers(p)
             for ell in range(p):
-                assert c_alternating(p, ell) == alternating_sum(p, ell), (p, ell)
+                assert c_alternating(p, ell) == alternating_sum(p, ell, power), (p, ell)
                 row = _EULERIAN2.row(ell)
                 assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
 
     @pytest.mark.parametrize("p", LARGE_P)
     def test_alternating_large(self, p):
+        power = powers(p)
         for ell in self.large_ells(p):
-            assert c_alternating(p, ell) == alternating_sum(p, ell), (p, ell)
+            assert c_alternating(p, ell) == alternating_sum(p, ell, power), (p, ell)
 
     def test_eulerian2_large(self, monkeypatch):
         """Rows ell of <<., .>> are rolled once in ascending order and
@@ -400,6 +409,19 @@ class TestRouteIndependence:
     def test_alternating_reads_no_table(self, refuse_tables):
         for p, ell in self.PAIRS:
             assert c_alternating(p, ell) == alternating_sum(p, ell), (p, ell)
+
+    # j at, or one either side of, 2^a, 3^b or 2^a 3^b: where a chain of
+    # c_alternating's grouped sum gains or loses its last base.
+    SMOOTH_JS = {
+        400: (64, 81, 96, 216, 243, 256, 288, 384),
+        1200: (512, 648, 729, 864, 972, 1024, 1152),
+    }
+
+    @pytest.mark.parametrize("p", sorted(SMOOTH_JS))
+    def test_alternating_around_smooth_j(self, p, refuse_tables):
+        power = powers(p)
+        for j in (s + d for s in self.SMOOTH_JS[p] for d in (-1, 0, 1)):
+            assert c_alternating(p, p - j) == alternating_sum(p, p - j, power), (p, j)
 
     def test_eulerian2_reads_its_own_table(self, refuse_tables):
         expected = [alternating_sum(p, ell) for p, ell in self.PAIRS]

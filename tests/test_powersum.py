@@ -233,11 +233,15 @@ class TestFaulhaber:
 
     @pytest.mark.parametrize("p", [*range(2, 9), 20, 21, 40, 41])
     def test_wrong_sample_is_refused(self, p, monkeypatch):
-        # The derivation reads sum_brute at n = 0..p+1; one sample off by
+        # The derivation reads _brute_sums at n = 0..p+1; one sample off by
         # one at any of them must leave a remainder, not a wrong answer.
         for wrong in range(p + 2):
             monkeypatch.setattr(
-                powersum, "sum_brute", lambda n, q, wrong=wrong: oracle(n, q) + (n == wrong)
+                powersum,
+                "_brute_sums",
+                lambda q, count, wrong=wrong: [
+                    oracle(n, q) + (n == wrong) for n in range(count)
+                ],
             )
             with pytest.raises(RuntimeError):
                 faulhaber_coefficients.__wrapped__(p)
