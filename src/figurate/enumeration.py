@@ -57,11 +57,6 @@ def _check_length(length: int) -> None:
         )
 
 
-def support(entries: tuple[int, ...]) -> int:
-    """Number of positive entries."""
-    return sum(1 for e in entries if e > 0)
-
-
 def _k_rec(buf: list, m: int, i: int, rem: int, pos: int, prev: bool) -> Iterator[tuple[int, ...]]:
     """The first len(buf) entries of the length-m k-tuples, each distinct
     head once, ascending; entries 0..i-1 are already in buf and the rest
@@ -230,11 +225,13 @@ def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     come from the call's block for what its head leaves, in one
     map(head.__add__, block) pass per head.
     """
-    _check_pair(p, ell)
     # The longest tuples have support s = min(ell, p - ell): s positive
     # entries, no two side by side, fit in length p + s - ell - 1 only
-    # while s <= p - ell.
-    _check_length(p - 1 - ell + min(ell, p - ell))
+    # while s <= p - ell. As s <= ell, no tuple is longer than p - 1, so
+    # only a request that fails one of these tests calls the validators.
+    if p < 1 or not 0 <= ell <= p - 1 or p - 1 > MAX_TUPLE_LENGTH:
+        _check_pair(p, ell)
+        _check_length(p - 1 - ell + min(ell, p - ell))
     if not ell:
         yield (0,) * (p - 1)
         return
@@ -263,8 +260,9 @@ def enumerate_j_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     emitted in the same order, and streamed the same way from its own
     suffix blocks (_j_suffixes).
     """
-    _check_pair(p, ell)
-    _check_length(p - 1 - ell + min(ell, p - ell))  # as for the k-tuples
+    if p < 1 or not 0 <= ell <= p - 1 or p - 1 > MAX_TUPLE_LENGTH:  # as for the k-tuples
+        _check_pair(p, ell)
+        _check_length(p - 1 - ell + min(ell, p - ell))
     if not ell:
         yield (1,) * (p - 1)
         return

@@ -15,6 +15,7 @@ one check line instead of raising.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections import namedtuple
 from itertools import zip_longest
@@ -280,12 +281,17 @@ def _enumeration_checks(results: list[CheckResult], pmax: int, guard: int) -> No
 
 def _tuple_families(p: int) -> bool:
     """Both tuple families for every ell < p, read together in one pass
-    and held nowhere: the k-tuples strictly ascend in (length, tuple)
-    order, so they are distinct; each j-tuple is its k-tuple + 1
-    entrywise; each tuple keeps its family's invariants; and each family
-    has C(p - 1, p - ell - 1) members."""
+    and held nowhere. Each k-tuple t, with u its paired j-tuple, must
+    follow the one before in (length, tuple) order, so none repeats, and
+    have u == t + 1 entrywise, no negative entry, content ell, exactly
+    p - ell - 1 zeros and no two positive entries side by side. Neither
+    stream may run out first, and each family has C(p - 1, p - ell - 1)
+    members. The j-family needs no check of its own: u is then positive,
+    sums to ell + len(u), is >= 2 exactly where t is positive, so at
+    len(u) + ell + 1 - p entries, and is 1 after each of them but a last
+    one."""
     for ell in range(p):
-        count, prev = 0, ()  # () sorts before every (length, tuple) key
+        count, prev, zeros = 0, (), p - ell - 1  # () sorts before every key
         pairs = zip_longest(
             enumeration.enumerate_k_tuples(p, ell), enumeration.enumerate_j_tuples(p, ell)
         )
@@ -297,17 +303,11 @@ def _tuple_families(p: int) -> bool:
                 return False
             prev = key
             count += 1
-            if u != tuple(e + 1 for e in t):
+            if u != tuple(map((1).__add__, t)):
                 return False
-            s = enumeration.support(t)
-            if sum(t) != ell or s != len(t) + ell + 1 - p:
+            if min(t, default=0) < 0 or sum(t) != ell or t.count(0) != zeros:
                 return False
-            if any(t[i] > 0 and t[i + 1] > 0 for i in range(len(t) - 1)):
-                return False
-            bigs = sum(1 for e in u if e >= 2)
-            if sum(u) != ell + len(u) or len(u) != p + bigs - ell - 1:
-                return False
-            if any(u[i] >= 2 and u[i + 1] != 1 for i in range(len(u) - 1)):
+            if any(map(operator.mul, t, t[1:])):  # two positives side by side
                 return False
         if count != math.comb(p - 1, p - ell - 1):
             return False

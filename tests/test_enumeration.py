@@ -19,7 +19,6 @@ from figurate.enumeration import (
     enumerate_compositions,
     enumerate_j_tuples,
     enumerate_k_tuples,
-    support,
 )
 
 
@@ -200,8 +199,9 @@ class TestKTuples:
         for p in range(1, 10):
             for ell in range(p):
                 for t in enumerate_k_tuples(p, ell):
+                    assert all(e >= 0 for e in t)
                     assert sum(t) == ell
-                    assert support(t) == len(t) + ell + 1 - p
+                    assert t.count(0) == p - ell - 1
                     assert not any(
                         t[i] > 0 and t[i + 1] > 0 for i in range(len(t) - 1)
                     )

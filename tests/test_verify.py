@@ -114,15 +114,15 @@ def test_tuple_families_check_emission_order(monkeypatch):
     assert report.failed == 1
 
 
-def _plant_in_both_streams(monkeypatch, change):
-    """Both tuple families for (p, ell) = (6, 3) with `change` applied to
+def _plant_in_both_streams(monkeypatch, change, at=(6, 3)):
+    """Both tuple families for (p, ell) = `at` with `change` applied to
     each stream's list."""
     for name in ("enumerate_k_tuples", "enumerate_j_tuples"):
         real = getattr(enumeration, name)
 
         def planted(p, ell, real=real):
             tuples = list(real(p, ell))
-            if (p, ell) == (6, 3):
+            if (p, ell) == at:
                 change(tuples)
             return iter(tuples)
 
@@ -146,6 +146,43 @@ def test_tuple_families_check_order_and_distinctness(monkeypatch, change):
     report = run_suites(["enumeration"], 6, 14)
     assert _status(report, "tuple families p=6") == "fail"
     assert report.failed == 1
+
+
+@pytest.mark.parametrize(
+    "at, swaps",
+    [
+        # (-1, 3) for the k-tuple (0, 2) and its +1 image (0, 4) for the
+        # j-tuple (1, 3): still paired, in order, of content 2 with one
+        # positive entry, and the j-tuple keeps its sum, length and
+        # big-then-1 rule; the negative entry and the lost zero give it away.
+        ((4, 2), {(0, 2): (-1, 3), (1, 3): (0, 4)}),
+        # The same with the zeros kept: (0, -1, 0, 3) and its image
+        # (1, 0, 1, 4) pass every other check.
+        ((5, 2), {(0, 1, 0, 1): (0, -1, 0, 3), (1, 2, 1, 2): (1, 0, 1, 4)}),
+        # A j-tuple with a 2 followed by a 2: positive, summing to 6 with
+        # two entries >= 2 in four, as every j-tuple of (5, 2) that long.
+        ((5, 2), {(2, 1, 1, 2): (2, 2, 1, 1)}),
+        # A j-tuple with one entry raised by 1.
+        ((6, 3), {(1, 4, 1): (1, 5, 1)}),
+        # Pairs that break one k-tuple fact each and keep every other: the
+        # content, the number of zeros, and no two positives side by side.
+        ((4, 2), {(0, 2): (0, 3), (1, 3): (1, 4)}),
+        ((5, 2), {(0, 2, 0): (1, 0, 1), (1, 3, 1): (2, 1, 2)}),
+        ((5, 2), {(0, 1, 0, 1): (0, 1, 1, 0), (1, 2, 1, 2): (1, 2, 2, 1)}),
+    ],
+    ids=[
+        "sign", "sign-zeros-kept", "big-then-big", "raised-entry",
+        "content", "zeros", "side-by-side",
+    ],
+)
+def test_tuple_families_fail_only_the_planted_family(monkeypatch, at, swaps):
+    # No k-tuple is a j-tuple here (one holds a 0, the other none), so a
+    # swap changes only the stream that holds its tuple.
+    def change(tuples):
+        tuples[:] = [swaps.get(t, t) for t in tuples]
+
+    _plant_in_both_streams(monkeypatch, change, at)
+    assert _failed(run_suites(["enumeration"], 6, 14)) == [f"tuple families p={at[0]}"]
 
 
 def test_tuple_families_check_stream_lengths(monkeypatch):
