@@ -5,9 +5,10 @@ route here computes the same c(p, ell) by a different mechanism:
 
 * closed:      (p - ell)! * S(p, p - ell) with S of the second kind.
 * enum_k:      sum of p! / prod((k_i + 1)!) over the constrained
-               nonnegative tuples of enumeration.enumerate_k_tuples.
+               nonnegative tuples of enumeration.enumerate_k_tuples,
+               read as the segments it flattens (_k_segments).
 * enum_j:      sum of p! / prod(j_i!) over the positive tuples of
-               enumeration.enumerate_j_tuples.
+               enumeration.enumerate_j_tuples (_j_segments).
 * recurrence:  c(p, ell) = (p - ell) * [c(p-1, ell) + c(p-1, ell-1)],
                reading c(p-1, .) as zero outside 0..p-2.
 * decompose:   with j = p - ell, group the enum_j sum by the number t of
@@ -43,9 +44,7 @@ from collections.abc import Sequence
 from itertools import accumulate
 
 from .combinatorics import _EULERIAN2, _padded, _RowTable, stirling2
-from .enumeration import (
-    _check_pair, enumerate_compositions, enumerate_j_tuples, enumerate_k_tuples,
-)
+from .enumeration import _check_pair, _j_segments, _k_segments, enumerate_compositions
 
 #: Route name -> enumerative, in the canonical order used everywhere
 #: output is serialized. An enumerative route's cost grows like
@@ -80,17 +79,43 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _multinomial_sum(p: int, tuples, shift: int = 0) -> int:
-    """Sum of p! / prod((s_i + shift)!) over the given tuples (s_1, s_2, ...).
+def _multinomial_sum(p: int, segments, shift: int = 0) -> int:
+    """Sum of p! / prod((s_i + shift)!) over the tuples (s_1, s_2, ...) of
+    the given segments, each quotient checked exact.
+
+    A segment (tuples, None) holds whole tuples, weighed one by one. A
+    segment (heads, suffixes) holds head + t for each head and each t in
+    the block suffixes(head) (enumeration._k_segments). For each head,
+    q = p! / prod over the head, checked exact; each of its tuples then
+    weighs q // d, d the product over t, and q % d must be 0. Both passes
+    over a block run in C, and each block's denominators are computed
+    once per call, the first time suffixes() returns it.
 
     Each factorial is read from one table of 0!..p!, so every s_i + shift
-    must lie in 0..p: a larger one would leave no integer quotient. Each
-    tuple's quotient is still checked exact by _exact_div.
+    must lie in 0..p: a larger one would leave no integer quotient.
     """
     factorials = list(accumulate(range(1, p + 1), operator.mul, initial=1))
     fact_p = factorials[p]
     weight = factorials[shift:].__getitem__
-    return sum(_exact_div(fact_p, math.prod(map(weight, s))) for s in tuples)
+    total = 0
+    # id(block) -> (block, its denominators); holding the block keeps its id
+    # from being reused within the call.
+    weighed: dict = {}
+    for tuples, suffixes in segments:
+        if suffixes is None:
+            total += sum(_exact_div(fact_p, math.prod(map(weight, s))) for s in tuples)
+            continue
+        for head in tuples:
+            q = _exact_div(fact_p, math.prod(map(weight, head)))
+            block = suffixes(head)
+            held = weighed.get(id(block))
+            if held is None:
+                held = weighed[id(block)] = (block, [math.prod(map(weight, t)) for t in block])
+            dens = held[1]
+            total += sum(map(q.__floordiv__, dens))
+            if any(map(q.__mod__, dens)):
+                raise RuntimeError(f"{q} not divisible by every one of {dens}")
+    return total
 
 
 def c_closed(p: int, ell: int) -> int:
@@ -106,13 +131,13 @@ def c_closed(p: int, ell: int) -> int:
 def c_enum_k(p: int, ell: int) -> int:
     """Sum of p! / prod((k_i + 1)!) over the admissible nonnegative tuples."""
     _check_pair(p, ell)
-    return _multinomial_sum(p, enumerate_k_tuples(p, ell), shift=1)
+    return _multinomial_sum(p, _k_segments(p, ell), shift=1)
 
 
 def c_enum_j(p: int, ell: int) -> int:
     """Sum of p! / prod(j_i!) over the admissible positive tuples."""
     _check_pair(p, ell)
-    return _multinomial_sum(p, enumerate_j_tuples(p, ell))
+    return _multinomial_sum(p, _j_segments(p, ell))
 
 
 def _recurrence_step(prev: Sequence[int], index: int) -> list:
@@ -138,7 +163,7 @@ def c_recurrence(p: int, ell: int) -> int:
 def composition_sum(p: int, total: int, parts: int, min_part: int) -> int:
     """Sum of p! / prod(s_i!) over the compositions of total into `parts`
     parts, each >= min_part."""
-    return _multinomial_sum(p, enumerate_compositions(total, parts, min_part))
+    return _multinomial_sum(p, [(enumerate_compositions(total, parts, min_part), None)])
 
 
 def decompose_groups(p: int, j: int) -> list[tuple[int, int, int]]:

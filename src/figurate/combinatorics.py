@@ -66,7 +66,7 @@ class _RowTable:
         """
         return index <= len(self._rows) or index < ROW_CAP
 
-    def row(self, index: int, width: int | None = None) -> tuple[int, ...]:
+    def row(self, index: int, width: int | None = None, roll: bool = True) -> tuple[int, ...] | None:
         """Row `index`, the one read path of every table.
 
         Where stores(index) holds, the row is stored first if the table
@@ -74,12 +74,15 @@ class _RowTable:
         other row is rolled from the seed by the table's own step on one
         row of `width` entries (all of them when width is None) and stored
         nowhere: O(index * width) work in O(width) memory, the table left
-        as it was. Entry j of a step reads only entries j and j - 1 of the
-        previous row, so the first `width` entries of each step are exact.
-        So a whole triangle read in row order stores every row, past
-        ROW_CAP too: each is the next row.
+        as it was; with roll=False it is not rolled and None is returned.
+        Entry j of a step reads only entries j and j - 1 of the previous
+        row, so the first `width` entries of each step are exact. So a
+        whole triangle read in row order stores every row, past ROW_CAP
+        too: each is the next row.
         """
         if not self.stores(index):
+            if not roll:
+                return None
             row = self._rows[0][:width]
             for i in range(1, index + 1):
                 row = self._step(row, i)[:width]
@@ -174,15 +177,17 @@ def stirling2(k: int, j: int) -> int:
     """Stirling number of the second kind S(k, j); zero when j > k.
 
     Read from the table where it stores row k, and otherwise computed
-    alone by stirling2_single. That kernel is neither the row recurrence
-    of c_recurrence nor the inclusion-exclusion of c_alternating, so the
-    closed route stays independent of both at every k.
+    alone by stirling2_single; one stores() test, in row(), decides.
+    That kernel is neither the row recurrence of c_recurrence nor the
+    inclusion-exclusion of c_alternating, so the closed route stays
+    independent of both at every k.
     """
     if k < 0:
         raise ValueError(f"negative row {k}")
     if not 0 <= j <= k:
         return 0
-    return _STIRLING2.row(k)[j] if _STIRLING2.stores(k) else stirling2_single(k, j)
+    row = _STIRLING2.row(k, None, False)
+    return stirling2_single(k, j) if row is None else row[j]
 
 
 def eulerian_first(p: int, j: int) -> int:

@@ -20,13 +20,25 @@ convention, nothing more.
 The k- and j-families recurse once per leading entry. In a family of
 at least 100 tuples the last few entries of each tuple come from suffix
 blocks: lists of every valid end for what the leading entries leave,
-built per call from narrower blocks, emitted in one map(tuple.__add__,
-block) pass per head. Each family has its own recursion and its own
-blocks, so the k/j bijection stays a checked fact. Compositions come from
-one generator frame, which steps the leading parts like an odometer and
-takes the last parts from tail blocks built per call. The blocks of one
-call hold at most 2,048 tuples and go with its generator; nothing is kept
-between calls. Every family refuses, with ValueError, any request whose
+built from narrower blocks and emitted in one map(tuple.__add__, block)
+pass per head. A block is a pure function of its key, so each family
+keeps its blocks for the process, in one memo per family (_K_BLOCKS,
+_J_BLOCKS); a block is published there only once complete, and threads
+that race to build one build equal blocks. The memo is bounded by
+construction: a call builds blocks of width at most _suffix_width(p,
+ell) <= 16 and content at most ell, and no ell past 55 has blocks, so
+the memo of a family never holds more than 9,692 tuples, and a call adds
+at most min(2,048, C(p - 1, ell)) of them. Each family has its own
+recursion, its own blocks and its own segment loop (_k_segments,
+_j_segments: per support, the heads and a way to get each head's block),
+so the k/j bijection stays a checked fact. The public generators flatten
+the segments; the enumerative routes weigh them head by head.
+
+Compositions come from one generator frame, which steps the leading
+parts like an odometer and takes the last parts from tail blocks built
+per call. Their key holds min_part, which has no bound, so they are not
+kept: the blocks of one call hold at most 2,048 tuples and go with its
+generator. Every family refuses, with ValueError, any request whose
 tuples would be longer than MAX_TUPLE_LENGTH; for the recursive families
 that keeps the deepest tuple well inside the interpreter's default limit
 of 1000 frames.
@@ -42,7 +54,8 @@ from itertools import count, takewhile
 MAX_TUPLE_LENGTH = 900
 
 #: Tuples the blocks of one request may hold at once: the tail blocks of
-#: a composition stream, or the suffix blocks of a k- or j-family.
+#: a composition stream, or the suffix blocks a k- or j-family adds to
+#: its memo.
 _TAIL_TUPLES = 2048
 
 #: Most entries a block spans. Past a few entries a wider block saves
@@ -84,12 +97,19 @@ def _k_rec(buf: list, m: int, i: int, rem: int, pos: int, prev: bool) -> Iterato
         buf[i] = 0
 
 
+#: The suffix blocks of each family, kept for the process under their
+#: keys (see _k_suffixes and _j_suffixes).
+_K_BLOCKS: dict = {}
+_J_BLOCKS: dict = {}
+
+
 def _k_suffixes(blocks: dict, width: int, rem: int, pos: int, prev: bool) -> list:
     """Every `width`-entry end of a k-tuple with content rem and pos
     positive entries, behind a positive entry when prev, ascending.
 
     Built from the blocks one entry narrower, with the choices of _k_rec,
-    and kept in blocks under (width, rem, pos, prev).
+    and kept in blocks (the family's memo, for the streams and routes)
+    under (width, rem, pos, prev), put there only once complete.
     """
     if not width:
         return [()]
@@ -140,7 +160,8 @@ def _j_suffixes(blocks: dict, width: int, rem: int, big: int, prev: bool) -> lis
     >= 2, behind an entry >= 2 when prev, ascending.
 
     Built from the blocks one entry narrower, with the choices of _j_rec,
-    and kept in blocks under (width, rem, big, prev).
+    and kept in blocks (the family's memo, for the streams and routes)
+    under (width, rem, big, prev), put there only once complete.
     """
     if not width:
         return [()]
@@ -212,6 +233,68 @@ def _check_pair(p: int, ell: int) -> None:
         raise ValueError(f"ell must lie in 0..{p - 1}, got {ell}")
 
 
+def _check_family(p: int, ell: int) -> None:
+    # The longest tuples have support s = min(ell, p - ell): s positive
+    # entries, no two side by side, fit in length p + s - ell - 1 only
+    # while s <= p - ell. As s <= ell, no tuple is longer than p - 1, so
+    # only a request that fails one of these tests calls the validators.
+    if p < 1 or not 0 <= ell <= p - 1 or p - 1 > MAX_TUPLE_LENGTH:
+        _check_pair(p, ell)
+        _check_length(p - 1 - ell + min(ell, p - ell))
+
+
+def _k_segments(p: int, ell: int) -> Iterator[tuple]:
+    """The k-tuples at (p, ell) in stream order, one segment per support:
+    (tuples, None) where the heads are the whole tuples, and otherwise
+    (heads, suffixes), whose tuples are head + t for each head and each t
+    in the block suffixes(head) from _k_suffixes, in that order."""
+    _check_family(p, ell)
+    if not ell:
+        yield ((0,) * (p - 1),), None
+        return
+    width = _suffix_width(p, ell)
+    for s in range(1, ell + 1):
+        m = p + s - ell - 1
+        w = min(width, m)
+        h = m - w
+        heads = _k_rec([0] * h, m, 0, ell, s, False)
+        if not w:
+            yield heads, None
+            continue
+
+        def suffixes(head, w=w, h=h, s=s):
+            # What the head leaves for the last w entries.
+            rem, pos, prev = ell - sum(head), s - h + head.count(0), h > 0 and head[-1] > 0
+            return _k_suffixes(_K_BLOCKS, w, rem, pos, prev)
+
+        yield heads, suffixes
+
+
+def _j_segments(p: int, ell: int) -> Iterator[tuple]:
+    """The j-tuples at (p, ell) in stream order, one segment per number t
+    of entries >= 2, as _k_segments gives the k-tuples, with blocks from
+    _j_suffixes."""
+    _check_family(p, ell)
+    if not ell:
+        yield ((1,) * (p - 1),), None
+        return
+    width = _suffix_width(p, ell)
+    for t in range(1, ell + 1):
+        m = p + t - ell - 1
+        w = min(width, m)
+        h = m - w
+        heads = _j_rec([1] * h, m, 0, ell + m, t, False)
+        if not w:
+            yield heads, None
+            continue
+
+        def suffixes(head, w=w, h=h, t=t, m=m):
+            rem, big, prev = ell + m - sum(head), t - h + head.count(1), h > 0 and head[-1] > 1
+            return _j_suffixes(_J_BLOCKS, w, rem, big, prev)
+
+        yield heads, suffixes
+
+
 def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     """All tuples of nonnegative integers with content ell, support
     s = length + ell + 1 - p, and no two consecutive positive entries.
@@ -221,34 +304,24 @@ def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     lexicographic. For ell = 0 this is the single all-zero tuple of
     length p - 1 (empty for p = 1).
 
-    With suffix blocks (_suffix_width) the last w entries of each tuple
-    come from the call's block for what its head leaves, in one
-    map(head.__add__, block) pass per head.
+    The stream is _k_segments flattened: with suffix blocks
+    (_suffix_width) the last w entries of each tuple come from the block
+    for what its head leaves, in one map(head.__add__, block) pass per
+    head.
     """
-    # The longest tuples have support s = min(ell, p - ell): s positive
-    # entries, no two side by side, fit in length p + s - ell - 1 only
-    # while s <= p - ell. As s <= ell, no tuple is longer than p - 1, so
-    # only a request that fails one of these tests calls the validators.
+    # _check_family's test inline: a valid request calls no function, so
+    # p = 1 streams in this one frame.
     if p < 1 or not 0 <= ell <= p - 1 or p - 1 > MAX_TUPLE_LENGTH:
-        _check_pair(p, ell)
-        _check_length(p - 1 - ell + min(ell, p - ell))
+        _check_family(p, ell)
     if not ell:
         yield (0,) * (p - 1)
         return
-    width = _suffix_width(p, ell)
-    blocks: dict = {}
-    for s in range(1, ell + 1):
-        m = p + s - ell - 1
-        w = min(width, m)
-        h = m - w
-        heads = _k_rec([0] * h, m, 0, ell, s, False)
-        if not w:  # the heads are the tuples
+    for heads, suffixes in _k_segments(p, ell):
+        if suffixes is None:
             yield from heads
-            continue
-        for head in heads:
-            # What the head leaves for the last w entries.
-            rem, pos, prev = ell - sum(head), s - h + head.count(0), h > 0 and head[-1] > 0
-            yield from map(head.__add__, _k_suffixes(blocks, w, rem, pos, prev))
+        else:
+            for head in heads:
+                yield from map(head.__add__, suffixes(head))
 
 
 def enumerate_j_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
@@ -258,27 +331,19 @@ def enumerate_j_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
 
     Entrywise this family is the +1 image of enumerate_k_tuples(p, ell),
     emitted in the same order, and streamed the same way from its own
-    suffix blocks (_j_suffixes).
+    segments (_j_segments) and suffix blocks (_j_suffixes).
     """
     if p < 1 or not 0 <= ell <= p - 1 or p - 1 > MAX_TUPLE_LENGTH:  # as for the k-tuples
-        _check_pair(p, ell)
-        _check_length(p - 1 - ell + min(ell, p - ell))
+        _check_family(p, ell)
     if not ell:
         yield (1,) * (p - 1)
         return
-    width = _suffix_width(p, ell)
-    blocks: dict = {}
-    for t in range(1, ell + 1):
-        m = p + t - ell - 1
-        w = min(width, m)
-        h = m - w
-        heads = _j_rec([1] * h, m, 0, ell + m, t, False)
-        if not w:  # the heads are the tuples
+    for heads, suffixes in _j_segments(p, ell):
+        if suffixes is None:
             yield from heads
-            continue
-        for head in heads:
-            rem, big, prev = ell + m - sum(head), t - h + head.count(1), h > 0 and head[-1] > 1
-            yield from map(head.__add__, _j_suffixes(blocks, w, rem, big, prev))
+        else:
+            for head in heads:
+                yield from map(head.__add__, suffixes(head))
 
 
 def _widest_tail(spare: int) -> int:

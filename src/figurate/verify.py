@@ -158,7 +158,13 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
         got == REFERENCE_TRIANGLE[:ref_rows],
     )
 
+    # In the loop, surj[j] counts the surjections from a p-set onto a
+    # j-set, stepped from the row of p - 1 by surj(p, j) = j * (surj(p - 1,
+    # j) + surj(p - 1, j - 1)): a witness apart from the row tables and
+    # their steps.
+    surj = [1]
     for p, reports in enumerate(all_reports, 1):
+        surj = [j * (at + below) for j, at, below in zip(range(p + 1), surj + [0], [0] + surj)]
         _check(
             results,
             "coeff",
@@ -191,7 +197,7 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
 
         brute = p <= 7
         ok = all(
-            row[p - j] == combinatorics.surjection_count(p, j)
+            row[p - j] == combinatorics.surjection_count(p, j) == surj[j]
             and (not brute or row[p - j] == combinatorics.surjection_brute(p, j))
             for j in range(1, p + 1)
         )

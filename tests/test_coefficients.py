@@ -78,6 +78,31 @@ class TestEnumerationRoutes:
         for p in range(3, 11):
             assert c_enum_k(p, p - 3) == 3**p - 3 * 2**p + 3
 
+    def test_equal_closed_up_to_16(self):
+        # Past p = 9 the k- and j-routes weigh suffix blocks head by head.
+        for p in range(1, 17):
+            for ell in range(p):
+                closed = c_closed(p, ell)
+                assert c_enum_k(p, ell) == c_enum_j(p, ell) == c_decompose(p, ell) == closed
+
+    @pytest.mark.parametrize("p, ell", [(7, 3), (12, 6), (14, 7)])
+    def test_wrong_factorial_table_disagrees(self, p, ell, monkeypatch):
+        # 3! read as 3 in the one factorial table of _multinomial_sum:
+        # every enumerative route weighs with it, whole tuples and blocked
+        # heads alike, and certify sees all three disagree.
+        real = coefficients.accumulate
+
+        def planted(*args, **kwargs):
+            table = list(real(*args, **kwargs))
+            if len(table) > 3:
+                table[3] = 3
+            return iter(table)
+
+        monkeypatch.setattr(coefficients, "accumulate", planted)
+        report = certify(p, ell)
+        closed = report.values["closed"]
+        assert {r for r, v in report.values.items() if v != closed} == ENUMERATIVE
+
 
 class TestRecurrenceRoute:
     def test_worked_step(self):

@@ -6,8 +6,10 @@ import itertools
 import math
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -444,13 +446,44 @@ class TestRecordedTuples:
                 assert got == list(self.ORACLES[kind](p, ell)), (p, ell)
 
 
-def _held(stream):
-    """Drain a k- or j-stream; the tuples its suffix blocks held at the end."""
-    next(stream)
-    blocks = stream.gi_frame.f_locals["blocks"]
-    for _ in stream:
-        pass
-    return sum(map(len, blocks.values()))
+def _memo(kind):
+    """The process-wide suffix memo of the k- or j-family."""
+    return enumeration._K_BLOCKS if kind == "k" else enumeration._J_BLOCKS
+
+
+def _held(kind):
+    """Tuples the k- or j-suffix memo holds."""
+    return sum(map(len, _memo(kind).values()))
+
+
+def _memo_bound():
+    """Tuples any sequence of calls can leave in one family's memo, from
+    _suffix_width and _suffix_count alone.
+
+    A call at (p, ell) builds blocks of width at most w = _suffix_width(p,
+    ell) and content (excess, for the j-family) at most ell. w grows with
+    the budget min(2,048, C(p - 1, ell)), so p = ell + 2,049 gives each
+    ell its widest width, and w shrinks as ell grows: past the first ell
+    with w = 0 no call builds a block. For each width u take the largest
+    content c any call reaches at u. The blocks of width u then hold the
+    suffixes of content at most c, _suffix_count(u, c), behind no
+    positive entry, and those behind one, which start with an entry 0 (1
+    for j), _suffix_count(u - 1, c).
+    """
+    widest = {}  # width -> the largest content a call builds at it
+    ell, last = 1, enumeration._TAIL_WIDTH
+    while True:
+        w = enumeration._suffix_width(ell + enumeration._TAIL_TUPLES + 1, ell)
+        assert w <= last, ell  # never wider for more content
+        if not w:
+            break
+        for u in range(1, w + 1):
+            widest[u] = ell
+        ell, last = ell + 1, w
+    return sum(
+        enumeration._suffix_count(u, c) + enumeration._suffix_count(u - 1, c)
+        for u, c in widest.items()
+    )
 
 
 def brute_suffixes(kind, width, rem, count, prev):
@@ -473,9 +506,9 @@ def brute_suffixes(kind, width, rem, count, prev):
 
 
 class TestSuffixBlocks:
-    """The last entries of each k- and j-tuple come from per-call suffix
-    blocks that hold a bounded number of tuples, go with the generator,
-    and are built only for families where they pay."""
+    """The last entries of each k- and j-tuple come from suffix blocks,
+    kept for the process, that hold a bounded number of tuples and are
+    built only for families where they pay."""
 
     @pytest.mark.parametrize("kind", ["k", "j"])
     def test_blocks_list_every_suffix(self, kind):
@@ -522,23 +555,63 @@ class TestSuffixBlocks:
                     assert held(3, ell) > budget, (p, ell)
 
     @pytest.mark.parametrize("kind", ["k", "j"])
-    def test_call_holds_at_most_2048_tuples(self, kind):
+    def test_call_adds_at_most_2048_tuples(self, kind):
         family = enumerate_k_tuples if kind == "k" else enumerate_j_tuples
         seen = 0
         for p in range(10, 17):
             for ell in range(1, p):
                 if enumeration._suffix_width(p, ell):
-                    held = _held(family(p, ell))
+                    _memo(kind).clear()
+                    for _ in family(p, ell):
+                        pass
+                    held = _held(kind)
                     assert 0 < held <= min(enumeration._TAIL_TUPLES, math.comb(p - 1, ell))
                     seen = max(seen, held)
         assert seen > 1000  # the bound is reached for, not trivially met
         # A family far too large to stream: its blocks fill as heads need them.
-        stream = family(40, 20)
-        next(stream)
-        blocks = stream.gi_frame.f_locals["blocks"]
-        for _ in itertools.islice(stream, 200_000):
+        _memo(kind).clear()
+        for _ in itertools.islice(family(40, 20), 200_000):
             pass
-        assert 0 < sum(map(len, blocks.values())) <= enumeration._TAIL_TUPLES
+        assert 0 < _held(kind) <= enumeration._TAIL_TUPLES
+
+    @pytest.mark.parametrize("kind", ["k", "j"])
+    def test_memo_stays_within_derived_bound(self, kind):
+        # The first 300 tuples of every blocked family up to p = 60, one
+        # family after the other into one memo, which never passes the
+        # bound that any calls could reach (9,692 tuples).
+        family = enumerate_k_tuples if kind == "k" else enumerate_j_tuples
+        bound = _memo_bound()
+        for p in range(1, 61):
+            for ell in range(1, p):
+                if enumeration._suffix_width(p, ell):
+                    for _ in itertools.islice(family(p, ell), 300):
+                        pass
+                    assert _held(kind) <= bound, (p, ell)
+        assert _held(kind) > bound // 2  # the bound is reached for, not trivially met
+
+    @pytest.mark.parametrize("kind", ["k", "j"])
+    def test_threads_share_an_empty_memo(self, kind):
+        # Four threads stream one family from an empty memo at once,
+        # switching as often as the interpreter allows; a block read
+        # before it was complete would cut a stream short.
+        family = enumerate_k_tuples if kind == "k" else enumerate_j_tuples
+        oracle = recursive_k_tuples if kind == "k" else recursive_j_tuples
+        expected = list(oracle(16, 8))
+        start = threading.Barrier(4, timeout=60)
+
+        def stream(_):
+            start.wait()
+            return list(family(16, 8))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                streams = list(pool.map(stream, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(streams) == 4
+        assert all(got == expected for got in streams)
 
     @pytest.mark.parametrize("width", range(17))
     def test_every_width_matches_recursive_oracle(self, width, monkeypatch):
@@ -550,21 +623,24 @@ class TestSuffixBlocks:
                 assert list(enumerate_j_tuples(p, ell)) == list(recursive_j_tuples(p, ell))
 
     @pytest.mark.parametrize("kind", ["k", "j"])
-    def test_each_call_starts_from_no_blocks(self, kind):
-        # Nothing is kept between calls: a second stream of the same
-        # family builds its blocks again, starting with those of its first
-        # head, while the first stream's blocks go with it.
+    def test_second_call_builds_no_block(self, kind):
+        # Blocks are kept for the process: a second stream of the same
+        # family reads every block the first one built, and adds none.
         family = enumerate_k_tuples if kind == "k" else enumerate_j_tuples
-        full = _held(family(16, 8))
-        again = family(16, 8)
-        next(again)
-        started = sum(map(len, again.gi_frame.f_locals["blocks"].values()))
-        assert 0 < started < full // 10
+        for _ in family(16, 8):
+            pass
+        built = dict(_memo(kind))
+        assert built
+        for _ in family(16, 8):
+            pass
+        assert _memo(kind).keys() == built.keys()
+        assert all(_memo(kind)[key] is block for key, block in built.items())
 
     def test_blocks_freed_with_generator(self):
-        # As for the tail blocks: with the collector off, a reference cycle
-        # would keep every call's blocks (about 1 MB per batch below); a
-        # second batch must add next to nothing to the first.
+        # The first batch fills the memo; a generator keeps nothing else.
+        # With the collector off, a reference cycle would keep every
+        # call's frames and heads, so a second batch must add next to
+        # nothing to the first.
         def streams():
             for p in range(10, 14):
                 for ell in range(1, p):

@@ -302,3 +302,21 @@ def test_dropped_suffix_fails_its_families_and_routes(monkeypatch, builder, key,
     # short there, and nowhere else.
     _drop_suffix(monkeypatch, builder, key, victim)
     assert _failed(run_suites(["all"], 10, 14)) == ["routes agree p=10", "tuple families p=10"]
+
+
+def test_wrong_stirling_value_fails_the_surjection_identity(monkeypatch):
+    # S(12, 5) + 2 on both bindings: the closed route and surjection_count
+    # read the same wrong value, and above the brute-force range only the
+    # surjection row that verify steps itself tells it apart.
+    real = combinatorics.stirling2
+
+    def planted(k, j):
+        return real(k, j) + 2 * ((k, j) == (12, 5))
+
+    monkeypatch.setattr(combinatorics, "stirling2", planted)
+    monkeypatch.setattr(coefficients, "stirling2", planted)
+    assert _failed(run_suites(["coeff"], 12, 14)) == [
+        "routes agree p=12",
+        "row properties p=12",
+        "surjection identity p=12",
+    ]
