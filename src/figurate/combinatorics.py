@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from collections import namedtuple
 from collections.abc import Callable, Sequence
@@ -210,8 +211,27 @@ def surjection_count(m: int, n: int) -> int:
 
 
 def _surjection_row(m: int) -> list[int]:
-    """j! * S(m, j) for j = 0..m, from one row of S."""
-    return [math.factorial(j) * s for j, s in enumerate(_STIRLING2.row(m))]
+    """j! * S(m, j) for j = 0..m, from one row of S and a running j!."""
+    factorials = itertools.accumulate(range(1, m + 1), operator.mul, initial=1)
+    return list(map(operator.mul, factorials, _STIRLING2.row(m)))
+
+
+#: _OR_TABLES[a] takes a byte x to x | a. It holds the tables for
+#: a < 2**n for the largest n asked for so far: grown by _or_tables on
+#: first need, under _OR_LOCK, never at import, and only appended to.
+_OR_TABLES: list[bytes] = []
+_OR_LOCK = threading.Lock()
+
+
+def _or_tables(n: int) -> list[bytes]:
+    """The OR tables for every a < 2**n, built once per process. A reader
+    that races a writer sees only whole tables, in order, so it uses the
+    list as soon as it is long enough."""
+    tables = _OR_TABLES
+    if len(tables) < 1 << n:
+        with _OR_LOCK:
+            tables.extend([bytes(x | a for x in range(256)) for a in range(len(tables), 1 << n)])
+    return tables
 
 
 def _image_masks(k: int, n: int, or_tables: Sequence[bytes]) -> bytes:
@@ -233,7 +253,8 @@ def surjection_brute(m: int, n: int) -> int:
     coordinates sit in one bytes object of n**q bytes. For each map on the
     other m - q coordinates, one bytes.translate ORs its mask into all of
     them and count() finds the full ones, so every map is built and tested
-    in C-level passes.
+    in C-level passes. The OR tables those passes read are built once per
+    process (_or_tables).
 
     Refuses instances whose exhaustive pass would write more than
     BRUTE_FORCE_LIMIT entries, m * n**m, before any work; n**m is never
@@ -251,7 +272,7 @@ def surjection_brute(m: int, n: int) -> int:
         )
     if m < n:
         return 0
-    or_tables = [bytes(x | a for x in range(256)) for a in range(1 << n)]
+    or_tables = _or_tables(n)
     q = min(m, 5)
     suffixes = _image_masks(q, n, or_tables)
     full = (1 << n) - 1

@@ -16,6 +16,7 @@ Polynomial() and a polynomial P is zero when `not P.coefficients`.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Iterable
 from fractions import Fraction
@@ -102,12 +103,31 @@ class Polynomial:
         return Polynomial(out)
 
     def __call__(self, x: int | Fraction) -> Fraction:
-        """Exact value at x, by Horner's rule."""
-        x = _rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        """Exact value at x, by Horner's rule over integers.
+
+        The coefficients are scaled to their common denominator L, so for
+        an int x every step is an integer step. For x = u/w the
+        homogenised form sum a_i u^i w^(d-i) over L w^d, d the degree, is
+        stepped the same way. One Fraction is built at the end.
+        """
+        if not isinstance(x, int):
+            x = _rational(x)
+        coeffs = self.coefficients
+        if not coeffs:
+            return Fraction(0)
+        den = math.lcm(*[c.denominator for c in coeffs])
+        ints = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
+        acc = ints[0]
+        if isinstance(x, int):
+            for a in ints[1:]:
+                acc = acc * x + a
+            return Fraction(acc, den)
+        u, w = x.numerator, x.denominator
+        scale = 1  # w ** (steps so far)
+        for a in ints[1:]:
+            scale *= w
+            acc = acc * u + a * scale
+        return Fraction(acc, den * scale)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coefficients)!r})"

@@ -8,7 +8,9 @@ counts per k. A RationalMatrix holds ints over one scale per row:
 A_p the Stirling rows s(k, .) over k!, the closed form the signed
 surjection rows over 1. Neither builder makes a Fraction; entries become
 Fractions only when read. certify_inverse checks the closed form as a
-two-sided inverse and against forward substitution, over the stored ints.
+two-sided inverse and against forward substitution, over the stored ints
+and row by row (certified_rows), so one pass at order p decides every
+leading block of order p or less.
 
 Matrix indices are 1-based at the API surface.
 """
@@ -16,6 +18,7 @@ Matrix indices are 1-based at the API surface.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -79,6 +82,11 @@ class RationalMatrix:
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(map(self.row, range(1, self.order + 1)))
 
+    def scaled_row(self, k: int) -> tuple[tuple[int, ...], int]:
+        """Row k as stored: its ints and the positive scale they are over."""
+        k = self._index(k)
+        return self._rows[k], self._scales[k]
+
     def row_strings(self, k: int) -> list[str]:
         """Row k as str() prints each entry; a row over the scale 1 is
         formatted from its stored ints, with no Fraction built."""
@@ -124,13 +132,12 @@ def inverse_closed(p: int) -> RationalMatrix:
     over 1. Row k reads the surjection counts j! * S(k, j) of a k-set once."""
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
-    return RationalMatrix._scaled(
-        tuple(
-            tuple((-1) ** (k - j) * row[j] if j <= k else 0 for j in range(1, p + 1))
-            for k, row in enumerate(map(_surjection_row, range(1, p + 1)), 1)
-        ),
-        (1,) * p,
-    )
+    rows = []
+    for k in range(1, p + 1):
+        row = _surjection_row(k)[1:]
+        row[-2::-2] = map(operator.neg, row[-2::-2])  # j = k - 1, k - 3, ...
+        rows.append(tuple(row) + (0,) * (p - k))
+    return RationalMatrix._scaled(tuple(rows), (1,) * p)
 
 
 def invert_exact(m: RationalMatrix) -> RationalMatrix:
@@ -152,63 +159,85 @@ def invert_exact(m: RationalMatrix) -> RationalMatrix:
 
 def certify_inverse(p: int) -> bool:
     """True iff the closed-form inverse is the exact two-sided inverse of
-    A_p and matches the forward-substitution inversion entrywise.
-
-    The checks read the stored ints of build_fermat(p) and inverse_closed(p).
-    Let S1 be A_p with row k scaled by k! and C the closed form. Then
-    A_p C = I is S1 C = diag(k!), C A_p = I is sum_i C[k][i] S1[i][j] (k!/i!)
-    = k! [k == j], and forward substitution on A_p is forward substitution
-    on S1 with row k's right-hand side k!. S1 and C must be integral (row
-    scales dividing k!, resp. 1) and zero above the diagonal; both facts
-    are checked, so sums restricted to the triangle hide no error.
+    A_p and matches the forward-substitution inversion entrywise: every
+    row of build_fermat(p) and inverse_closed(p) passes certified_rows.
     """
-    fact = [math.factorial(k) for k in range(p + 1)]
-    s1 = _integral_triangle(build_fermat(p), fact[1:])
-    closed = _integral_triangle(inverse_closed(p), [1] * p)
-    if s1 is None or closed is None:
-        return False
-    for k in range(p):
-        target = fact[k + 1]
-        srow = s1[k]
+    return certified_rows(build_fermat(p), inverse_closed(p)) == p
+
+
+def certified_rows(a: RationalMatrix, closed: RationalMatrix) -> int:
+    """How many leading rows of `a` (as A_p) and `closed` (as its
+    closed-form inverse) pass certify_inverse's checks; the first row
+    that fails ends the pass.
+
+    Row k is checked over the stored ints. Let S1 be A_p with row k scaled
+    by k! and C the closed form. Row k of A_p C = I is row k of
+    S1 C = diag(k!), row k of C A_p = I is sum_i C[k][i] S1[i][j] (k!/i!)
+    = k! [k == j], and forward substitution on A_p is forward
+    substitution on S1 with row k's right-hand side k!. Row k of S1 and C
+    must be integral (row scale dividing k!, resp. 1) and zero above the
+    diagonal; both facts are checked, so sums restricted to the triangle
+    hide no error. Row k's checks read only rows 1..k, and those of the
+    leading block of any order p >= k, so the count certifies every
+    leading block whose order is at most the count.
+    """
+    # Column j of S1, C and the forward-substitution inverse, from row j
+    # down to the last row read.
+    s1_cols: list[list[int]] = []
+    cl_cols: list[list[int]] = []
+    inv_cols: list[list[int]] = []
+    fact = [1]
+    for k, (arow, ascale, crow, cscale) in enumerate(
+        zip(a._rows, a._scales, closed._rows, closed._scales)
+    ):
+        target = fact[k] * (k + 1)
+        fact.append(target)
+        q, rem = divmod(target, ascale)
+        if rem or cscale != 1 or any(arow[k + 1 :]) or any(crow[k + 1 :]):
+            return k
+        srow = [x * q for x in arow[: k + 1]]
+        crow = crow[: k + 1]
+        for cols, entries in ((s1_cols, srow), (cl_cols, crow)):
+            cols.append([])
+            for col, x in zip(cols, entries):
+                col.append(x)
         # Row k of S1 C.
         for j in range(k + 1):
-            acc = sum(srow[i] * closed[i][j] for i in range(j, k + 1))
-            if acc != (target if j == k else 0):
-                return False
+            if sum(map(operator.mul, srow[j:], cl_cols[j])) != (target if j == k else 0):
+                return k
         # Row k of C A_p times k!: the weight k!/i! clears the 1/i! of row i.
-        weighted = [c * (target // fact[i + 1]) for i, c in enumerate(closed[k])]
+        weighted = [c * (target // fact[i + 1]) for i, c in enumerate(crow)]
         for j in range(k + 1):
-            acc = sum(weighted[i] * s1[i][j] for i in range(j, k + 1))
-            if acc != (target if j == k else 0):
-                return False
-    # Forward substitution; S1 C = diag(k!) above rules out a zero pivot.
-    # An entry that is not an integer cannot equal the integral closed form.
-    inv: list[list[int]] = []
-    for i, srow in enumerate(s1):
-        pivot = srow[i]
-        diag, rem = divmod(fact[i + 1], pivot)
+            if sum(map(operator.mul, weighted[j:], s1_cols[j])) != (target if j == k else 0):
+                return k
+        # Row k of the forward substitution; S1 C = diag(k!) above rules out
+        # a zero pivot. An entry that is not an integer cannot equal the
+        # integral closed form.
+        pivot = srow[k]
+        diag, rem = divmod(target, pivot)
         if rem:
-            return False
-        row = [0] * i + [diag]
-        for j in range(i - 1, -1, -1):
-            q, rem = divmod(-sum(srow[m] * inv[m][j] for m in range(j, i)), pivot)
+            return k
+        row = [0] * k + [diag]
+        for j in range(k - 1, -1, -1):
+            q, rem = divmod(-sum(map(operator.mul, srow[j:k], inv_cols[j])), pivot)
             if rem:
-                return False
+                return k
             row[j] = q
-        inv.append(row)
-    return inv == closed
+        if tuple(row) != crow:
+            return k
+        inv_cols.append([])
+        for col, x in zip(inv_cols, row):
+            col.append(x)
+    return len(fact) - 1
 
 
-def _integral_triangle(matrix: RationalMatrix, scale: Sequence[int]) -> list[list[int]] | None:
-    """Row k times scale[k], on and below the diagonal, as lists of ints; None
-    if the row's scale does not divide scale[k] or the row is nonzero above the diagonal."""
-    out = []
-    for k, (row, own) in enumerate(zip(matrix._rows, matrix._scales)):
-        q, rem = divmod(scale[k], own)
-        if rem or any(row[k + 1 :]):
-            return None
-        out.append([x * q for x in row[: k + 1]])
-    return out
+def is_leading_block(small: RationalMatrix, big: RationalMatrix) -> bool:
+    """Whether `small` holds the leading rows and columns of `big`, as
+    stored: the same ints over the same row scales."""
+    p = small.order
+    return small._scales == big._scales[:p] and small._rows == tuple(
+        row[:p] for row in big._rows[:p]
+    )
 
 
 def figurate_polynomial(k: int) -> Polynomial:

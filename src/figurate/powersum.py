@@ -267,16 +267,37 @@ def faulhaber_coefficients(p: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+#: p -> (faulhaber_coefficients(p), their numerators over L highest power
+#: first, L their least common denominator), filled on first use.
+_FAULHABER_INTS: dict = {}
+
+
 def faulhaber_eval(n: int, p: int) -> int:
-    """S_p(n) via the Faulhaber form; exact, p >= 2, n >= 0."""
+    """S_p(n) via the Faulhaber form; exact, p >= 2, n >= 0.
+
+    The coefficients q_j are read as integers m_j over their least common
+    denominator L, derived once per p (again if faulhaber_coefficients(p)
+    returns another tuple). The prefactor times sum_j m_j T_n^j, by
+    Horner's rule in T_n, is then divided by L with one divmod; a
+    nonzero remainder raises RuntimeError.
+    """
     _check_n(n)
     coeffs = faulhaber_coefficients(p)
+    held = _FAULHABER_INTS.get(p)
+    if held is None or held[0] is not coeffs:
+        den = math.lcm(*[c.denominator for c in coeffs])
+        ints = tuple(c.numerator * (den // c.denominator) for c in reversed(coeffs))
+        held = _FAULHABER_INTS[p] = (coeffs, ints, den)
+    _, ints, den = held
     t = n * (n + 1) // 2
+    acc = 0
+    for m in ints:
+        acc = acc * t + m
     pre = n * (n + 1) * (2 * n + 1) // 6 if p % 2 == 0 else t * t
-    value = pre * sum(c * t**j for j, c in enumerate(coeffs))
-    if value.denominator != 1:
+    value, rem = divmod(pre * acc, den)
+    if rem:
         raise RuntimeError(f"Faulhaber value for ({n},{p}) not integral")
-    return int(value)
+    return value
 
 
 def expand_symbolic(p: int, tag: str) -> Polynomial:

@@ -18,7 +18,7 @@ import math
 import operator
 import time
 from collections import namedtuple
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 from . import coefficients, combinatorics, enumeration, powersum
 
@@ -163,6 +163,7 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
     # j) + surj(p - 1, j - 1)): a witness apart from the row tables and
     # their steps.
     surj = [1]
+    sets: dict = {}  # (total, parts) -> _min_part_2's pass over that set
     for p, reports in enumerate(all_reports, 1):
         surj = [j * (at + below) for j, at, below in zip(range(p + 1), surj + [0], [0] + surj)]
         _check(
@@ -215,25 +216,43 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
                     results,
                     "coeff",
                     f"composition identity p={p}",
-                    _composition_identity(p, reports),
+                    _composition_identity(p, reports, sets),
                 )
                 _check(
                     results,
                     "coeff",
                     f"summand counts p={p}",
-                    _summand_counts(p),
+                    _summand_counts(p, sets),
                 )
             else:
                 _skip(results, "coeff", f"composition identity p={p}", f"size guard {guard}")
                 _skip(results, "coeff", f"summand counts p={p}", f"size guard {guard}")
 
 
-def _composition_identity(p: int, reports: list[coefficients.RouteReport]) -> bool:
+def _min_part_2(sets: dict, total: int, parts: int) -> tuple[int, int]:
+    """(count, sum of total! / prod(s_i!)) over the compositions of total
+    into `parts` parts, each >= 2: one pass per set for the whole suite,
+    kept in `sets`. The identity at p reads the weighted sum of the sets
+    with total p; the summand counts at p read the count of every set
+    the decompose route streams at p, so with total <= p."""
+    held = sets.get((total, parts))
+    if held is None:
+        fact = math.factorial(total)
+        count = weighted = 0
+        for s in enumeration.enumerate_compositions(total, parts, 2):
+            count += 1
+            weighted += fact // math.prod(map(math.factorial, s))
+        held = sets[total, parts] = (count, weighted)
+    return held
+
+
+def _composition_identity(p: int, reports: list[coefficients.RouteReport], sets: dict) -> bool:
     """One pass per j over the min-part-1 compositions of p into j parts,
     each weighted p! / prod(s_i!) here as the oracle side, and three
     comparisons: the total equals the decompose value certify() reported
     at ell = p - j, the share of tuples containing a 1 equals w_sum(p, j),
-    and the rest equals composition_sum(p, p, j, 2)."""
+    and the rest equals the weighted min-part-2 compositions of p into j
+    parts (_min_part_2)."""
     fact_p = math.factorial(p)
     for j in range(1, p):
         total = with_one = 0
@@ -246,17 +265,17 @@ def _composition_identity(p: int, reports: list[coefficients.RouteReport]) -> bo
             return False
         if with_one != coefficients.w_sum(p, j):
             return False
-        if total - with_one != coefficients.composition_sum(p, p, j, 2):
+        if total - with_one != _min_part_2(sets, p, j)[1]:
             return False
     return True
 
 
-def _summand_counts(p: int) -> bool:
+def _summand_counts(p: int, sets: dict) -> bool:
+    """The decompose route's summands at j = p - ell, counted from the
+    min-part-2 sets it streams, against summand_count and C(p-1, j-1)."""
     for j in range(1, p):
         streamed = sum(
-            math.comb(j, t)
-            * sum(1 for _ in enumeration.enumerate_compositions(p + t - j, t, 2))
-            for t in range(1, j + 1)
+            math.comb(j, t) * _min_part_2(sets, p + t - j, t)[0] for t in range(1, j + 1)
         )
         if streamed != coefficients.summand_count(p, j):
             return False
@@ -329,22 +348,38 @@ def _fermat_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
 
     from . import fermat
 
+    # certify_inverse's row checks run once, at pmax: row k of A_pmax and
+    # C_pmax reads only rows 1..k, so the leading p x p blocks are
+    # certified for every p up to `certified`. Each p then checks that
+    # build_fermat(p) and inverse_closed(p) are those blocks.
+    a_max, c_max = fermat.build_fermat(pmax), fermat.inverse_closed(pmax)
+    certified = fermat.certified_rows(a_max, c_max)
+    det_num = det_den = expect_den = 1
     for p in range(1, pmax + 1):
-        _check(results, "fermat", f"inverse certified p={p}", fermat.certify_inverse(p))
+        a, inv = fermat.build_fermat(p), fermat.inverse_closed(p)
+        ok = (
+            p <= certified
+            and fermat.is_leading_block(a, a_max)
+            and fermat.is_leading_block(inv, c_max)
+        )
+        _check(results, "fermat", f"inverse certified p={p}", ok)
 
-        a = fermat.build_fermat(p)
-        det = Fraction(1)
-        for k in range(1, p + 1):
-            det *= a.entry(k, k)
-        expect = Fraction(1)
-        for k in range(1, p + 1):
-            expect /= math.factorial(k)
-        _check(results, "fermat", f"determinant p={p}", det == expect and det != 0)
+        # det A_p = det A_(p-1) * a(p, p), read from A_pmax, as
+        # det_num / det_den, against 1 / (1! 2! ... p!) = 1 / expect_den.
+        ints, scale = a_max.scaled_row(p)
+        det_num *= ints[p - 1]
+        det_den *= scale
+        expect_den *= math.factorial(p)
+        _check(
+            results,
+            "fermat",
+            f"determinant p={p}",
+            det_num * expect_den == det_den and det_num != 0,
+        )
 
-        inv = fermat.inverse_closed(p)
-        ok = all(
-            inv.entry(p, i) == (-1) ** (p - i) * coefficients.c_closed(p, p - i)
-            for i in range(1, p + 1)
+        ints, scale = inv.scaled_row(p)
+        ok = scale == 1 and ints == tuple(
+            (-1) ** (p - i) * coefficients.c_closed(p, p - i) for i in range(1, p + 1)
         )
         _check(results, "fermat", f"power-basis row p={p}", ok)
 
@@ -414,12 +449,14 @@ def _powersum_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
 
     for p in range(1, min(pmax, 10) + 1):
         tags = ("eq5", "alt1", "alt2", "alt3") + (("faulhaber",) if p >= 2 else ())
-        ok = True
-        for n in range(101):
-            brute = powersum.sum_brute(n, p)
-            ok = all(powersum.evaluate_formula(tag, n, p) == brute for tag in tags)
-            if not ok:
-                break
+        # S_p(0..100) as one running sum of r^p, kept apart from the
+        # library's own accumulations.
+        brute = accumulate((r**p for r in range(1, 101)), initial=0)
+        ok = all(
+            powersum.evaluate_formula(tag, n, p) == want
+            for n, want in enumerate(brute)
+            for tag in tags
+        )
         power_ok = all(
             powersum.evaluate_formula("power_ml1", n, p) == n**p for n in range(1, 101)
         )
@@ -436,9 +473,11 @@ def _powersum_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
         _check(results, "powersum", f"symbolic agreement p={p}", sym_ok)
 
     ok = all(
-        powersum.figurate(n, k) == sum(powersum.figurate(i, k - 1) for i in range(1, n + 1))
+        powersum.figurate(n, k) == want
         for k in range(2, 9)
-        for n in range(0, 51)
+        for n, want in enumerate(
+            accumulate((powersum.figurate(i, k - 1) for i in range(1, 51)), initial=0)
+        )
     )
     _check(results, "powersum", "telescoping k<=8 n<=50", ok)
 

@@ -748,11 +748,14 @@ class TestStreamedMemory:
 
 
 #: Runs cli.main on the arguments after the first, then prints to stderr
-#: which of the modules named in the first argument are loaded.
+#: how many OR tables surjection_brute's cache holds and, on the last
+#: line, which of the modules named in the first argument are loaded.
 _LOADED_AFTER_MAIN = """
 import sys
 from figurate import cli
 code = cli.main(sys.argv[2:])
+tables = getattr(sys.modules.get("figurate.combinatorics"), "_OR_TABLES", ())
+sys.stderr.write(f"or-tables {len(tables)}\\n")
 sys.stderr.write(" ".join(m for m in sys.argv[1].split() if m in sys.modules) + "\\n")
 sys.exit(code)
 """
@@ -764,10 +767,15 @@ class TestImportHygiene:
 
     HEAVY = "dataclasses inspect typing fractions decimal json figurate.fermat figurate.exact"
 
-    def loaded(self, argv, watched):
+    def probe(self, argv, watched):
+        """(the watched modules loaded, the OR tables built) after argv."""
         code, _, err = run_fresh(["-S", "-c", _LOADED_AFTER_MAIN, watched, *argv.split()])
         assert code == 0, err
-        return err.splitlines()[-1].split()
+        *_, tables, modules = err.splitlines()
+        return modules.split(), int(tables.removeprefix("or-tables "))
+
+    def loaded(self, argv, watched):
+        return self.probe(argv, watched)[0]
 
     @pytest.mark.parametrize(
         "argv",
@@ -778,7 +786,13 @@ class TestImportHygiene:
         ],
     )
     def test_integer_subcommands_load_no_heavy_module(self, argv):
-        assert self.loaded(argv, self.HEAVY) == []
+        # Nor do they build surjection_brute's OR tables, which nothing
+        # builds at import.
+        assert self.probe(argv, self.HEAVY) == ([], 0)
+
+    def test_coeff_suite_builds_or_tables_without_fractions(self):
+        # p <= 3 asks surjection_brute for n <= 3: the tables for a < 2**3.
+        assert self.probe("verify --pmax 3 --suite coeff", "fractions") == ([], 8)
 
     def test_enumeration_suite_leaves_fermat_unloaded(self):
         assert self.loaded("verify --pmax 3 --suite enumeration", "figurate.fermat") == []

@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from figurate import combinatorics
 from figurate.coefficients import _recurrence_step, composition_sum
 from figurate.combinatorics import (
     _EULERIAN2,
@@ -223,6 +224,40 @@ class TestSurjections:
     def test_brute_size_guard(self):
         with pytest.raises(ValueError, match="bound"):
             surjection_brute(50, 50)
+
+    def test_brute_from_four_threads_on_empty_or_tables(self, monkeypatch):
+        # Each thread runs its quarter of the (m, n) with m, n <= 6, then all
+        # of them in reverse, from an empty OR-table cache, so the threads
+        # race to grow it.
+        pairs = [(m, n) for m in range(1, 7) for n in range(1, 7)]
+        expected = {pair: surjection_brute(*pair) for pair in pairs}
+        monkeypatch.setattr(combinatorics, "_OR_TABLES", [])
+        barrier = threading.Barrier(4)
+        seen = [[] for _ in range(4)]
+
+        def worker(t):
+            order = pairs[t::4] + pairs[::-1]
+            barrier.wait(timeout=5)
+            for pair in order:
+                seen[t].append((pair, surjection_brute(*pair)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for t, results in enumerate(seen):
+            assert len(results) == len(pairs[t::4]) + len(pairs), t
+            for pair, value in results:
+                assert value == expected[pair], (t, pair)
+        tables = combinatorics._OR_TABLES
+        assert tables == [bytes(x | a for x in range(256)) for a in range(1 << 6)]
 
     @pytest.mark.parametrize(
         "m, n",

@@ -110,9 +110,42 @@ class TestPolynomialArithmetic:
         assert (a + b)(x) == a(x) + b(x)
 
 
+def fraction_horner(poly, x):
+    """Horner's rule with one Fraction step per coefficient: the oracle for
+    the integer steps of Polynomial.__call__."""
+    acc = Fraction(0)
+    for c in reversed(poly.coefficients):
+        acc = acc * x + c
+    return acc
+
+
+RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+
+
 class TestPolyEval:
     def test_triangular_number(self):
         assert F2(3) == 6
+
+    @given(
+        st.lists(RATIONALS, max_size=9),
+        st.one_of(st.integers(-10**6, 10**6), RATIONALS),
+    )
+    def test_equals_fraction_horner(self, coeffs, x):
+        poly = Polynomial(coeffs)
+        value = poly(x)
+        assert type(value) is Fraction
+        assert value == fraction_horner(poly, x)
+
+    @given(st.one_of(st.integers(-10**30, 10**30), RATIONALS))
+    def test_zero_and_constant_polynomials(self, x):
+        assert Polynomial()(x) == 0 and type(Polynomial()(x)) is Fraction
+        assert Polynomial((Fraction(-7, 3),))(x) == Fraction(-7, 3)
+
+    def test_negative_and_fractional_points(self):
+        for x in (-1, -2, Fraction(-3, 2), Fraction(1, 3), Fraction(-5, 7)):
+            assert F5(x) == fraction_horner(F5, x)
+        # F_n^2 vanishes at n = 0 and n = -1 only.
+        assert F2(-1) == 0 and F2(Fraction(-1, 2)) == Fraction(-1, 8)
 
     def test_constant_coefficient_at_zero(self):
         poly = Polynomial((Fraction(7, 3), 1, 4))

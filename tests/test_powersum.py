@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from figurate import powersum
+from figurate import cli, powersum
 from figurate.exact import Polynomial
 from figurate.fermat import inverse_closed
 from figurate.powersum import (
@@ -251,6 +251,31 @@ class TestFaulhaber:
             faulhaber_coefficients(1)
         with pytest.raises(ValueError):
             faulhaber_eval(3, 1)
+
+    def test_eval_equals_sum_brute(self):
+        for p in range(2, 31):
+            for n in range(201):
+                assert faulhaber_eval(n, p) == sum_brute(n, p), (n, p)
+
+    @pytest.mark.parametrize("p, n", [(3, 1), (6, 2), (11, 5)])
+    def test_planted_non_integral_coefficient_is_refused(self, p, n, monkeypatch, capsys):
+        # The last coefficient off by 1/(2 pre(n) T_n^last): the value at n
+        # is off by 1/2, so no integer. It goes through the integer form's
+        # one divmod, also after the true tuple was read for this p.
+        real = faulhaber_coefficients(p)
+        assert faulhaber_eval(n, p) == sum_brute(n, p)
+        t = n * (n + 1) // 2
+        pre = n * (n + 1) * (2 * n + 1) // 6 if p % 2 == 0 else t * t
+        planted = real[:-1] + (real[-1] + F(1, 2 * pre * t ** (len(real) - 1)),)
+        monkeypatch.setattr(powersum, "faulhaber_coefficients", lambda q: planted)
+        with pytest.raises(RuntimeError, match="not integral"):
+            faulhaber_eval(n, p)
+        argv = ["powersum", "--p", str(p), "--n", str(n), "--formula", "faulhaber"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal error: ")
+        monkeypatch.undo()
+        assert faulhaber_eval(n, p) == sum_brute(n, p)
 
 
 class TestSymbolic:

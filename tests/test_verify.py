@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from figurate import cli, coefficients, combinatorics, enumeration, powersum, verify
+from figurate import cli, coefficients, combinatorics, enumeration, fermat, powersum, verify
 from figurate.verify import SUITES, CheckResult, run_suites
 
 
@@ -260,6 +260,22 @@ def test_bad_min_part_2_composition_fails_every_line_that_streams_it(monkeypatch
     ]
 
 
+def test_wrong_composition_sum_fails_its_identity(monkeypatch):
+    # The decompose route at (p, ell) = (6, 4) reads composition_sum(6, 6, 2, 2)
+    # for its t = 2 group; verify weighs that set in its own pass, so only
+    # the route and the oracle's total see the fault.
+    real = coefficients.composition_sum
+
+    def planted(*args):
+        return real(*args) + (args == (6, 6, 2, 2))
+
+    monkeypatch.setattr(coefficients, "composition_sum", planted)
+    assert _failed(run_suites(["coeff"], 6, 14)) == [
+        "routes agree p=6",
+        "composition identity p=6",
+    ]
+
+
 def test_wrong_w_sum_fails_its_identity(monkeypatch):
     real = coefficients.w_sum
     monkeypatch.setattr(coefficients, "w_sum", lambda p, j: real(p, j) + ((p, j) == (5, 2)))
@@ -320,3 +336,75 @@ def test_wrong_stirling_value_fails_the_surjection_identity(monkeypatch):
         "row properties p=12",
         "surjection identity p=12",
     ]
+
+
+def _plant_entry(monkeypatch, builder, order, k, j, delta):
+    """fermat.<builder>(order) with delta added to its entry (k, j); every
+    other order is built as before."""
+    real = getattr(fermat, builder)
+
+    def planted(p):
+        matrix = real(p)
+        if p != order:
+            return matrix
+        rows = [list(row) for row in matrix.rows]
+        rows[k - 1][j - 1] += delta
+        return fermat.RationalMatrix(rows)
+
+    monkeypatch.setattr(fermat, builder, planted)
+
+
+@pytest.mark.parametrize(
+    "builder, k, j, delta",
+    [
+        ("build_fermat", 6, 2, Fraction(1, 720)),  # below the diagonal, over 6!
+        ("build_fermat", 9, 4, Fraction(1, 7)),  # a new row scale
+        ("build_fermat", 3, 10, Fraction(1, 2)),  # above the diagonal
+        ("inverse_closed", 6, 3, 1),
+        ("inverse_closed", 11, 1, -1),
+        ("inverse_closed", 4, 12, 5),  # above the diagonal
+        ("inverse_closed", 2, 2, Fraction(1, 3)),  # on it, not an integer
+    ],
+)
+def test_wrong_entry_at_pmax_fails_inverse_lines_from_its_row(
+    monkeypatch, builder, k, j, delta
+):
+    # The row checks run once, on A_pmax and C_pmax: a wrong entry in row
+    # k fails the certificate of every p >= k and no other line.
+    pmax = 13
+    _plant_entry(monkeypatch, builder, pmax, k, j, delta)
+    report = run_suites(["fermat"], pmax, 14)
+    assert _failed(report) == [f"inverse certified p={p}" for p in range(k, pmax + 1)]
+    assert cli.main(["verify", "--suite", "fermat", "--pmax", str(pmax)]) == 1
+
+
+@pytest.mark.parametrize(
+    "builder, at, k, j, delta",
+    [
+        ("build_fermat", 6, 5, 2, Fraction(1, 120)),
+        ("build_fermat", 6, 3, 3, 1),  # on the diagonal
+        ("build_fermat", 6, 1, 1, Fraction(-1, 2)),  # the same ints over scale 2
+        ("inverse_closed", 9, 7, 1, 1),
+        ("inverse_closed", 12, 12, 12, -1),
+    ],
+)
+def test_fault_at_one_order_fails_that_order_only(monkeypatch, builder, at, k, j, delta):
+    # build_fermat(p) and inverse_closed(p) must be the leading blocks of
+    # the matrices certified at pmax; a fault at one p < pmax fails its
+    # certificate, and a fault in row p of C_p its power-basis row too.
+    # The determinants step along the diagonal of A_pmax, so they hold.
+    _plant_entry(monkeypatch, builder, at, k, j, delta)
+    want = [f"inverse certified p={at}"]
+    if (builder, k, j) == ("inverse_closed", at, at):  # the entry (p, p) it reads
+        want.append(f"power-basis row p={at}")
+    assert _failed(run_suites(["fermat"], 13, 14)) == want
+
+
+def test_fermat_one_pass_agrees_with_certify_inverse():
+    a, c = fermat.build_fermat(40), fermat.inverse_closed(40)
+    assert fermat.certified_rows(a, c) == 40
+    assert all(fermat.certify_inverse(p) for p in range(1, 41))
+    for p in range(1, 41):
+        assert fermat.is_leading_block(fermat.build_fermat(p), a)
+        assert fermat.is_leading_block(fermat.inverse_closed(p), c)
+    assert not fermat.is_leading_block(fermat.build_fermat(5), fermat.inverse_closed(40))
