@@ -156,10 +156,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     report = certify(args.p, args.ell, guard)
     print(f"p={args.p} ell={args.ell}")
     for route in ROUTES:
-        if route in report.values:
-            print(f"{route:<11} {report.values[route]}")
-        else:
-            print(f"{route:<11} skipped (size guard {guard})")
+        value = report.values.get(route, f"skipped (size guard {guard})")
+        if isinstance(value, RuntimeError):
+            value = f"error: {value}"
+        print(f"{route:<11} {value}")
     print(f"agree: {'yes' if report.agree else 'no'}")
     return EXIT_OK if report.agree else EXIT_CHECK_FAILED
 
@@ -392,10 +392,10 @@ def main(argv: list[str] | None = None) -> int:
         # flush cannot fail too (the "Note on SIGPIPE" in the signal docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
+    except (RuntimeError, ZeroDivisionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

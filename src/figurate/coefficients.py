@@ -6,9 +6,9 @@ route here computes the same c(p, ell) by a different mechanism:
 * closed:      (p - ell)! * S(p, p - ell) with S of the second kind.
 * enum_k:      sum of p! / prod((k_i + 1)!) over the constrained
                nonnegative tuples of enumeration.enumerate_k_tuples,
-               read as the segments it flattens (_k_segments).
+               read as the (head, block) pairs it flattens (_k_pairs).
 * enum_j:      sum of p! / prod(j_i!) over the positive tuples of
-               enumeration.enumerate_j_tuples (_j_segments).
+               enumeration.enumerate_j_tuples (_j_pairs).
 * recurrence:  c(p, ell) = (p - ell) * [c(p-1, ell) + c(p-1, ell-1)],
                reading c(p-1, .) as zero outside 0..p-2.
 * decompose:   with j = p - ell, group the enum_j sum by the number t of
@@ -41,10 +41,10 @@ import math
 import operator
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .combinatorics import _EULERIAN2, _padded, _RowTable, stirling2
-from .enumeration import _check_pair, _j_segments, _k_segments, enumerate_compositions
+from .enumeration import _EMPTY_BLOCK, _check_pair, _j_pairs, _k_pairs, enumerate_compositions
 
 #: Route name -> enumerative, in the canonical order used everywhere
 #: output is serialized. An enumerative route's cost grows like
@@ -79,17 +79,16 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _multinomial_sum(p: int, segments, shift: int = 0) -> int:
-    """Sum of p! / prod((s_i + shift)!) over the tuples (s_1, s_2, ...) of
-    the given segments, each quotient checked exact.
+def _multinomial_sum(p: int, pairs, shift: int = 0) -> int:
+    """Sum of p! / prod((s_i + shift)!) over the tuples (s_1, s_2, ...)
+    head + t of the given (head, block) pairs, t running over block
+    (enumeration._k_pairs), each quotient checked exact.
 
-    A segment (tuples, None) holds whole tuples, weighed one by one. A
-    segment (heads, suffixes) holds head + t for each head and each t in
-    the block suffixes(head) (enumeration._k_segments). For each head,
-    q = p! / prod over the head, checked exact; each of its tuples then
-    weighs q // d, d the product over t, and q % d must be 0. Both passes
-    over a block run in C, and each block's denominators are computed
-    once per call, the first time suffixes() returns it.
+    For each head, q = p! / prod over the head, checked exact. A head
+    whose block is _EMPTY_BLOCK is a whole tuple and weighs q; otherwise
+    each of its tuples weighs q // d, d the product over t, and q % d
+    must be 0. Both passes over a block run in C, and each block's
+    denominators are computed once per call.
 
     Each factorial is read from one table of 0!..p!, so every s_i + shift
     must lie in 0..p: a larger one would leave no integer quotient.
@@ -101,20 +100,18 @@ def _multinomial_sum(p: int, segments, shift: int = 0) -> int:
     # id(block) -> (block, its denominators); holding the block keeps its id
     # from being reused within the call.
     weighed: dict = {}
-    for tuples, suffixes in segments:
-        if suffixes is None:
-            total += sum(_exact_div(fact_p, math.prod(map(weight, s))) for s in tuples)
+    for head, block in pairs:
+        q = _exact_div(fact_p, math.prod(map(weight, head)))
+        if block is _EMPTY_BLOCK:
+            total += q
             continue
-        for head in tuples:
-            q = _exact_div(fact_p, math.prod(map(weight, head)))
-            block = suffixes(head)
-            held = weighed.get(id(block))
-            if held is None:
-                held = weighed[id(block)] = (block, [math.prod(map(weight, t)) for t in block])
-            dens = held[1]
-            total += sum(map(q.__floordiv__, dens))
-            if any(map(q.__mod__, dens)):
-                raise RuntimeError(f"{q} not divisible by every one of {dens}")
+        held = weighed.get(id(block))
+        if held is None:
+            held = weighed[id(block)] = (block, [math.prod(map(weight, t)) for t in block])
+        dens = held[1]
+        total += sum(map(q.__floordiv__, dens))
+        if any(map(q.__mod__, dens)):
+            raise RuntimeError(f"{q} not divisible by {next(d for d in dens if q % d)}")
     return total
 
 
@@ -131,13 +128,13 @@ def c_closed(p: int, ell: int) -> int:
 def c_enum_k(p: int, ell: int) -> int:
     """Sum of p! / prod((k_i + 1)!) over the admissible nonnegative tuples."""
     _check_pair(p, ell)
-    return _multinomial_sum(p, _k_segments(p, ell), shift=1)
+    return _multinomial_sum(p, _k_pairs(p, ell), shift=1)
 
 
 def c_enum_j(p: int, ell: int) -> int:
     """Sum of p! / prod(j_i!) over the admissible positive tuples."""
     _check_pair(p, ell)
-    return _multinomial_sum(p, _j_segments(p, ell))
+    return _multinomial_sum(p, _j_pairs(p, ell))
 
 
 def _recurrence_step(prev: Sequence[int], index: int) -> list:
@@ -163,7 +160,8 @@ def c_recurrence(p: int, ell: int) -> int:
 def composition_sum(p: int, total: int, parts: int, min_part: int) -> int:
     """Sum of p! / prod(s_i!) over the compositions of total into `parts`
     parts, each >= min_part."""
-    return _multinomial_sum(p, [(enumerate_compositions(total, parts, min_part), None)])
+    stream = enumerate_compositions(total, parts, min_part)
+    return _multinomial_sum(p, zip(stream, repeat(_EMPTY_BLOCK)))
 
 
 def decompose_groups(p: int, j: int) -> list[tuple[int, int, int]]:
@@ -299,9 +297,10 @@ class RouteReport(namedtuple("RouteReport", "values skipped")):
     """Per-route values of c(p, ell) at the caller's (p, ell), and whether
     they agree.
 
-    values maps each route run to its value. Routes skipped by the size
-    guard are listed in the tuple `skipped`, never silently dropped; a
-    skip is not a disagreement.
+    values maps each route run to its value, or to the RuntimeError it
+    raised, which agrees with no value. Routes skipped by the size guard
+    are listed in the tuple `skipped`, never silently dropped; a skip is
+    not a disagreement.
     """
 
     __slots__ = ()
@@ -318,8 +317,14 @@ class RouteReport(namedtuple("RouteReport", "values skipped")):
 
 def certify(p: int, ell: int, size_guard: int = DEFAULT_SIZE_GUARD) -> RouteReport:
     """Evaluate every route at (p, ell), skipping enumerative routes when
-    p exceeds size_guard; the report holds values and skips, not p or ell."""
+    p exceeds size_guard; the report holds values and skips, not p or ell.
+    A route that raises RuntimeError reports the error as its value."""
     _check_pair(p, ell)
     run, skipped = split_routes(ROUTES, p, size_guard)
-    values = {route: coefficient(p, ell, route) for route in run}
+    values = {}
+    for route in run:
+        try:
+            values[route] = coefficient(p, ell, route)
+        except RuntimeError as exc:
+            values[route] = exc
     return RouteReport(values, tuple(skipped))

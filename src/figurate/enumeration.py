@@ -29,10 +29,11 @@ construction: a call builds blocks of width at most _suffix_width(p,
 ell) <= 16 and content at most ell, and no ell past 55 has blocks, so
 the memo of a family never holds more than 9,692 tuples, and a call adds
 at most min(2,048, C(p - 1, ell)) of them. Each family has its own
-recursion, its own blocks and its own segment loop (_k_segments,
-_j_segments: per support, the heads and a way to get each head's block),
-so the k/j bijection stays a checked fact. The public generators flatten
-the segments; the enumerative routes weigh them head by head.
+recursion, its own blocks and its own stream of (head, block) pairs
+(_k_pairs, _j_pairs), so the k/j bijection stays a checked fact: the
+recursion pairs each head with the block for what it leaves, or with
+_EMPTY_BLOCK where the head is the whole tuple. The public generators
+flatten the pairs; the enumerative routes weigh them head by head.
 
 Compositions come from one generator frame, which steps the leading
 parts like an odometer and takes the last parts from tail blocks built
@@ -70,10 +71,11 @@ def _check_length(length: int) -> None:
         )
 
 
-def _k_rec(buf: list, m: int, i: int, rem: int, pos: int, prev: bool) -> Iterator[tuple[int, ...]]:
-    """The first len(buf) entries of the length-m k-tuples, each distinct
-    head once, ascending; entries 0..i-1 are already in buf and the rest
-    of buf holds zeros. One frame per entry.
+def _k_rec(buf: list, m: int, i: int, rem: int, pos: int, prev: bool) -> Iterator[tuple]:
+    """(head, block) for each distinct head, the first len(buf) entries of
+    the length-m k-tuples, ascending; block is the suffix block of what the
+    head leaves (_k_suffixes). Entries 0..i-1 are already in buf and the
+    rest of buf holds zeros. One frame per entry.
 
     rem is the content and pos the number of positive entries left for
     the m - i slots from i on, prev whether entry i - 1 is positive.
@@ -84,7 +86,7 @@ def _k_rec(buf: list, m: int, i: int, rem: int, pos: int, prev: bool) -> Iterato
     if some tuple starts with it.
     """
     if i == len(buf):
-        yield tuple(buf)
+        yield tuple(buf), _k_suffixes(_K_BLOCKS, m - i, rem, pos, prev) if m - i else _EMPTY_BLOCK
         return
     left = m - i - 1
     if (pos <= rem and 2 * pos <= left + 1) if pos else not rem:
@@ -102,6 +104,10 @@ def _k_rec(buf: list, m: int, i: int, rem: int, pos: int, prev: bool) -> Iterato
 _K_BLOCKS: dict = {}
 _J_BLOCKS: dict = {}
 
+#: The block of a head that is the whole tuple: its one suffix is empty.
+#: Shared, so a reader can tell it by identity.
+_EMPTY_BLOCK = ((),)
+
 
 def _k_suffixes(blocks: dict, width: int, rem: int, pos: int, prev: bool) -> list:
     """Every `width`-entry end of a k-tuple with content rem and pos
@@ -112,7 +118,7 @@ def _k_suffixes(blocks: dict, width: int, rem: int, pos: int, prev: bool) -> lis
     under (width, rem, pos, prev), put there only once complete.
     """
     if not width:
-        return [()]
+        return _EMPTY_BLOCK
     key = (width, rem, pos, prev)
     block = blocks.get(key)
     if block is None:
@@ -128,10 +134,10 @@ def _k_suffixes(blocks: dict, width: int, rem: int, pos: int, prev: bool) -> lis
     return block
 
 
-def _j_rec(buf: list, m: int, i: int, rem: int, big: int, prev: bool) -> Iterator[tuple[int, ...]]:
-    """The first len(buf) entries of the length-m j-tuples, each distinct
-    head once, ascending; entries 0..i-1 are already in buf and the rest
-    of buf holds ones. One frame per entry.
+def _j_rec(buf: list, m: int, i: int, rem: int, big: int, prev: bool) -> Iterator[tuple]:
+    """The (head, block) pairs of the length-m j-tuples as _k_rec gives
+    those of the k-tuples, with blocks from _j_suffixes; the rest of buf
+    holds ones. One frame per entry.
 
     rem is what the m - i slots from i on sum to, big how many of them
     are >= 2, prev whether entry i - 1 is >= 2. Each slot takes at least
@@ -141,7 +147,7 @@ def _j_rec(buf: list, m: int, i: int, rem: int, big: int, prev: bool) -> Iterato
     branches enter feasible states only.
     """
     if i == len(buf):
-        yield tuple(buf)
+        yield tuple(buf), _j_suffixes(_J_BLOCKS, m - i, rem, big, prev) if m - i else _EMPTY_BLOCK
         return
     left = m - i - 1
     excess = rem - 1 - left  # with entry i at 1
@@ -164,7 +170,7 @@ def _j_suffixes(blocks: dict, width: int, rem: int, big: int, prev: bool) -> lis
     under (width, rem, big, prev), put there only once complete.
     """
     if not width:
-        return [()]
+        return _EMPTY_BLOCK
     key = (width, rem, big, prev)
     block = blocks.get(key)
     if block is None:
@@ -243,56 +249,26 @@ def _check_family(p: int, ell: int) -> None:
         _check_length(p - 1 - ell + min(ell, p - ell))
 
 
-def _k_segments(p: int, ell: int) -> Iterator[tuple]:
-    """The k-tuples at (p, ell) in stream order, one segment per support:
-    (tuples, None) where the heads are the whole tuples, and otherwise
-    (heads, suffixes), whose tuples are head + t for each head and each t
-    in the block suffixes(head) from _k_suffixes, in that order."""
+def _k_pairs(p: int, ell: int) -> Iterator[tuple]:
+    """The k-tuples at (p, ell) in stream order, as (head, block) pairs
+    from _k_rec: the tuples are head + t for each t in block, in that
+    order. Per support s, the heads span all but the last
+    min(_suffix_width(p, ell), m) of the m = p + s - ell - 1 entries."""
     _check_family(p, ell)
-    if not ell:
-        yield ((0,) * (p - 1),), None
-        return
     width = _suffix_width(p, ell)
-    for s in range(1, ell + 1):
+    for s in range(min(ell, 1), ell + 1):
         m = p + s - ell - 1
-        w = min(width, m)
-        h = m - w
-        heads = _k_rec([0] * h, m, 0, ell, s, False)
-        if not w:
-            yield heads, None
-            continue
-
-        def suffixes(head, w=w, h=h, s=s):
-            # What the head leaves for the last w entries.
-            rem, pos, prev = ell - sum(head), s - h + head.count(0), h > 0 and head[-1] > 0
-            return _k_suffixes(_K_BLOCKS, w, rem, pos, prev)
-
-        yield heads, suffixes
+        yield from _k_rec([0] * max(m - width, 0), m, 0, ell, s, False)
 
 
-def _j_segments(p: int, ell: int) -> Iterator[tuple]:
-    """The j-tuples at (p, ell) in stream order, one segment per number t
-    of entries >= 2, as _k_segments gives the k-tuples, with blocks from
-    _j_suffixes."""
+def _j_pairs(p: int, ell: int) -> Iterator[tuple]:
+    """The j-tuples at (p, ell) as _k_pairs gives the k-tuples, one
+    support per number t of entries >= 2, from _j_rec."""
     _check_family(p, ell)
-    if not ell:
-        yield ((1,) * (p - 1),), None
-        return
     width = _suffix_width(p, ell)
-    for t in range(1, ell + 1):
+    for t in range(min(ell, 1), ell + 1):
         m = p + t - ell - 1
-        w = min(width, m)
-        h = m - w
-        heads = _j_rec([1] * h, m, 0, ell + m, t, False)
-        if not w:
-            yield heads, None
-            continue
-
-        def suffixes(head, w=w, h=h, t=t, m=m):
-            rem, big, prev = ell + m - sum(head), t - h + head.count(1), h > 0 and head[-1] > 1
-            return _j_suffixes(_J_BLOCKS, w, rem, big, prev)
-
-        yield heads, suffixes
+        yield from _j_rec([1] * max(m - width, 0), m, 0, ell + m, t, False)
 
 
 def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
@@ -304,10 +280,9 @@ def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     lexicographic. For ell = 0 this is the single all-zero tuple of
     length p - 1 (empty for p = 1).
 
-    The stream is _k_segments flattened: with suffix blocks
-    (_suffix_width) the last w entries of each tuple come from the block
-    for what its head leaves, in one map(head.__add__, block) pass per
-    head.
+    The stream is _k_pairs flattened: a head whose block is _EMPTY_BLOCK
+    is a whole tuple, and any other head is followed by its block, in one
+    map(head.__add__, block) pass.
     """
     # _check_family's test inline: a valid request calls no function, so
     # p = 1 streams in this one frame.
@@ -316,12 +291,11 @@ def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     if not ell:
         yield (0,) * (p - 1)
         return
-    for heads, suffixes in _k_segments(p, ell):
-        if suffixes is None:
-            yield from heads
+    for head, block in _k_pairs(p, ell):
+        if block is _EMPTY_BLOCK:
+            yield head
         else:
-            for head in heads:
-                yield from map(head.__add__, suffixes(head))
+            yield from map(head.__add__, block)
 
 
 def enumerate_j_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
@@ -331,19 +305,18 @@ def enumerate_j_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
 
     Entrywise this family is the +1 image of enumerate_k_tuples(p, ell),
     emitted in the same order, and streamed the same way from its own
-    segments (_j_segments) and suffix blocks (_j_suffixes).
+    pairs (_j_pairs) and suffix blocks (_j_suffixes).
     """
     if p < 1 or not 0 <= ell <= p - 1 or p - 1 > MAX_TUPLE_LENGTH:  # as for the k-tuples
         _check_family(p, ell)
     if not ell:
         yield (1,) * (p - 1)
         return
-    for heads, suffixes in _j_segments(p, ell):
-        if suffixes is None:
-            yield from heads
+    for head, block in _j_pairs(p, ell):
+        if block is _EMPTY_BLOCK:
+            yield head
         else:
-            for head in heads:
-                yield from map(head.__add__, suffixes(head))
+            yield from map(head.__add__, block)
 
 
 def _widest_tail(spare: int) -> int:

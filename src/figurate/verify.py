@@ -176,7 +176,9 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
         if reports[0].skipped:
             _skip(results, "coeff", f"enumerative routes p={p}", f"size guard {guard}")
 
-        row = [r.value for r in reports]
+        # A closed route that raised reads as 0, which no c(p, ell) is, so
+        # each line that reads it fails.
+        row = [0 if isinstance(r.value, RuntimeError) else r.value for r in reports]
         alternating = sum((-1) ** ell * c for ell, c in enumerate(row))
         _check(
             results,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from figurate import coefficients
+from figurate import cli, coefficients
 from figurate.coefficients import (
     DEFAULT_SIZE_GUARD,
     ROUTE_TABLE,
@@ -61,6 +61,22 @@ class TestClosedRoute:
             c_closed(0, 0)
 
 
+@pytest.fixture
+def wrong_factorial_table(monkeypatch):
+    """3! read as 3 in the one factorial table of _multinomial_sum. At
+    p = 3 that makes p! itself 3, which 2! does not divide, so the
+    enumerative routes raise there."""
+    real = coefficients.accumulate
+
+    def planted(*args, **kwargs):
+        table = list(real(*args, **kwargs))
+        if len(table) > 3:
+            table[3] = 3
+        return iter(table)
+
+    monkeypatch.setattr(coefficients, "accumulate", planted)
+
+
 class TestEnumerationRoutes:
     def test_k_route_values(self):
         assert c_enum_k(5, 1) == 240
@@ -86,22 +102,95 @@ class TestEnumerationRoutes:
                 assert c_enum_k(p, ell) == c_enum_j(p, ell) == c_decompose(p, ell) == closed
 
     @pytest.mark.parametrize("p, ell", [(7, 3), (12, 6), (14, 7)])
-    def test_wrong_factorial_table_disagrees(self, p, ell, monkeypatch):
+    def test_wrong_factorial_table_disagrees(self, p, ell, wrong_factorial_table):
         # 3! read as 3 in the one factorial table of _multinomial_sum:
         # every enumerative route weighs with it, whole tuples and blocked
         # heads alike, and certify sees all three disagree.
-        real = coefficients.accumulate
-
-        def planted(*args, **kwargs):
-            table = list(real(*args, **kwargs))
-            if len(table) > 3:
-                table[3] = 3
-            return iter(table)
-
-        monkeypatch.setattr(coefficients, "accumulate", planted)
         report = certify(p, ell)
         closed = report.values["closed"]
         assert {r for r, v in report.values.items() if v != closed} == ENUMERATIVE
+
+
+class TestRouteErrors:
+    """A route that raises RuntimeError inside certify is a disagreement
+    that names its error; anything else it raises is not caught."""
+
+    def test_certify_reports_the_error_as_a_value(self, wrong_factorial_table):
+        report = certify(3, 1)
+        errors = {r for r, v in report.values.items() if isinstance(v, RuntimeError)}
+        assert errors == ENUMERATIVE
+        assert str(report.values["enum_k"]) == "3 not divisible by 2"
+        assert report.value == 6 and not report.agree
+
+    def test_certify_cli_prints_every_route(self, wrong_factorial_table, capsys):
+        assert cli.main(["certify", "--p", "3", "--ell", "1"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "p=3 ell=1" and out[-1] == "agree: no"
+        assert [line.split()[0] for line in out[1:-1]] == list(ROUTES)
+        for line in out[1:-1]:
+            route, value = line.split(maxsplit=1)
+            if route in ENUMERATIVE:
+                assert value == "error: 3 not divisible by 2"
+            else:
+                assert value == "6"
+
+    def test_verify_prints_its_full_report(self, wrong_factorial_table, capsys):
+        # Once a crash with exit 3 and an empty stdout.
+        assert cli.main(["verify", "--suite", "coeff", "--pmax", "8"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "summary: 34 passed, 12 failed, 0 skipped"
+        failed = {line for line in out if line.startswith("[fail]")}
+        assert failed == {
+            f"[fail] coeff: {name} p={p}"
+            + (f" (7 routes, ell=0..{p - 1})" if name == "routes agree" else "")
+            for p in range(3, 9)
+            for name in ("routes agree", "composition identity")
+        }
+
+    def test_verify_fails_the_lines_reading_a_closed_error(self, monkeypatch, capsys):
+        # verify reads each row's values from the closed route.
+        real = coefficients.c_closed
+
+        def planted(p, ell):
+            if (p, ell) == (5, 2):
+                raise RuntimeError("planted")
+            return real(p, ell)
+
+        monkeypatch.setattr(coefficients, "c_closed", planted)
+        assert cli.main(["verify", "--suite", "coeff", "--pmax", "6"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "summary: 29 passed, 5 failed, 0 skipped"
+        assert [line for line in out if line.startswith("[fail]")] == [
+            "[fail] coeff: reference triangle rows 1..6",
+            "[fail] coeff: routes agree p=5 (7 routes, ell=0..4)",
+            "[fail] coeff: row properties p=5",
+            "[fail] coeff: closed sub-formulas p=5",
+            "[fail] coeff: surjection identity p=5 (brute force included)",
+        ]
+
+    def test_alone_a_route_error_still_exits_3(self, wrong_factorial_table, capsys):
+        assert cli.main(["coeff", "--p", "3", "--ell", "1", "--route", "enum_k"]) == 3
+        assert capsys.readouterr().err == "internal error: 3 not divisible by 2\n"
+
+    def test_refusals_are_not_caught(self):
+        with pytest.raises(ValueError, match="exceed the limit of 900 entries"):
+            certify(1000, 1, size_guard=1000)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeff", "--p", "5", "--ell", "2", "--route", "alternating"],
+            ["certify", "--p", "5", "--ell", "2"],
+        ],
+        ids=["coeff", "certify"],
+    )
+    def test_division_by_zero_is_internal(self, argv, monkeypatch, capsys):
+        # A kernel that divides by zero is broken, not misused.
+        monkeypatch.setattr(coefficients, "c_alternating", lambda p, ell: 1 // 0)
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: integer division or modulo by zero\n"
 
 
 class TestRecurrenceRoute:

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from figurate import enumeration
+from figurate.coefficients import c_closed, c_enum_j, c_enum_k
 from figurate.enumeration import (
     MAX_TUPLE_LENGTH,
     enumerate_compositions,
@@ -615,12 +616,17 @@ class TestSuffixBlocks:
 
     @pytest.mark.parametrize("width", range(17))
     def test_every_width_matches_recursive_oracle(self, width, monkeypatch):
-        # Widths past a tuple's length make its whole support one block.
+        # Widths past a tuple's length make its whole support one block,
+        # behind an empty head. The routes weigh the same (head, block)
+        # pairs: _EMPTY_BLOCK at width 0, and widths no family gets by
+        # default.
         monkeypatch.setattr(enumeration, "_suffix_width", lambda p, ell: width)
         for p in range(1, 12):
             for ell in range(p):
                 assert list(enumerate_k_tuples(p, ell)) == list(recursive_k_tuples(p, ell))
                 assert list(enumerate_j_tuples(p, ell)) == list(recursive_j_tuples(p, ell))
+                closed = c_closed(p, ell)
+                assert c_enum_k(p, ell) == c_enum_j(p, ell) == closed, (p, ell)
 
     @pytest.mark.parametrize("kind", ["k", "j"])
     def test_second_call_builds_no_block(self, kind):
