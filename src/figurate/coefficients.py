@@ -18,7 +18,9 @@ route here computes the same c(p, ell) by a different mechanism:
 * eulerian2:   (p - ell)! * sum over i of <<ell, i>> * C(p + ell - 1 - i, 2*ell)
                with second-kind Eulerian numbers.
 * alternating: with j = p - ell, the inclusion-exclusion surjection count
-               sum over r of (-1)^r * C(j, r) * (j - r)^p.
+               sum over r of (-1)^r * C(j, r) * (j - r)^p, read from the
+               route's own memos of odd p-th powers and signed binomials
+               (_ODD_POWERS, _SIGNED), not from a row table.
 
 Every route is the module function c_<name>(p, ell) with 0 <= ell <= p - 1,
 and ROUTE_TABLE is the one place a route is named: it maps each name, in
@@ -43,7 +45,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from itertools import accumulate, repeat
 
-from .combinatorics import _EULERIAN2, _padded, _RowTable, stirling2
+from .combinatorics import _EULERIAN2, ROW_CAP, _padded, _RowTable, stirling2
 from .enumeration import _EMPTY_BLOCK, _check_pair, _j_pairs, _k_pairs, enumerate_compositions
 
 #: Route name -> enumerative, in the canonical order used everywhere
@@ -206,41 +208,52 @@ def c_eulerian2(p: int, ell: int) -> int:
     return math.factorial(p - ell) * total
 
 
+#: The alternating route's own memos, read by no other route: p -> the
+#: p-th powers of the odd bases 1, 3, 5, ..., and j -> the signed
+#: binomials a_0..a_j (see c_alternating), kept for p, j <= ROW_CAP only.
+#: Filled for every p, j <= ROW_CAP = 512 they would hold 22.4 MB of powers
+#: and 8.4 MB of binomials (from the entries' bit lengths). A row is
+#: extended by publishing a new, longer list and a published list is
+#: never mutated, so a racing reader sees a complete row.
+_ODD_POWERS: dict = {}
+_SIGNED: dict = {}
+
+
 def c_alternating(p: int, ell: int) -> int:
     """Inclusion-exclusion at j = p - ell: sum of (-1)^r C(j, r) (j - r)^p.
 
     That is the sum of a_x x^p over x = 1..j, a_x = (-1)^(j - x) C(j, x).
-    With x = 2^a 3^b m, m prime to 6, it is the sum over m of m^p D_m, where
-    D_m is Horner's rule in 3^p over b of sum_a a_(2^a 3^b m) << (a p); so
-    only m^p and 3^p are powers. The j + 1 signed binomials are held in one
-    list, and no power: a_x = a_(x-1) (x - j - 1) / x from a_0 = (-1)^j,
-    each division checked exact by _exact_div, the only kernel called.
+    With x = d y, d = 2^a and y odd, it is Horner's rule in 2^p over a,
+    from the largest d down, of the C-level dot products of a_d, a_3d,
+    a_5d, ... with 1^p, 3^p, 5^p, ... Both lists come from the route's own
+    memos. a_x = a_(x-1) (x - j - 1) / x from a_0 = (-1)^j, each division
+    checked exact by _exact_div; only bases prime to 6 take a pow, an odd
+    multiple y of 3 being (y / 3)^p 3^p, with y / 3 earlier in the list.
     """
     _check_pair(p, ell)
     j = p - ell
-    binom = -1 if j & 1 else 1
-    signed = [binom]
-    for x in range(1, j + 1):
-        binom = _exact_div(binom * (x - j - 1), x)
-        signed.append(binom)
-    three_p = 3**p
+    signed = _SIGNED.get(j)
+    if signed is None:
+        binom = -1 if j & 1 else 1
+        signed = [binom]
+        for x in range(1, j + 1):
+            binom = _exact_div(binom * (x - j - 1), x)
+            signed.append(binom)
+        if j <= ROW_CAP:
+            _SIGNED[j] = signed
+    odd = _ODD_POWERS.get(p, [])
+    if len(odd) < (j + 1) // 2:
+        odd = [*odd]  # a new list: the published one is never mutated
+        three_p = 3**p
+        for y in range(2 * len(odd) + 1, j + 1, 2):
+            odd.append(odd[y // 6] * three_p if y % 3 == 0 else y**p)
+        if p <= ROW_CAP:
+            _ODD_POWERS[p] = odd
     total = 0
-    for m in range(1, j + 1, 2):
-        if m % 3:
-            y = m
-            while y * 3 <= j:
-                y *= 3
-            chain = 0
-            while y >= m:  # y = 3^b m, b descending
-                part = shift = 0
-                x = y
-                while x <= j:  # x = 2^a y, a ascending
-                    part += signed[x] << shift
-                    shift += p
-                    x += x
-                chain = chain * three_p + part
-                y //= 3
-            total += chain * m**p
+    d = 1 << (j.bit_length() - 1)
+    while d:
+        total = (total << p) + sum(map(operator.mul, signed[d :: 2 * d], odd))
+        d >>= 1
     return total
 
 

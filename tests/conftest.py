@@ -2,19 +2,27 @@
 
 import pytest
 
-from figurate import enumeration
+from figurate import coefficients, enumeration
 
 
 @pytest.fixture(autouse=True)
-def empty_suffix_memos():
-    """Each test starts and ends with empty k- and j-suffix memos.
+def empty_process_memos():
+    """Each test starts and ends with empty process memos: the k- and
+    j-suffix blocks, and the alternating route's odd powers and signed
+    binomials.
 
-    The memos are kept for the process, so a test that wraps a block
-    builder in a fault would otherwise leave blocks built from the faulty
-    builder for every later test, and a test that counts blocks would see
-    those of the tests before it.
+    The memos are kept for the process, so a test that wraps a block or
+    row builder in a fault (or plants one in _exact_div) would otherwise
+    leave entries built from the faulty builder for every later test, or
+    have its fault masked by entries built before it, and a test that
+    counts entries would see those of the tests before it.
     """
-    memos = (enumeration._K_BLOCKS, enumeration._J_BLOCKS)
+    memos = (
+        enumeration._K_BLOCKS,
+        enumeration._J_BLOCKS,
+        coefficients._ODD_POWERS,
+        coefficients._SIGNED,
+    )
     for memo in memos:
         memo.clear()
     yield

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import figurate
-from figurate import coefficients, combinatorics, powersum
+from figurate import cli, coefficients, combinatorics, powersum
 from figurate.coefficients import (
     _RECURRENCE,
     _recurrence_step,
@@ -23,6 +23,7 @@ from figurate.coefficients import (
     c_closed,
     c_eulerian2,
     c_recurrence,
+    certify,
 )
 from figurate.combinatorics import (
     _EULERIAN1,
@@ -427,6 +428,108 @@ class TestRouteIndependence:
         expected = [alternating_sum(p, ell) for p, ell in self.PAIRS]
         refuse_tables.add(_EULERIAN2)
         assert [c_eulerian2(p, ell) for p, ell in self.PAIRS] == expected
+
+    @pytest.fixture
+    def wrong_odd_power(self, monkeypatch):
+        """5^7 stored one too large in the alternating route's own memo;
+        c_alternating(7, ell) reads it wherever j = 7 - ell >= 5."""
+        row = [y**7 for y in (1, 3, 5, 7)]
+        row[2] += 1
+        monkeypatch.setitem(coefficients._ODD_POWERS, 7, row)
+
+    def test_wrong_odd_power_fails_only_alternating(self, wrong_odd_power):
+        for ell in range(7):
+            report = certify(7, ell)
+            expected = alternating_sum(7, ell)
+            wrong = {route for route, value in report.values.items() if value != expected}
+            assert wrong == ({"alternating"} if ell <= 2 else set()), ell
+            assert report.agree == (ell > 2)
+
+    def test_wrong_odd_power_fails_one_verify_line(self, wrong_odd_power, capsys):
+        assert cli.main(["verify", "--suite", "coeff", "--pmax", "8"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("[fail]")] == [
+            "[fail] coeff: routes agree p=7 (7 routes, ell=0..6)"
+        ]
+
+
+class TestAlternatingMemos:
+    """c_alternating keeps its odd powers and signed binomials for the
+    process, for p and j up to ROW_CAP, and publishes a longer row as a
+    new list."""
+
+    def test_no_key_above_cap(self):
+        for p in (ROW_CAP + 1, 2 * ROW_CAP):
+            for ell in (0, p - ROW_CAP, p // 2, p - 1):
+                c_alternating(p, ell)
+        assert not coefficients._ODD_POWERS
+        assert max(coefficients._SIGNED) == ROW_CAP  # j = ROW_CAP at ell = p - ROW_CAP
+        p = ROW_CAP + 1
+        assert c_alternating(p, 1) == alternating_sum(p, 1)
+
+    def test_longer_row_is_a_new_list(self):
+        p = 60
+        power = powers(p)
+        assert c_alternating(p, p - 1) == alternating_sum(p, p - 1, power)
+        short = coefficients._ODD_POWERS[p]
+        assert len(short) == 1
+        assert c_alternating(p, 0) == alternating_sum(p, 0, power)
+        longer = coefficients._ODD_POWERS[p]
+        assert longer is not short and len(longer) == p // 2
+        assert c_alternating(p, p - 1) == alternating_sum(p, p - 1, power)
+        assert coefficients._ODD_POWERS[p] is longer
+        assert len(short) == 1
+
+    def test_each_binomial_step_is_checked_once(self, monkeypatch):
+        divisors = []
+        exact_div = coefficients._exact_div
+
+        def counted(num, den):
+            divisors.append(den)
+            return exact_div(num, den)
+
+        monkeypatch.setattr(coefficients, "_exact_div", counted)
+        assert c_alternating(60, 20) == alternating_sum(60, 20)
+        assert divisors == list(range(1, 41))
+        assert c_alternating(70, 30) == alternating_sum(70, 30)  # j = 40 again
+        assert divisors == list(range(1, 41))
+
+    def test_racing_threads_fill_the_memos(self):
+        """In each of 5 rounds, 4 threads fill both memos from empty, two
+        in each direction, so that two race for each row; every value,
+        and every row left in the memos, is exact."""
+        points = [(p, ell) for p in (60, 200, 400) for ell in _fractions(p)]
+        expected = {(p, ell): alternating_sum(p, ell) for p, ell in points}
+        threads_n = 4
+        barrier = threading.Barrier(threads_n)
+        seen = []
+
+        def worker(t):
+            barrier.wait(timeout=5)
+            for p, ell in points[:: 1 if t % 2 else -1]:
+                seen.append(((p, ell), c_alternating(p, ell)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                coefficients._ODD_POWERS.clear()
+                coefficients._SIGNED.clear()
+                threads = [threading.Thread(target=worker, args=(t,)) for t in range(threads_n)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=20)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 5 * threads_n * len(points)
+        for point, value in seen:
+            assert value == expected[point], point
+        for p, row in coefficients._ODD_POWERS.items():
+            assert row == [y**p for y in range(1, 2 * len(row), 2)], p
+        for j, row in coefficients._SIGNED.items():
+            assert row == [(-1) ** (j - x) * math.comb(j, x) for x in range(j + 1)], j
 
 
 # Runs a command and prints its exit code, its ru_maxrss from os.wait4 and
