@@ -24,6 +24,7 @@ Index conventions (they differ between families on purpose):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -67,7 +68,7 @@ class _RowTable:
         """
         return index <= len(self._rows) or index < ROW_CAP
 
-    def row(self, index: int, width: int | None = None, roll: bool = True) -> tuple[int, ...] | None:
+    def row(self, index: int, width: int | None = None) -> tuple[int, ...]:
         """Row `index`, the one read path of every table.
 
         Where stores(index) holds, the row is stored first if the table
@@ -75,15 +76,12 @@ class _RowTable:
         other row is rolled from the seed by the table's own step on one
         row of `width` entries (all of them when width is None) and stored
         nowhere: O(index * width) work in O(width) memory, the table left
-        as it was; with roll=False it is not rolled and None is returned.
-        Entry j of a step reads only entries j and j - 1 of the previous
-        row, so the first `width` entries of each step are exact. So a
-        whole triangle read in row order stores every row, past ROW_CAP
-        too: each is the next row.
+        as it was. Entry j of a step reads only entries j and j - 1 of the
+        previous row, so the first `width` entries of each step are exact.
+        So a whole triangle read in row order stores every row, past
+        ROW_CAP too: each is the next row.
         """
         if not self.stores(index):
-            if not roll:
-                return None
             row = self._rows[0][:width]
             for i in range(1, index + 1):
                 row = self._step(row, i)[:width]
@@ -178,17 +176,17 @@ def stirling2(k: int, j: int) -> int:
     """Stirling number of the second kind S(k, j); zero when j > k.
 
     Read from the table where it stores row k, and otherwise computed
-    alone by stirling2_single; one stores() test, in row(), decides.
-    That kernel is neither the row recurrence of c_recurrence nor the
-    inclusion-exclusion of c_alternating, so the closed route stays
-    independent of both at every k.
+    alone by stirling2_single. That kernel is neither the row recurrence
+    of c_recurrence nor the inclusion-exclusion of c_alternating, so the
+    closed route stays independent of both at every k. stores() only
+    turns from False to True, so row(k) after a True test returns a
+    stored row.
     """
     if k < 0:
         raise ValueError(f"negative row {k}")
     if not 0 <= j <= k:
         return 0
-    row = _STIRLING2.row(k, None, False)
-    return stirling2_single(k, j) if row is None else row[j]
+    return _STIRLING2.row(k)[j] if _STIRLING2.stores(k) else stirling2_single(k, j)
 
 
 def eulerian_first(p: int, j: int) -> int:
@@ -216,31 +214,20 @@ def _surjection_row(m: int) -> list[int]:
     return list(map(operator.mul, factorials, _STIRLING2.row(m)))
 
 
-#: _OR_TABLES[a] takes a byte x to x | a. It holds the tables for
-#: a < 2**n for the largest n asked for so far: grown by _or_tables on
-#: first need, under _OR_LOCK, never at import, and only appended to.
-_OR_TABLES: list[bytes] = []
-_OR_LOCK = threading.Lock()
+@functools.cache
+def _or_table(a: int) -> bytes:
+    """The translate table taking a byte x to x | a, built on first use.
+    Racing threads may build it twice; the two are equal."""
+    return bytes(x | a for x in range(256))
 
 
-def _or_tables(n: int) -> list[bytes]:
-    """The OR tables for every a < 2**n, built once per process. A reader
-    that races a writer sees only whole tables, in order, so it uses the
-    list as soon as it is long enough."""
-    tables = _OR_TABLES
-    if len(tables) < 1 << n:
-        with _OR_LOCK:
-            tables.extend([bytes(x | a for x in range(256)) for a in range(len(tables), 1 << n)])
-    return tables
-
-
-def _image_masks(k: int, n: int, or_tables: Sequence[bytes]) -> bytes:
+def _image_masks(k: int, n: int) -> bytes:
     """The image bitmask of every map from a k-set into {0..n-1}, one byte
     per map. Each coordinate takes n translate passes over the masks so
-    far, one per value; or_tables[a] takes a byte x to x | a."""
+    far, one per value, each through _or_table(1 << value)."""
     masks = b"\0"
     for _ in range(k):
-        masks = b"".join([masks.translate(or_tables[1 << v]) for v in range(n)])
+        masks = b"".join([masks.translate(_or_table(1 << v)) for v in range(n)])
     return masks
 
 
@@ -253,8 +240,8 @@ def surjection_brute(m: int, n: int) -> int:
     coordinates sit in one bytes object of n**q bytes. For each map on the
     other m - q coordinates, one bytes.translate ORs its mask into all of
     them and count() finds the full ones, so every map is built and tested
-    in C-level passes. The OR tables those passes read are built once per
-    process (_or_tables).
+    in C-level passes. The OR tables those passes read are cached per
+    byte (_or_table), at most 2**7 of them.
 
     Refuses instances whose exhaustive pass would write more than
     BRUTE_FORCE_LIMIT entries, m * n**m, before any work; n**m is never
@@ -272,13 +259,10 @@ def surjection_brute(m: int, n: int) -> int:
         )
     if m < n:
         return 0
-    or_tables = _or_tables(n)
     q = min(m, 5)
-    suffixes = _image_masks(q, n, or_tables)
+    suffixes = _image_masks(q, n)
     full = (1 << n) - 1
-    return sum(
-        suffixes.translate(or_tables[a]).count(full) for a in _image_masks(m - q, n, or_tables)
-    )
+    return sum(suffixes.translate(_or_table(a)).count(full) for a in _image_masks(m - q, n))
 
 
 class NumberTriangle(namedtuple("NumberTriangle", "rows first_row")):

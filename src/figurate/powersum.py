@@ -27,14 +27,14 @@ Each figurate expansion is a term tuple ((integer coefficient, dimension,
 argument shift), ...) that representation() builds from one row read by
 _RowTable.row() (the surjection counts j! S(p, j) = c(p, p-j) for eq5,
 alt1 and power_ml1, S(p+1, .) for alt3, <p, .> for alt2) and caches; one
-evaluator and one symbolic expander read it, and the expander also turns the
-Faulhaber interpolation's Newton terms into a polynomial. The expander
-works in integers: each term is the product of its k linear factors
-(n+shift+i), reached from the previous term's product by dividing out
-and multiplying in the factors at its ends, weighted over the common
-denominator (largest dimension)!. The Faulhaber form is derived from and
-rebuilt into such integer polynomials by the same two steps, division
-and multiplication by (n + a); a Polynomial is built only at the edge.
+evaluator and one symbolic expander read it. The expander works in
+integers: each term is the product of its k linear factors (n+shift+i),
+reached from the previous term's product by dividing out and multiplying
+in the factors at its ends, weighted over the common denominator
+(largest dimension)!. The Faulhaber form is kept as the integers its
+derivation produces over L = (p+1)! (_faulhaber_form), derived and
+rebuilt by the same two steps, division and multiplication by (n + a);
+a Fraction or Polynomial is built only at the edge.
 """
 
 from __future__ import annotations
@@ -222,79 +222,84 @@ def sum_variant(n: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _faulhaber_form(p: int) -> tuple[tuple[int, ...], int]:
+    """The integers (r_0, ..., r_(k-1)), k = p // 2, and L = (p + 1)! of
+    the Faulhaber form of S_p(n), with u = n(n + 1):
+
+        S_p(n) = (2n + 1) u   * sum_j r_j u^j / L   for even p,
+        S_p(n) =          u^2 * sum_j r_j u^j / L   for odd  p.
+
+    S_p(n) is interpolated from _brute_sums at n = 0..p+1 by its forward
+    differences d_k as sum_k d_k C(n, k). Over L that is the integer
+    polynomial N reached by Horner's rule in the Newton basis: start
+    from d_(p+1); for k = p..0, multiply by (n - k) and add d_k L / k!.
+    Dividing N exactly by n(n + 1) for even p, and by n^2 (n + 1) for odd
+    p, leaves R = w * sum_j r_j u^j with w = 2n + 1 or n + 1. As w(0) = 1,
+    r_0 = R(0); R - r_0 w then divides exactly by n(n + 1), and the next
+    r_j is read the same way. Every division is checked for a zero
+    remainder; a nonzero one, or other than p // 2 integers, raises
+    RuntimeError.
+    """
+    if p < 2:
+        raise ValueError(f"Faulhaber form requires p >= 2, got {p}")
+    diffs = _brute_sums(p, p + 2)
+    heads = []
+    for _ in range(p + 2):
+        heads.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    rest, denom = [heads.pop()], 1
+    for k in range(p, -1, -1):
+        denom *= k + 1  # L / k!
+        _multiply_linear(rest, -k)
+        rest[0] += heads[k] * denom
+    odd = p % 2
+    for a in (0, 1, 0)[: 2 + odd]:
+        _divide_linear(rest, a)
+    form = []
+    while any(rest):
+        r = rest[0]
+        form.append(r)
+        # rest - r w has a zero constant term; dropping it divides by n.
+        rest[1] -= (2 - odd) * r
+        del rest[0]
+        _divide_linear(rest, 1)
+    if len(form) != p // 2:
+        raise RuntimeError(f"S_{p}(n) has no exact Faulhaber form")
+    return tuple(form), denom
+
+
+@lru_cache(maxsize=None)
 def faulhaber_coefficients(p: int) -> tuple[Fraction, ...]:
     """Coefficients (q_0, ..., q_(k-1)), k = p // 2, of the Faulhaber form of S_p(n):
 
         S_p(n) = S_2(n)  * sum_j q_j T_n^j   for even p,
         S_p(n) = T_n^2   * sum_j q_j T_n^j   for odd  p.
 
-    S_p(n) is interpolated from _brute_sums at n = 0..p+1 by its forward
-    differences d_k, as sum_k d_k C(n, k) with C(n, k) = F_(n+1-k)^k, and
-    expanded into an integer polynomial N over a denominator L. Dividing
-    N exactly by n(n + 1) for even p, and by n^2 (n + 1) for odd p, leaves
-    R = (L / 6 or L / 4) * w * sum_j q_j T_n^j with w = 2n + 1 or n + 1.
-    As w(0) = 1, q_j is R(0) times that scale; R - R(0) w then divides
-    exactly by n(n + 1) = 2 T_n, which doubles the scale, and the next
-    q_j is read the same way. Every division is checked for a zero
-    remainder; a nonzero one, or other than p // 2 coefficients, raises
-    RuntimeError.
+    As T_n = n(n + 1) / 2, q_j = r_j * (6 or 4) * 2^j / L, with r_j and L
+    from _faulhaber_form(p).
     """
     from fractions import Fraction
 
-    if p < 2:
-        raise ValueError(f"Faulhaber form requires p >= 2, got {p}")
-    diffs = _brute_sums(p, p + 2)
-    terms = []
-    for k in range(p + 2):
-        terms.append((diffs[0], k, 1 - k))
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    rest, denom = _expand(terms)
-    odd = p % 2
-    for a in (0, 1, 0)[: 2 + odd]:
-        _divide_linear(rest, a)
-    scale = Fraction(4 if odd else 6, denom)
-    coeffs = []
-    while any(rest):
-        q = rest[0]
-        coeffs.append(q * scale)
-        scale *= 2
-        # rest - q w has a zero constant term; dropping it divides by n.
-        rest[1] -= (2 - odd) * q
-        del rest[0]
-        _divide_linear(rest, 1)
-    if len(coeffs) != p // 2:
-        raise RuntimeError(f"S_{p}(n) has no exact Faulhaber form")
-    return tuple(coeffs)
-
-
-#: p -> (faulhaber_coefficients(p), their numerators over L highest power
-#: first, L their least common denominator), filled on first use.
-_FAULHABER_INTS: dict = {}
+    form, denom = _faulhaber_form(p)
+    scale = 4 if p % 2 else 6
+    return tuple(Fraction(r * scale << j, denom) for j, r in enumerate(form))
 
 
 def faulhaber_eval(n: int, p: int) -> int:
     """S_p(n) via the Faulhaber form; exact, p >= 2, n >= 0.
 
-    The coefficients q_j are read as integers m_j over their least common
-    denominator L, derived once per p (again if faulhaber_coefficients(p)
-    returns another tuple). The prefactor times sum_j m_j T_n^j, by
-    Horner's rule in T_n, is then divided by L with one divmod; a
-    nonzero remainder raises RuntimeError.
+    Horner's rule in u = n(n + 1) over the integers r_j of
+    _faulhaber_form(p), times the prefactor (2n + 1) u or u^2, is divided
+    by L with one divmod; a nonzero remainder raises RuntimeError.
     """
     _check_n(n)
-    coeffs = faulhaber_coefficients(p)
-    held = _FAULHABER_INTS.get(p)
-    if held is None or held[0] is not coeffs:
-        den = math.lcm(*[c.denominator for c in coeffs])
-        ints = tuple(c.numerator * (den // c.denominator) for c in reversed(coeffs))
-        held = _FAULHABER_INTS[p] = (coeffs, ints, den)
-    _, ints, den = held
-    t = n * (n + 1) // 2
+    form, denom = _faulhaber_form(p)
+    u = n * (n + 1)
     acc = 0
-    for m in ints:
-        acc = acc * t + m
-    pre = n * (n + 1) * (2 * n + 1) // 6 if p % 2 == 0 else t * t
-    value, rem = divmod(pre * acc, den)
+    for r in reversed(form):
+        acc = acc * u + r
+    pre = u * u if p % 2 else (2 * n + 1) * u
+    value, rem = divmod(pre * acc, denom)
     if rem:
         raise RuntimeError(f"Faulhaber value for ({n},{p}) not integral")
     return value
@@ -307,10 +312,9 @@ def expand_symbolic(p: int, tag: str) -> Polynomial:
     degree-(p+1) polynomial for S_p(n); power_ml1 expands to the monomial
     n^p. The brute tag has no symbolic form.
 
-    The Faulhaber form is rebuilt as sum_i c_i T_n^i, c = (0, q_0, q_1, ...)
-    times (2n + 1) / 3 for even p and c = (0, 0, q_0, q_1, ...) for odd p:
-    with T_n^i = (n(n + 1))^i / 2^i, Horner's rule in n(n + 1) runs over the
-    common denominator of the c_i / 2^i.
+    The Faulhaber form is rebuilt over L by Horner's rule in n(n + 1) over
+    the integers (0, r_0, r_1, ...) of _faulhaber_form(p) for even p, then
+    times (2n + 1), and over (0, 0, r_0, r_1, ...) for odd p.
     """
     from fractions import Fraction
 
@@ -319,19 +323,14 @@ def expand_symbolic(p: int, tag: str) -> Polynomial:
     if tag in TERM_TAGS:
         coeffs, denom = _expand(representation(tag, p))
     elif tag == "faulhaber":
-        in_u = [
-            Fraction(c, 2**i)
-            for i, c in enumerate((0,) * (1 + p % 2) + faulhaber_coefficients(p))
-        ]
-        denom = math.lcm(*(c.denominator for c in in_u))
-        coeffs = [int(in_u[-1] * denom)]
-        for c in reversed(in_u[:-1]):
+        form, denom = _faulhaber_form(p)
+        coeffs = [form[-1]]
+        for r in reversed((0,) * (1 + p % 2) + form[:-1]):
             _multiply_linear(coeffs, 0)
             _multiply_linear(coeffs, 1)
-            coeffs[0] += int(c * denom)
+            coeffs[0] += r
         if p % 2 == 0:
             coeffs = [x + 2 * y for x, y in zip(coeffs + [0], [0] + coeffs)]
-            denom *= 3
     else:
         raise ValueError(f"no symbolic expansion for tag {tag!r}")
     return Polynomial(Fraction(x, denom) for x in coeffs)

@@ -143,6 +143,20 @@ def _skip(results: list[CheckResult], suite: str, name: str, detail: str) -> Non
 # coeff suite
 # ---------------------------------------------------------------------------
 
+def _route_faults(reports) -> list[str]:
+    """Each route, in ROUTES order, that differs from the closed route or
+    raised at some ell of one row of reports, named with its first such ell."""
+    faults = []
+    for route in reports[0].values:
+        for ell, report in enumerate(reports):
+            value = report.values[route]
+            raised = isinstance(value, RuntimeError)
+            if raised or value != report.value:
+                faults.append(f"{route} {'raised ' if raised else ''}at ell={ell}")
+                break
+    return faults
+
+
 def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
     # Row p, the reference triangle and the guard's route split are read
     # from these reports.
@@ -166,13 +180,11 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
     sets: dict = {}  # (total, parts) -> _min_part_2's pass over that set
     for p, reports in enumerate(all_reports, 1):
         surj = [j * (at + below) for j, at, below in zip(range(p + 1), surj + [0], [0] + surj)]
-        _check(
-            results,
-            "coeff",
-            f"routes agree p={p}",
-            all(r.agree for r in reports),
-            f"{len(reports[0].values)} routes, ell=0..{p - 1}",
-        )
+        detail = f"{len(reports[0].values)} routes, ell=0..{p - 1}"
+        agree = all(r.agree for r in reports)
+        if not agree:
+            detail += "; differs from closed: " + ", ".join(_route_faults(reports))
+        _check(results, "coeff", f"routes agree p={p}", agree, detail)
         if reports[0].skipped:
             _skip(results, "coeff", f"enumerative routes p={p}", f"size guard {guard}")
 

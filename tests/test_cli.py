@@ -493,10 +493,12 @@ class TestFaulhaber:
 
     def test_failed_derivation_is_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr(powersum, "_brute_sums", lambda p, count: [n**p for n in range(count)])
+        powersum._faulhaber_form.cache_clear()
         powersum.faulhaber_coefficients.cache_clear()
         try:
             code, out, err = run(capsys, "faulhaber", "--p", "6")
         finally:
+            powersum._faulhaber_form.cache_clear()
             powersum.faulhaber_coefficients.cache_clear()
         assert code == 3
         assert out == ""
@@ -754,8 +756,8 @@ _LOADED_AFTER_MAIN = """
 import sys
 from figurate import cli
 code = cli.main(sys.argv[2:])
-tables = getattr(sys.modules.get("figurate.combinatorics"), "_OR_TABLES", ())
-sys.stderr.write(f"or-tables {len(tables)}\\n")
+cache = getattr(sys.modules.get("figurate.combinatorics"), "_or_table", None)
+sys.stderr.write(f"or-tables {cache.cache_info().currsize if cache else 0}\\n")
 sys.stderr.write(" ".join(m for m in sys.argv[1].split() if m in sys.modules) + "\\n")
 sys.exit(code)
 """
@@ -791,8 +793,13 @@ class TestImportHygiene:
         assert self.probe(argv, self.HEAVY) == ([], 0)
 
     def test_coeff_suite_builds_or_tables_without_fractions(self):
-        # p <= 3 asks surjection_brute for n <= 3: the tables for a < 2**3.
-        assert self.probe("verify --pmax 3 --suite coeff", "fractions") == ([], 8)
+        # p <= 3 asks surjection_brute for n <= 3 and m <= 5: the tables for
+        # the value bits a = 1, 2, 4, and a = 0 for the one empty prefix.
+        assert self.probe("verify --pmax 3 --suite coeff", "fractions") == ([], 4)
+
+    def test_faulhaber_evaluation_loads_no_fractions(self):
+        argv = "powersum --p 6 --n 10 --formula faulhaber"
+        assert self.loaded(argv, "fractions figurate.exact") == []
 
     def test_enumeration_suite_leaves_fermat_unloaded(self):
         assert self.loaded("verify --pmax 3 --suite enumeration", "figurate.fermat") == []

@@ -140,11 +140,16 @@ class TestRouteErrors:
         out = capsys.readouterr().out.splitlines()
         assert out[-1] == "summary: 34 passed, 12 failed, 0 skipped"
         failed = {line for line in out if line.startswith("[fail]")}
+        # Each routes-agree line names the three enumerative routes, each at
+        # its first wrong ell; at p = 3 decompose first raises at ell = 1.
+        faults = {3: "enum_k at ell=0, enum_j at ell=0, decompose raised at ell=1"}
         assert failed == {
-            f"[fail] coeff: {name} p={p}"
-            + (f" (7 routes, ell=0..{p - 1})" if name == "routes agree" else "")
+            f"[fail] coeff: composition identity p={p}" for p in range(3, 9)
+        } | {
+            f"[fail] coeff: routes agree p={p} (7 routes, ell=0..{p - 1}; differs from closed: "
+            + faults.get(p, "enum_k at ell=2, enum_j at ell=2, decompose at ell=2")
+            + ")"
             for p in range(3, 9)
-            for name in ("routes agree", "composition identity")
         }
 
     def test_verify_fails_the_lines_reading_a_closed_error(self, monkeypatch, capsys):
@@ -162,7 +167,9 @@ class TestRouteErrors:
         assert out[-1] == "summary: 29 passed, 5 failed, 0 skipped"
         assert [line for line in out if line.startswith("[fail]")] == [
             "[fail] coeff: reference triangle rows 1..6",
-            "[fail] coeff: routes agree p=5 (7 routes, ell=0..4)",
+            "[fail] coeff: routes agree p=5 (7 routes, ell=0..4; differs from closed: "
+            "closed raised at ell=2, enum_k at ell=2, enum_j at ell=2, recurrence at ell=2, "
+            "decompose at ell=2, eulerian2 at ell=2, alternating at ell=2)",
             "[fail] coeff: row properties p=5",
             "[fail] coeff: closed sub-formulas p=5",
             "[fail] coeff: surjection identity p=5 (brute force included)",

@@ -225,13 +225,13 @@ class TestSurjections:
         with pytest.raises(ValueError, match="bound"):
             surjection_brute(50, 50)
 
-    def test_brute_from_four_threads_on_empty_or_tables(self, monkeypatch):
+    def test_brute_from_four_threads_on_empty_or_tables(self):
         # Each thread runs its quarter of the (m, n) with m, n <= 6, then all
         # of them in reverse, from an empty OR-table cache, so the threads
-        # race to grow it.
+        # race to fill it.
         pairs = [(m, n) for m in range(1, 7) for n in range(1, 7)]
         expected = {pair: surjection_brute(*pair) for pair in pairs}
-        monkeypatch.setattr(combinatorics, "_OR_TABLES", [])
+        combinatorics._or_table.cache_clear()
         barrier = threading.Barrier(4)
         seen = [[] for _ in range(4)]
 
@@ -256,8 +256,15 @@ class TestSurjections:
             assert len(results) == len(pairs[t::4]) + len(pairs), t
             for pair, value in results:
                 assert value == expected[pair], (t, pair)
-        tables = combinatorics._OR_TABLES
-        assert tables == [bytes(x | a for x in range(256)) for a in range(1 << 6)]
+
+    def test_or_cache_holds_at_most_128_tables(self):
+        # Every admitted instance with m >= n has n <= 7: one table per
+        # byte a < 2**7 at most.
+        combinatorics._or_table.cache_clear()
+        for m in range(1, 8):
+            for n in range(1, 8):
+                assert surjection_brute(m, n) == surjection_count(m, n)
+        assert 0 < combinatorics._or_table.cache_info().currsize <= 128
 
     @pytest.mark.parametrize(
         "m, n",

@@ -449,7 +449,8 @@ class TestRouteIndependence:
         assert cli.main(["verify", "--suite", "coeff", "--pmax", "8"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if line.startswith("[fail]")] == [
-            "[fail] coeff: routes agree p=7 (7 routes, ell=0..6)"
+            "[fail] coeff: routes agree p=7 (7 routes, ell=0..6; differs from closed: "
+            "alternating at ell=0)"
         ]
 
 

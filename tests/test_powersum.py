@@ -244,13 +244,27 @@ class TestFaulhaber:
                 ],
             )
             with pytest.raises(RuntimeError):
-                faulhaber_coefficients.__wrapped__(p)
+                powersum._faulhaber_form.__wrapped__(p)
 
     def test_small_p_rejected(self):
         with pytest.raises(ValueError):
             faulhaber_coefficients(1)
         with pytest.raises(ValueError):
             faulhaber_eval(3, 1)
+
+    def test_coefficients_read_the_integer_form(self):
+        for p in range(2, 61):
+            form, denom = powersum._faulhaber_form(p)
+            assert denom == math.factorial(p + 1)
+            scale = 4 if p % 2 else 6
+            assert faulhaber_coefficients(p) == tuple(
+                F(r * scale * 2**j, denom) for j, r in enumerate(form)
+            )
+
+    @pytest.mark.parametrize("p", [100, 201, 400])
+    def test_eval_equals_sum_brute_far_past_40(self, p):
+        for n in range(31):
+            assert faulhaber_eval(n, p) == sum_brute(n, p), n
 
     def test_eval_equals_sum_brute(self):
         for p in range(2, 31):
@@ -259,15 +273,14 @@ class TestFaulhaber:
 
     @pytest.mark.parametrize("p, n", [(3, 1), (6, 2), (11, 5)])
     def test_planted_non_integral_coefficient_is_refused(self, p, n, monkeypatch, capsys):
-        # The last coefficient off by 1/(2 pre(n) T_n^last): the value at n
-        # is off by 1/2, so no integer. It goes through the integer form's
-        # one divmod, also after the true tuple was read for this p.
-        real = faulhaber_coefficients(p)
+        # The last integer r_j one too large: the value at n is off by
+        # w u^(1 + p % 2 + last) / L, which is no integer at these (p, n).
+        # It goes through the one divmod, also after the true form was
+        # read for this p.
+        form, denom = powersum._faulhaber_form(p)
         assert faulhaber_eval(n, p) == sum_brute(n, p)
-        t = n * (n + 1) // 2
-        pre = n * (n + 1) * (2 * n + 1) // 6 if p % 2 == 0 else t * t
-        planted = real[:-1] + (real[-1] + F(1, 2 * pre * t ** (len(real) - 1)),)
-        monkeypatch.setattr(powersum, "faulhaber_coefficients", lambda q: planted)
+        planted = (form[:-1] + (form[-1] + 1,), denom)
+        monkeypatch.setattr(powersum, "_faulhaber_form", lambda q: planted)
         with pytest.raises(RuntimeError, match="not integral"):
             faulhaber_eval(n, p)
         argv = ["powersum", "--p", str(p), "--n", str(n), "--formula", "faulhaber"]
