@@ -81,7 +81,17 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _multinomial_sum(p: int, pairs, shift: int = 0) -> int:
+#: Each enumerative route's block denominators, kept for the process
+#: beside its family's blocks: id(block) -> (block, the list of its
+#: denominators), prod((t_i + 1)!) per tuple t for the k-route and
+#: prod(t_i!) for the j-route. Holding the block keeps its id from being
+#: reused, an entry is published only once its list is complete, and the
+#: memo holds no block that its family's memo does not.
+_K_WEIGHTS: dict = {}
+_J_WEIGHTS: dict = {}
+
+
+def _multinomial_sum(p: int, pairs, shift: int, weighed: dict) -> int:
     """Sum of p! / prod((s_i + shift)!) over the tuples (s_1, s_2, ...)
     head + t of the given (head, block) pairs, t running over block
     (enumeration._k_pairs), each quotient checked exact.
@@ -89,8 +99,9 @@ def _multinomial_sum(p: int, pairs, shift: int = 0) -> int:
     For each head, q = p! / prod over the head, checked exact. A head
     whose block is _EMPTY_BLOCK is a whole tuple and weighs q; otherwise
     each of its tuples weighs q // d, d the product over t, and q % d
-    must be 0. Both passes over a block run in C, and each block's
-    denominators are computed once per call.
+    must be 0. Both passes over a block run in C. A block's denominators
+    depend on the block and shift alone, so they are computed once and
+    kept in weighed, the caller's memo for that shift.
 
     Each factorial is read from one table of 0!..p!, so every s_i + shift
     must lie in 0..p: a larger one would leave no integer quotient.
@@ -99,9 +110,6 @@ def _multinomial_sum(p: int, pairs, shift: int = 0) -> int:
     fact_p = factorials[p]
     weight = factorials[shift:].__getitem__
     total = 0
-    # id(block) -> (block, its denominators); holding the block keeps its id
-    # from being reused within the call.
-    weighed: dict = {}
     for head, block in pairs:
         q = _exact_div(fact_p, math.prod(map(weight, head)))
         if block is _EMPTY_BLOCK:
@@ -130,13 +138,13 @@ def c_closed(p: int, ell: int) -> int:
 def c_enum_k(p: int, ell: int) -> int:
     """Sum of p! / prod((k_i + 1)!) over the admissible nonnegative tuples."""
     _check_pair(p, ell)
-    return _multinomial_sum(p, _k_pairs(p, ell), shift=1)
+    return _multinomial_sum(p, _k_pairs(p, ell), 1, _K_WEIGHTS)
 
 
 def c_enum_j(p: int, ell: int) -> int:
     """Sum of p! / prod(j_i!) over the admissible positive tuples."""
     _check_pair(p, ell)
-    return _multinomial_sum(p, _j_pairs(p, ell))
+    return _multinomial_sum(p, _j_pairs(p, ell), 0, _J_WEIGHTS)
 
 
 def _recurrence_step(prev: Sequence[int], index: int) -> list:
@@ -163,7 +171,7 @@ def composition_sum(p: int, total: int, parts: int, min_part: int) -> int:
     """Sum of p! / prod(s_i!) over the compositions of total into `parts`
     parts, each >= min_part."""
     stream = enumerate_compositions(total, parts, min_part)
-    return _multinomial_sum(p, zip(stream, repeat(_EMPTY_BLOCK)))
+    return _multinomial_sum(p, zip(stream, repeat(_EMPTY_BLOCK)), 0, {})
 
 
 def decompose_groups(p: int, j: int) -> list[tuple[int, int, int]]:

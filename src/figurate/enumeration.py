@@ -17,23 +17,23 @@ each tuple length for the k/j families, lengths ascending) and never
 materialize the full family. The ordering is a reproducibility
 convention, nothing more.
 
-The k- and j-families recurse once per leading entry. In a family of
-at least 100 tuples the last few entries of each tuple come from suffix
-blocks: lists of every valid end for what the leading entries leave,
-built from narrower blocks and emitted in one map(tuple.__add__, block)
-pass per head. A block is a pure function of its key, so each family
-keeps its blocks for the process, in one memo per family (_K_BLOCKS,
-_J_BLOCKS); a block is published there only once complete, and threads
-that race to build one build equal blocks. The memo is bounded by
-construction: a call builds blocks of width at most _suffix_width(p,
-ell) <= 16 and content at most ell, and no ell past 55 has blocks, so
+The k- and j-families recurse once per leading entry. In every family
+the last few entries of each tuple come from suffix blocks: lists of
+every valid end for what the leading entries leave, built from narrower
+blocks and emitted in one map(tuple.__add__, block) pass per head. A
+block is a pure function of its key, so each family keeps its blocks for
+the process, in one memo per family (_K_BLOCKS, _J_BLOCKS); a block is
+published there only once complete, and threads that race to build one
+build equal blocks. The memo is bounded by construction: a call builds
+blocks of width at most _suffix_width(p, ell) <= 16 and content at most
+ell, the width depends on ell alone, and no ell past 55 has blocks, so
 the memo of a family never holds more than 9,692 tuples, and a call adds
-at most min(2,048, C(p - 1, ell)) of them. Each family has its own
-recursion, its own blocks and its own stream of (head, block) pairs
-(_k_pairs, _j_pairs), so the k/j bijection stays a checked fact: the
-recursion pairs each head with the block for what it leaves, or with
-_EMPTY_BLOCK where the head is the whole tuple. The public generators
-flatten the pairs; the enumerative routes weigh them head by head.
+at most 2,048 of them. Each family has its own recursion, its own blocks
+and its own stream of (head, block) pairs (_k_pairs, _j_pairs), so the
+k/j bijection stays a checked fact: the recursion pairs each head with
+the block for what it leaves, or with _EMPTY_BLOCK where the head is the
+whole tuple. The public generators flatten the pairs; the enumerative
+routes weigh them head by head.
 
 Compositions come from one generator frame, which steps the leading
 parts like an odometer and takes the last parts from tail blocks built
@@ -47,6 +47,7 @@ of 1000 frames.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from itertools import count, takewhile
@@ -199,34 +200,27 @@ def _suffix_count(width: int, content: int) -> int:
     )
 
 
-#: Families with fewer tuples stream without suffix blocks: per call,
-#: the blocks would cost about as much to build as they save.
-_BLOCK_FAMILY = 100
-
-
 def _suffix_width(p: int, ell: int) -> int:
     """Width of the suffix blocks of the k- and j-families at (p, ell), 0
-    for none.
+    for none: _block_width(ell), whatever p."""
+    return _block_width(ell)
 
-    The widest width up to _TAIL_WIDTH at which every block the call could
-    build, of that width and every narrower one, holds at most
-    min(_TAIL_TUPLES, C(p - 1, ell)) tuples: so no call builds more block
-    tuples than it streams. A block behind a positive (big) entry holds
-    the suffixes that start with 0 (1), as many as the suffixes one entry
-    narrower. No blocks for a family under _BLOCK_FAMILY tuples, nor
-    below width 3, where the per-head lookup costs more than the blocks
-    save.
+
+@functools.cache
+def _block_width(ell: int) -> int:
+    """The widest width up to _TAIL_WIDTH at which every block of content
+    (excess, for the j-family) at most ell, of that width and every
+    narrower one, holds at most _TAIL_TUPLES tuples together. A block
+    behind a positive (big) entry holds the suffixes that start with 0
+    (1), as many as the suffixes one entry narrower. 0 below width 3,
+    where the per-head lookup costs more than the blocks save.
     """
-    family = math.comb(p - 1, ell)
-    if family < _BLOCK_FAMILY:
-        return 0
-    budget = min(_TAIL_TUPLES, family)
     width = held = 0
     narrower = 1  # _suffix_count(0, ell): the empty suffix
     while width < _TAIL_WIDTH:
         wider = _suffix_count(width + 1, ell)
         held += wider + narrower
-        if held > budget:
+        if held > _TAIL_TUPLES:
             break
         width, narrower = width + 1, wider
     return width if width > 2 else 0

@@ -8,8 +8,8 @@ from figurate import coefficients, enumeration
 @pytest.fixture(autouse=True)
 def empty_process_memos():
     """Each test starts and ends with empty process memos: the k- and
-    j-suffix blocks, and the alternating route's odd powers and signed
-    binomials.
+    j-suffix blocks, the enumerative routes' block denominators, and the
+    alternating route's odd powers and signed binomials.
 
     The memos are kept for the process, so a test that wraps a block or
     row builder in a fault (or plants one in _exact_div) would otherwise
@@ -20,6 +20,8 @@ def empty_process_memos():
     memos = (
         enumeration._K_BLOCKS,
         enumeration._J_BLOCKS,
+        coefficients._K_WEIGHTS,
+        coefficients._J_WEIGHTS,
         coefficients._ODD_POWERS,
         coefficients._SIGNED,
     )

@@ -2,11 +2,14 @@
 
 import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from figurate import cli, coefficients
+from figurate import cli, coefficients, enumeration
 from figurate.coefficients import (
     DEFAULT_SIZE_GUARD,
     ROUTE_TABLE,
@@ -109,6 +112,101 @@ class TestEnumerationRoutes:
         report = certify(p, ell)
         closed = report.values["closed"]
         assert {r for r, v in report.values.items() if v != closed} == ENUMERATIVE
+
+
+#: Per enumerative route: its denominator memo, its family's block memo
+#: and block builder, and the shift its denominators take.
+WEIGHED = {
+    "enum_k": (coefficients._K_WEIGHTS, enumeration._K_BLOCKS, enumeration._k_suffixes, 1),
+    "enum_j": (coefficients._J_WEIGHTS, enumeration._J_BLOCKS, enumeration._j_suffixes, 0),
+}
+
+
+def _plant_denominator(route, key):
+    """Publish the block for key in the route's family memo, and in the
+    route's denominator memo its denominators with the first one above 1
+    read as 1: every tuple of the block still divides, one weighs more."""
+    weights, blocks, build, shift = WEIGHED[route]
+    block = build(blocks, *key)
+    dens = [math.prod(math.factorial(e + shift) for e in t) for t in block]
+    dens[next(i for i, d in enumerate(dens) if d > 1)] = 1
+    weights[id(block)] = (block, dens)
+
+
+class TestBlockWeights:
+    """Each enumerative route keeps its blocks' denominators for the
+    process, beside its family's blocks, and still checks every quotient."""
+
+    @pytest.mark.parametrize("route", ["enum_k", "enum_j"])
+    def test_second_call_weighs_no_block(self, route):
+        weights, blocks, _, _ = WEIGHED[route]
+        value = coefficient(12, 6, route)
+        held = {key: dens for key, (_, dens) in weights.items()}
+        assert held
+        assert coefficient(12, 6, route) == value == c_closed(12, 6)
+        assert weights.keys() == held.keys()
+        assert all(weights[key][1] is dens for key, dens in held.items())
+        # One entry per block the family's memo holds, as long as its block.
+        assert weights.keys() <= set(map(id, blocks.values()))
+        assert all(len(dens) == len(block) for block, dens in weights.values())
+
+    def test_threads_share_empty_memos(self):
+        # Four threads weigh the band p = 8..12 from empty block and
+        # denominator memos at once, switching as often as the interpreter
+        # allows; a list read before it was complete would weigh short.
+        # Five rounds, each from empty memos, since a race is not certain.
+        points = [(p, ell) for p in range(8, 13) for ell in range(p)]
+        expected = [c_closed(p, ell) for p, ell in points for _ in range(2)]
+        start = threading.Barrier(4, timeout=60)
+
+        def sweep(_):
+            start.wait()
+            return [route(p, ell) for p, ell in points for route in (c_enum_k, c_enum_j)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                for weights, blocks, _, _ in WEIGHED.values():
+                    weights.clear()
+                    blocks.clear()
+                with ThreadPoolExecutor(4) as pool:
+                    sweeps = list(pool.map(sweep, range(4), timeout=120))
+                assert len(sweeps) == 4
+                assert all(got == expected for got in sweeps)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "route, key",
+        [("enum_k", (6, 3, 3, False)), ("enum_j", (6, 9, 3, False))],
+        ids=["k", "j"],
+    )
+    def test_wrong_denominator_disagrees_on_its_route(self, route, key):
+        # The ends of six entries with content 3 in three positive entries
+        # (their +1 images for j), read behind heads at (12, 7).
+        _plant_denominator(route, key)
+        report = certify(12, 7)
+        closed = report.values["closed"]
+        assert {r for r, v in report.values.items() if v != closed} == {route}
+
+    @pytest.mark.parametrize(
+        "route, key",
+        [("enum_k", (6, 3, 3, False)), ("enum_j", (6, 9, 3, False))],
+        ids=["k", "j"],
+    )
+    def test_wrong_denominator_fails_verify(self, route, key, capsys):
+        # One entry serves every p: the planted block is read whole at
+        # (7, 3), and behind heads at (12, 7), (13, 7..8) and (14, 7..9).
+        # Only the routes-agree lines of those p fail, each at its first ell.
+        _plant_denominator(route, key)
+        assert cli.main(["verify", "--suite", "coeff", "--pmax", "14"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("[fail]")] == [
+            f"[fail] coeff: routes agree p={p} (7 routes, ell=0..{p - 1}; "
+            f"differs from closed: {route} at ell={ell})"
+            for p, ell in [(7, 3), (12, 7), (13, 7), (14, 7)]
+        ]
 
 
 class TestRouteErrors:

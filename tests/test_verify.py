@@ -313,11 +313,16 @@ def _drop_suffix(monkeypatch, builder, key, victim):
     ids=["k", "j"],
 )
 def test_dropped_suffix_fails_its_families_and_routes(monkeypatch, builder, key, victim):
-    # At pmax 10 only p = 10 streams suffix blocks (the families of 126
-    # tuples at ell = 4, 5), so one family's stream and its route fall
-    # short there, and nowhere else.
+    # Every family streams suffix blocks. The planted block is first read
+    # at p = 7, by the one-positive (one-big) tuples of length 3 at ell = 4,
+    # and from there on, through the wider blocks built from it, by ell = 4
+    # at every p, so one family's stream and its route fall short at
+    # p = 7..10, and nowhere else.
     _drop_suffix(monkeypatch, builder, key, victim)
-    assert _failed(run_suites(["all"], 10, 14)) == ["routes agree p=10", "tuple families p=10"]
+    assert _failed(run_suites(["all"], 10, 14)) == [
+        *(f"routes agree p={p}" for p in range(7, 11)),
+        *(f"tuple families p={p}" for p in range(7, 11)),
+    ]
 
 
 def test_wrong_stirling_value_fails_the_surjection_identity(monkeypatch):
