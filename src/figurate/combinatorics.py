@@ -161,17 +161,6 @@ def stirling2_single(k: int, j: int) -> int:
     return h[-1]
 
 
-def stirling1_unsigned(k: int, r: int) -> int:
-    """Unsigned Stirling number of the first kind s(k, r).
-
-    Counts k-permutations with r cycles; zero outside 0 <= r <= k except
-    s(0,0) = 1.
-    """
-    if k < 0:
-        raise ValueError(f"negative row {k}")
-    return _STIRLING1.row(k, r + 1)[r] if 0 <= r <= k else 0
-
-
 def stirling2(k: int, j: int) -> int:
     """Stirling number of the second kind S(k, j); zero when j > k.
 
@@ -187,15 +176,6 @@ def stirling2(k: int, j: int) -> int:
     if not 0 <= j <= k:
         return 0
     return _STIRLING2.row(k)[j] if _STIRLING2.stores(k) else stirling2_single(k, j)
-
-
-def eulerian_first(p: int, j: int) -> int:
-    """First-kind Eulerian number, 1-based: <p,1> = 1, valid for 1 <= j <= p."""
-    if p < 1:
-        raise ValueError(f"row must be positive, got {p}")
-    if not 1 <= j <= p:
-        raise ValueError(f"index {j} out of range 1..{p}")
-    return _EULERIAN1.row(p - 1, j)[j - 1]
 
 
 def surjection_count(m: int, n: int) -> int:

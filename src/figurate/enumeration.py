@@ -19,13 +19,14 @@ convention, nothing more.
 
 The k- and j-families recurse once per leading entry. In every family
 the last few entries of each tuple come from suffix blocks: lists of
-every valid end for what the leading entries leave, built from narrower
-blocks and emitted in one map(tuple.__add__, block) pass per head. A
-block is a pure function of its key, so each family keeps its blocks for
-the process, in one memo per family (_K_BLOCKS, _J_BLOCKS); a block is
-published there only once complete, and threads that race to build one
-build equal blocks. The memo is bounded by construction: a call builds
-blocks of width at most _suffix_width(p, ell) <= 16 and content at most
+every valid end for what the leading entries leave, emitted in one
+map(tuple.__add__, block) pass per head. The same recursion over a
+one-entry head builds each block from narrower ones, so a family states
+its rule for the next entry once. A block is a pure function of its key,
+so each family keeps its blocks for the process, in one memo per family
+(_K_BLOCKS, _J_BLOCKS); a block is published there only once complete,
+and threads that race to build one build equal blocks. The memo is bounded by construction: a call builds
+blocks of width at most _block_width(ell) <= 16 and content at most
 ell, the width depends on ell alone, and no ell past 55 has blocks, so
 the memo of a family never holds more than 9,692 tuples, and a call adds
 at most 2,048 of them. Each family has its own recursion, its own blocks
@@ -75,8 +76,9 @@ def _check_length(length: int) -> None:
 def _k_rec(buf: list, m: int, i: int, rem: int, pos: int, prev: bool) -> Iterator[tuple]:
     """(head, block) for each distinct head, the first len(buf) entries of
     the length-m k-tuples, ascending; block is the suffix block of what the
-    head leaves (_k_suffixes). Entries 0..i-1 are already in buf and the
-    rest of buf holds zeros. One frame per entry.
+    head leaves (_k_suffixes, which builds it by this recursion). Entries
+    0..i-1 are already in buf, the rest of buf holds zeros. One frame per
+    entry.
 
     rem is the content and pos the number of positive entries left for
     the m - i slots from i on, prev whether entry i - 1 is positive.
@@ -87,7 +89,7 @@ def _k_rec(buf: list, m: int, i: int, rem: int, pos: int, prev: bool) -> Iterato
     if some tuple starts with it.
     """
     if i == len(buf):
-        yield tuple(buf), _k_suffixes(_K_BLOCKS, m - i, rem, pos, prev) if m - i else _EMPTY_BLOCK
+        yield tuple(buf), _k_suffixes(m - i, rem, pos, prev) if m - i else _EMPTY_BLOCK
         return
     left = m - i - 1
     if (pos <= rem and 2 * pos <= left + 1) if pos else not rem:
@@ -110,35 +112,28 @@ _J_BLOCKS: dict = {}
 _EMPTY_BLOCK = ((),)
 
 
-def _k_suffixes(blocks: dict, width: int, rem: int, pos: int, prev: bool) -> list:
+def _k_suffixes(width: int, rem: int, pos: int, prev: bool) -> list:
     """Every `width`-entry end of a k-tuple with content rem and pos
-    positive entries, behind a positive entry when prev, ascending.
-
-    Built from the blocks one entry narrower, with the choices of _k_rec,
-    and kept in blocks (the family's memo, for the streams and routes)
+    positive entries, behind a positive entry when prev, ascending: the
+    flattened pairs of _k_rec over a one-entry head. Kept in _K_BLOCKS
     under (width, rem, pos, prev), put there only once complete.
     """
     if not width:
         return _EMPTY_BLOCK
     key = (width, rem, pos, prev)
-    block = blocks.get(key)
+    block = _K_BLOCKS.get(key)
     if block is None:
         block = []
-        left = width - 1
-        if (pos <= rem and 2 * pos <= left + 1) if pos else not rem:
-            block += map((0,).__add__, _k_suffixes(blocks, left, rem, pos, False))
-        if pos and not prev and pos <= rem and 2 * pos <= left + 2:
-            last = rem - pos + 1
-            for v in range(last if pos == 1 else 1, last + 1):
-                block += map((v,).__add__, _k_suffixes(blocks, left, rem - v, pos - 1, True))
-        blocks[key] = block
+        for head, narrower in _k_rec([0], width, 0, rem, pos, prev):
+            block += map(head.__add__, narrower)
+        _K_BLOCKS[key] = block
     return block
 
 
 def _j_rec(buf: list, m: int, i: int, rem: int, big: int, prev: bool) -> Iterator[tuple]:
     """The (head, block) pairs of the length-m j-tuples as _k_rec gives
-    those of the k-tuples, with blocks from _j_suffixes; the rest of buf
-    holds ones. One frame per entry.
+    those of the k-tuples, with blocks from _j_suffixes, which builds them
+    by this recursion; the rest of buf holds ones. One frame per entry.
 
     rem is what the m - i slots from i on sum to, big how many of them
     are >= 2, prev whether entry i - 1 is >= 2. Each slot takes at least
@@ -148,7 +143,7 @@ def _j_rec(buf: list, m: int, i: int, rem: int, big: int, prev: bool) -> Iterato
     branches enter feasible states only.
     """
     if i == len(buf):
-        yield tuple(buf), _j_suffixes(_J_BLOCKS, m - i, rem, big, prev) if m - i else _EMPTY_BLOCK
+        yield tuple(buf), _j_suffixes(m - i, rem, big, prev) if m - i else _EMPTY_BLOCK
         return
     left = m - i - 1
     excess = rem - 1 - left  # with entry i at 1
@@ -162,29 +157,21 @@ def _j_rec(buf: list, m: int, i: int, rem: int, big: int, prev: bool) -> Iterato
         buf[i] = 1
 
 
-def _j_suffixes(blocks: dict, width: int, rem: int, big: int, prev: bool) -> list:
+def _j_suffixes(width: int, rem: int, big: int, prev: bool) -> list:
     """Every `width`-entry end of a j-tuple summing to rem with big entries
-    >= 2, behind an entry >= 2 when prev, ascending.
-
-    Built from the blocks one entry narrower, with the choices of _j_rec,
-    and kept in blocks (the family's memo, for the streams and routes)
-    under (width, rem, big, prev), put there only once complete.
+    >= 2, behind an entry >= 2 when prev, ascending: the flattened pairs
+    of _j_rec over a one-entry head, kept in _J_BLOCKS under (width, rem,
+    big, prev) as _k_suffixes keeps its blocks.
     """
     if not width:
         return _EMPTY_BLOCK
     key = (width, rem, big, prev)
-    block = blocks.get(key)
+    block = _J_BLOCKS.get(key)
     if block is None:
         block = []
-        left = width - 1
-        excess = rem - 1 - left
-        if (big <= excess and 2 * big <= left + 1) if big else not excess:
-            block += map((1,).__add__, _j_suffixes(blocks, left, rem - 1, big, False))
-        if big and not prev and big <= excess and 2 * big <= left + 2:
-            last = excess - big + 2
-            for v in range(last if big == 1 else 2, last + 1):
-                block += map((v,).__add__, _j_suffixes(blocks, left, rem - v, big - 1, True))
-        blocks[key] = block
+        for head, narrower in _j_rec([1], width, 0, rem, big, prev):
+            block += map(head.__add__, narrower)
+        _J_BLOCKS[key] = block
     return block
 
 
@@ -198,12 +185,6 @@ def _suffix_count(width: int, content: int) -> int:
     return sum(
         math.comb(width - q + 1, q) * math.comb(content, q) for q in range(width + 1)
     )
-
-
-def _suffix_width(p: int, ell: int) -> int:
-    """Width of the suffix blocks of the k- and j-families at (p, ell), 0
-    for none: _block_width(ell), whatever p."""
-    return _block_width(ell)
 
 
 @functools.cache
@@ -247,9 +228,9 @@ def _k_pairs(p: int, ell: int) -> Iterator[tuple]:
     """The k-tuples at (p, ell) in stream order, as (head, block) pairs
     from _k_rec: the tuples are head + t for each t in block, in that
     order. Per support s, the heads span all but the last
-    min(_suffix_width(p, ell), m) of the m = p + s - ell - 1 entries."""
+    min(_block_width(ell), m) of the m = p + s - ell - 1 entries."""
     _check_family(p, ell)
-    width = _suffix_width(p, ell)
+    width = _block_width(ell)
     for s in range(min(ell, 1), ell + 1):
         m = p + s - ell - 1
         yield from _k_rec([0] * max(m - width, 0), m, 0, ell, s, False)
@@ -259,7 +240,7 @@ def _j_pairs(p: int, ell: int) -> Iterator[tuple]:
     """The j-tuples at (p, ell) as _k_pairs gives the k-tuples, one
     support per number t of entries >= 2, from _j_rec."""
     _check_family(p, ell)
-    width = _suffix_width(p, ell)
+    width = _block_width(ell)
     for t in range(min(ell, 1), ell + 1):
         m = p + t - ell - 1
         yield from _j_rec([1] * max(m - width, 0), m, 0, ell + m, t, False)

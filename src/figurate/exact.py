@@ -9,9 +9,9 @@ value is refused with TypeError, so no floating point enters anywhere.
 
 There are no wrappers that rename these operators: Fraction(num, den)
 normalizes, Fraction(s) parses what format_rational prints, and the
-Polynomial operators (+, *, calling, ==) are the polynomial arithmetic;
-c * P is written Polynomial.constant(c) * P, the zero polynomial is
-Polynomial() and a polynomial P is zero when `not P.coefficients`.
+Polynomial operators (*, calling, ==) are the polynomial arithmetic;
+the zero polynomial is Polynomial() and a polynomial P is zero when
+`not P.coefficients`.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ class Polynomial:
         return Polynomial, (self.coefficients,)
 
     @classmethod
-    def constant(cls, c: int | Fraction) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, exponent: int) -> "Polynomial":
         """n**exponent"""
         if exponent < 0:
@@ -82,15 +78,6 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash(self.coefficients)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coefficients, other.coefficients

@@ -110,16 +110,18 @@ def test_criterion_04_fermat_certification(capsys):
 
 def test_criterion_05_orthogonality(capsys):
     start = time.perf_counter()
-    s1 = combinatorics.stirling1_unsigned
+    # s(k, r), zero past r = k, from the stirling1 triangle.
+    triangle = combinatorics.number_triangle("stirling1", 20)
+    s1 = [row + (0,) * (20 - k) for k, row in enumerate(triangle.rows)]
     s2 = combinatorics.stirling2
     for k in range(21):
         for j in range(21):
             delta = (-1) ** k if k == j else 0
             assert delta == sum(
-                (-1) ** r * s1(k, r) * s2(r, j) for r in range(k + 1)
+                (-1) ** r * s1[k][r] * s2(r, j) for r in range(k + 1)
             ), (k, j)
             assert delta == sum(
-                (-1) ** r * s2(k, r) * s1(r, j) for r in range(k + 1)
+                (-1) ** r * s2(k, r) * s1[r][j] for r in range(k + 1)
             ), (k, j)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

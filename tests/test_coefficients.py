@@ -126,8 +126,8 @@ def _plant_denominator(route, key):
     """Publish the block for key in the route's family memo, and in the
     route's denominator memo its denominators with the first one above 1
     read as 1: every tuple of the block still divides, one weighs more."""
-    weights, blocks, build, shift = WEIGHED[route]
-    block = build(blocks, *key)
+    weights, _, build, shift = WEIGHED[route]
+    block = build(*key)
     dens = [math.prod(math.factorial(e + shift) for e in t) for t in block]
     dens[next(i for i, d in enumerate(dens) if d > 1)] = 1
     weights[id(block)] = (block, dens)
@@ -149,6 +149,19 @@ class TestBlockWeights:
         # One entry per block the family's memo holds, as long as its block.
         assert weights.keys() <= set(map(id, blocks.values()))
         assert all(len(dens) == len(block) for block, dens in weights.values())
+
+    def test_certify_to_14_fills_pinned_memos(self):
+        # From the empty memos the fixture leaves, certify at every p <= 14
+        # builds each block and weighs it once: the figures pin that a
+        # block comes only from the head recursion a family streams, and
+        # that no route builds or weighs one more.
+        for p in range(1, 15):
+            for ell in range(p):
+                assert certify(p, ell).agree, (p, ell)
+        for weights, blocks, _, _ in WEIGHED.values():
+            assert len(blocks) == 391
+            assert sum(map(len, blocks.values())) == 4561
+            assert len(weights) == 332
 
     def test_threads_share_empty_memos(self):
         # Four threads weigh the band p = 8..12 from empty block and

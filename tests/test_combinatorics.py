@@ -17,9 +17,7 @@ from figurate.combinatorics import (
     NumberTriangle,
     _RowTable,
     _stirling2_step,
-    eulerian_first,
     number_triangle,
-    stirling1_unsigned,
     stirling2,
     surjection_brute,
     surjection_count,
@@ -74,26 +72,37 @@ class TestMultinomial:
             composition_sum(3, 3, 2, 0)
 
 
+def stirling1(k, r):
+    """s(k, r) from the stirling1 triangle, zero outside 0 <= r <= k."""
+    return number_triangle("stirling1", k).rows[k][r] if 0 <= r <= k else 0
+
+
+def eulerian1_row(p):
+    """Row p of the 1-based first-kind Eulerian triangle: <p, j> at j - 1."""
+    t = number_triangle("eulerian1", p)
+    return t.rows[p - t.first_row]
+
+
 class TestStirlingFirst:
     def test_values(self):
-        assert stirling1_unsigned(5, 2) == 50
-        assert stirling1_unsigned(4, 2) == 11
+        assert stirling1(5, 2) == 50
+        assert stirling1(4, 2) == 11
         for k in range(12):
-            assert stirling1_unsigned(k, k) == 1
+            assert stirling1(k, k) == 1
 
     def test_out_of_triangle(self):
-        assert stirling1_unsigned(3, 5) == 0
-        assert stirling1_unsigned(4, 0) == 0
-        assert stirling1_unsigned(0, 0) == 1
+        rows = number_triangle("stirling1", 4).rows
+        assert len(rows[3]) == 4  # no entry s(3, r) past r = 3
+        assert rows[4][0] == 0
+        assert rows[0] == (1,)
 
     def test_rising_factorial_coefficients(self):
         # n(n+1)...(n+k-1) = sum_r s(k,r) n^r, checked pointwise
         for k in range(1, 10):
+            row = number_triangle("stirling1", k).rows[k]
             for n in range(-5, 6):
                 rising = math.prod(range(n, n + k))
-                assert rising == sum(
-                    stirling1_unsigned(k, r) * n**r for r in range(k + 1)
-                )
+                assert rising == sum(s * n**r for r, s in enumerate(row))
 
 
 class TestStirlingSecond:
@@ -135,10 +144,10 @@ class TestStirlingSecond:
 
 class TestEulerianFirst:
     def test_values(self):
-        assert eulerian_first(8, 2) == 247
-        assert eulerian_first(8, 4) == 15619
+        assert eulerian1_row(8)[1] == 247
+        assert eulerian1_row(8)[3] == 15619
         for p in range(1, 13):
-            assert eulerian_first(p, 1) == 1
+            assert eulerian1_row(p)[0] == 1
 
     def test_descent_oracle(self):
         # <p, j> counts permutations of 1..p with j-1 descents
@@ -146,22 +155,19 @@ class TestEulerianFirst:
             counts = [0] * p
             for perm in itertools.permutations(range(p)):
                 counts[descents(perm)] += 1
-            for j in range(1, p + 1):
-                assert eulerian_first(p, j) == counts[j - 1]
+            assert list(eulerian1_row(p)) == counts
 
     def test_row_symmetry_and_sum(self):
         for p in range(1, 13):
-            assert sum(eulerian_first(p, j) for j in range(1, p + 1)) == math.factorial(p)
-            for j in range(1, p + 1):
-                assert eulerian_first(p, j) == eulerian_first(p, p + 1 - j)
+            row = eulerian1_row(p)
+            assert len(row) == p
+            assert sum(row) == math.factorial(p)
+            assert row == row[::-1]
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            eulerian_first(4, 0)
-        with pytest.raises(ValueError):
-            eulerian_first(4, 5)
-        with pytest.raises(ValueError):
-            eulerian_first(0, 1)
+        # The rows start at p = 1: there is no row 0.
+        with pytest.raises(ValueError, match="eulerian1 rows start at 1"):
+            number_triangle("eulerian1", 0)
 
 
 class TestEulerianSecond:
@@ -293,11 +299,11 @@ class TestOrthogonality:
             for j in range(13):
                 delta = (-1) ** k if k == j else 0
                 assert delta == sum(
-                    (-1) ** r * stirling1_unsigned(k, r) * stirling2(r, j)
+                    (-1) ** r * stirling1(k, r) * stirling2(r, j)
                     for r in range(k + 1)
                 )
                 assert delta == sum(
-                    (-1) ** r * stirling2(k, r) * stirling1_unsigned(r, j)
+                    (-1) ** r * stirling2(k, r) * stirling1(r, j)
                     for r in range(k + 1)
                 )
 

@@ -459,22 +459,20 @@ def _held(kind):
 
 def _memo_bound():
     """Tuples any sequence of calls can leave in one family's memo, from
-    _suffix_width and _suffix_count alone.
+    _block_width and _suffix_count alone.
 
-    A call at (p, ell) builds blocks of width at most w = _suffix_width(p,
-    ell) and content (excess, for the j-family) at most ell. w grows with
-    the budget min(2,048, C(p - 1, ell)), so p = ell + 2,049 gives each
-    ell its widest width, and w shrinks as ell grows: past the first ell
-    with w = 0 no call builds a block. For each width u take the largest
-    content c any call reaches at u. The blocks of width u then hold the
-    suffixes of content at most c, _suffix_count(u, c), behind no
-    positive entry, and those behind one, which start with an entry 0 (1
-    for j), _suffix_count(u - 1, c).
+    A call at (p, ell) builds blocks of width at most w = _block_width(ell)
+    and content (excess, for the j-family) at most ell, and w shrinks as
+    ell grows: past the first ell with w = 0 no call builds a block. For
+    each width u take the largest content c any call reaches at u. The
+    blocks of width u then hold the suffixes of content at most c,
+    _suffix_count(u, c), behind no positive entry, and those behind one,
+    which start with an entry 0 (1 for j), _suffix_count(u - 1, c).
     """
     widest = {}  # width -> the largest content a call builds at it
     ell, last = 1, enumeration._TAIL_WIDTH
     while True:
-        w = enumeration._suffix_width(ell + enumeration._TAIL_TUPLES + 1, ell)
+        w = enumeration._block_width(ell)
         assert w <= last, ell  # never wider for more content
         if not w:
             break
@@ -519,7 +517,7 @@ class TestSuffixBlocks:
                 rem = content if kind == "k" else content + width
                 for count in range(4):
                     for prev in (False, True):
-                        block = build({}, width, rem, count, prev)
+                        block = build(width, rem, count, prev)
                         assert block == brute_suffixes(kind, width, rem, count, prev), (
                             width, rem, count, prev,
                         )
@@ -541,16 +539,15 @@ class TestSuffixBlocks:
             )
 
         budget = enumeration._TAIL_TUPLES  # whatever the family's size
-        for p in range(1, 61):
-            for ell in range(p):
-                w = enumeration._suffix_width(p, ell)
-                if w:
-                    assert 3 <= w <= enumeration._TAIL_WIDTH, (p, ell)
-                    assert held(w, ell) <= budget, (p, ell)
-                    if w < enumeration._TAIL_WIDTH:
-                        assert held(w + 1, ell) > budget, (p, ell)
-                else:
-                    assert held(3, ell) > budget, (p, ell)
+        for ell in range(60):
+            w = enumeration._block_width(ell)
+            if w:
+                assert 3 <= w <= enumeration._TAIL_WIDTH, ell
+                assert held(w, ell) <= budget, ell
+                if w < enumeration._TAIL_WIDTH:
+                    assert held(w + 1, ell) > budget, ell
+            else:
+                assert held(3, ell) > budget, ell
 
     @pytest.mark.parametrize("kind", ["k", "j"])
     def test_call_adds_at_most_2048_tuples(self, kind):
@@ -558,7 +555,7 @@ class TestSuffixBlocks:
         seen = 0
         for p in range(10, 17):
             for ell in range(1, p):
-                if enumeration._suffix_width(p, ell):
+                if enumeration._block_width(ell):
                     _memo(kind).clear()
                     for _ in family(p, ell):
                         pass
@@ -581,7 +578,7 @@ class TestSuffixBlocks:
         bound = _memo_bound()
         for p in range(1, 61):
             for ell in range(1, p):
-                if enumeration._suffix_width(p, ell):
+                if enumeration._block_width(ell):
                     for _ in itertools.islice(family(p, ell), 300):
                         pass
                     assert _held(kind) <= bound, (p, ell)
@@ -617,7 +614,7 @@ class TestSuffixBlocks:
         # behind an empty head. The routes weigh the same (head, block)
         # pairs: _EMPTY_BLOCK at width 0, and widths no family gets by
         # default.
-        monkeypatch.setattr(enumeration, "_suffix_width", lambda p, ell: width)
+        monkeypatch.setattr(enumeration, "_block_width", lambda ell: width)
         for p in range(1, 12):
             for ell in range(p):
                 assert list(enumerate_k_tuples(p, ell)) == list(recursive_k_tuples(p, ell))

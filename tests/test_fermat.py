@@ -10,7 +10,7 @@ import pytest
 
 from figurate import cli, exact, fermat
 from figurate.coefficients import c_closed
-from figurate.combinatorics import stirling1_unsigned
+from figurate.combinatorics import number_triangle
 from figurate.exact import Polynomial
 from figurate.fermat import (
     RationalMatrix,
@@ -174,8 +174,9 @@ class TestBuildFermat:
 
     @pytest.mark.parametrize("p", [1, 2, 7, 60])
     def test_entries_are_stirling_over_factorial(self, p):
+        s1 = number_triangle("stirling1", p).rows
         assert build_fermat(p).rows == tuple(
-            tuple(F(stirling1_unsigned(k, j), math.factorial(k)) for j in range(1, p + 1))
+            tuple(F(s1[k][j] if j <= k else 0, math.factorial(k)) for j in range(1, p + 1))
             for k in range(1, p + 1)
         )
 

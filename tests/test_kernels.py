@@ -55,13 +55,17 @@ def _stirling1_3(k):
     return int(math.factorial(k - 1) * (h * h - h2) / 2)
 
 
-#: Per-value accessor -> (row k past ROW_CAP, the accessor's value at
-#: (k, 3) by a closed form).
+#: Single value -> (row k past ROW_CAP, its read at (k, 3) as an
+#: expression in k and c = figurate.combinatorics, its closed form).
 ACCESSORS = {
-    "stirling2": (2000, lambda k: (3**k - 3 * 2**k + 3) // 6),
-    "surjection_count": (2000, lambda k: 3**k - 3 * 2**k + 3),
-    "eulerian_first": (1500, lambda k: 3**k - (k + 1) * 2**k + math.comb(k + 1, 2)),
-    "stirling1_unsigned": (1500, _stirling1_3),
+    "stirling2": (2000, "c.stirling2(k, 3)", lambda k: (3**k - 3 * 2**k + 3) // 6),
+    "surjection_count": (2000, "c.surjection_count(k, 3)", lambda k: 3**k - 3 * 2**k + 3),
+    "eulerian1": (
+        1500,
+        "c._EULERIAN1.row(k - 1, 3)[2]",
+        lambda k: 3**k - (k + 1) * 2**k + math.comb(k + 1, 2),
+    ),
+    "stirling1": (1500, "c._STIRLING1.row(k, 4)[3]", _stirling1_3),
 }
 
 
@@ -317,8 +321,8 @@ class TestRowPolicy:
 
     def test_accessors_above_cap_leave_tables(self):
         before = _row_counts(ALL_TABLES)
-        for name, (k, value) in ACCESSORS.items():
-            assert getattr(combinatorics, name)(k, 3) == value(k), name
+        for name, (k, read, value) in ACCESSORS.items():
+            assert eval(read, {"c": combinatorics, "k": k}) == value(k), name
         assert _row_counts(ALL_TABLES) == before
 
     def test_representation_above_cap_reads_one_row(self, monkeypatch):
@@ -328,7 +332,7 @@ class TestRowPolicy:
         def refuse(*args):
             raise AssertionError(f"per-value call with {args}")
 
-        names = ("c_closed", "stirling2_single", "surjection_count", "stirling2", "eulerian_first")
+        names = ("c_closed", "stirling2_single", "surjection_count", "stirling2")
         for module in (coefficients, combinatorics, powersum):
             for name in names:
                 monkeypatch.setattr(module, name, refuse, raising=False)
@@ -550,7 +554,7 @@ print(proc.returncode, usage.ru_maxrss, out.decode().strip())
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
 class TestColdMemory:
-    """A cold large coefficient, and a per-value accessor past the cap,
+    """A cold large coefficient, and a single value past the cap,
     stays in O(p) memory in a fresh process."""
 
     LIMIT_MB = 64
@@ -578,8 +582,8 @@ class TestColdMemory:
             else:
                 expected = second**p if argv[-1] == "ml1-power" else sum_brute(second, p)
         else:
-            k, value = ACCESSORS[case]
-            command = ["-c", f"from figurate import combinatorics as c; print(c.{case}({k}, 3))"]
+            k, read, value = ACCESSORS[case]
+            command = ["-c", f"from figurate import combinatorics as c; k = {k}; print({read})"]
             expected = value(k)
         src = str(Path(figurate.__file__).resolve().parents[1])
         done = subprocess.run(

@@ -1,6 +1,7 @@
 """Power-sum formulas against the brute-force oracle, pointwise and symbolic."""
 
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -465,13 +466,13 @@ def newton_terms(p):
 def expand_rebuilt(terms):
     """Each term c * F_(n+shift)^k rebuilt from scratch as c / k! times
     the Polynomial product of its k linear factors."""
-    total = Polynomial()
+    total = []
     for c, dim, shift in terms:
-        product = Polynomial.constant(F(c, math.factorial(dim)))
+        product = Polynomial((F(c, math.factorial(dim)),))
         for a in range(shift, shift + dim):
             product = product * Polynomial((a, 1))
-        total = total + product
-    return total
+        total = list(map(sum, itertools.zip_longest(total, product.coefficients, fillvalue=0)))
+    return Polynomial(total)
 
 
 class TestProductWindow:

@@ -295,8 +295,8 @@ def _drop_suffix(monkeypatch, builder, key, victim):
     for key = (width, rem, count, prev), however often it is read."""
     real = getattr(enumeration, builder)
 
-    def planted(blocks, *args):
-        block = real(blocks, *args)
+    def planted(*args):
+        block = real(*args)
         return [t for t in block if t != victim] if args == key else block
 
     monkeypatch.setattr(enumeration, builder, planted)
