@@ -16,7 +16,9 @@ route here computes the same c(p, ell) by a different mechanism:
                p! / prod(s_i!) over compositions of p + t - j into t
                parts, each >= 2 (and p! outright for j = p).
 * eulerian2:   (p - ell)! * sum over i of <<ell, i>> * C(p + ell - 1 - i, 2*ell)
-               with second-kind Eulerian numbers.
+               with second-kind Eulerian numbers, the binomials read from
+               the route's own windows of each column C(2*ell + t, 2*ell)
+               (_BINOM_WINDOWS).
 * alternating: with j = p - ell, the inclusion-exclusion surjection count
                sum over r of (-1)^r * C(j, r) * (j - r)^p, read from the
                route's own memos of odd p-th powers and signed binomials
@@ -194,25 +196,60 @@ def c_decompose(p: int, ell: int) -> int:
     return sum(weight * inner for _, weight, inner in decompose_groups(p, p - ell))
 
 
+#: The eulerian2 route's own memo, read by no other route: ell -> (hi,
+#: window), window[s] = C(2*ell + hi - s, 2*ell), one contiguous run of the
+#: column t -> C(2*ell + t, 2*ell) from t = hi down, never below t = 0.
+#: Kept for p <= ROW_CAP only, so window ell holds no t past
+#: ROW_CAP - 1 - ell. Filled for every ell and p <= ROW_CAP = 512 it would
+#: hold 131,328 binomials, 10.0 MB (from the entries' bit lengths). A
+#: window is widened by publishing a new, longer list and a published
+#: list is never mutated, so a racing reader sees a complete window.
+_BINOM_WINDOWS: dict = {}
+
+
 def c_eulerian2(p: int, ell: int) -> int:
     """(p - ell)! * sum of <<ell, i>> * C(p + ell - 1 - i, 2*ell).
 
-    Row ell of <<., .>> is read once, by _RowTable.row(). Only the first
-    binomial C(m, k), m = p + ell - 1, k = 2*ell, comes from math.comb;
-    each later one steps down from it as C(m - 1, k) = C(m, k) * (m - k) / m,
-    the division checked exact by _exact_div. No step follows the last
-    term: at p = 1, ell = 0 it would divide by m = 0.
+    Row ell of <<., .>> is read once, by _RowTable.row(). Term i has the
+    binomial C(k + t, k), k = 2*ell, t = p - ell - 1 - i, zero for t < 0.
+    A call that finds no window for ell (every call above ROW_CAP) takes
+    only the first binomial from math.comb and steps down from it as
+    C(k + t - 1, k) = C(k + t, k) * t / (k + t) to t = 0 at the lowest,
+    summing as it steps; below ROW_CAP it keeps what it stepped as the
+    window (_BINOM_WINDOWS). Any other call widens the window at either
+    end to cover its terms, one step per new entry, up as
+    C(k + t, k) = C(k + t - 1, k) * (k + t) / t, and reads its binomials
+    as one slice of the window, in one C-level dot product with the row.
+    Every division is checked exact by _exact_div.
     """
     _check_pair(p, ell)
     row = _EULERIAN2.row(ell)
-    k, m = 2 * ell, p + ell - 1
-    binom = math.comb(m, k)
-    terms = iter(row)
-    total = next(terms) * binom
-    for e in terms:
-        binom = _exact_div(binom * (m - k), m)
-        m -= 1
-        total += e * binom
+    k, top = 2 * ell, p - ell - 1
+    held = _BINOM_WINDOWS.get(ell) if p <= ROW_CAP else None
+    if held is None:
+        binom = math.comb(k + top, k)
+        window = [binom]
+        terms = iter(row)
+        total = next(terms) * binom
+        for e, t in zip(terms, range(top, 0, -1)):
+            binom = _exact_div(binom * t, k + t)
+            window.append(binom)
+            total += e * binom
+        if p <= ROW_CAP:
+            _BINOM_WINDOWS[ell] = (top, window)
+        return math.factorial(p - ell) * total
+    hi, window = held
+    lo, bottom = hi - len(window) + 1, max(top - len(row) + 1, 0)
+    if top > hi or bottom < lo:
+        binom = window[0]
+        up = [binom := _exact_div(binom * (k + t), t) for t in range(hi + 1, top + 1)]
+        up.reverse()
+        binom = window[-1]
+        down = [binom := _exact_div(binom * t, k + t) for t in range(lo, bottom, -1)]
+        hi, window = max(hi, top), [*up, *window, *down]
+        _BINOM_WINDOWS[ell] = (hi, window)
+    start = hi - top
+    total = sum(map(operator.mul, row, window[start : start + len(row)]))
     return math.factorial(p - ell) * total
 
 

@@ -8,8 +8,9 @@ from figurate import coefficients, enumeration
 @pytest.fixture(autouse=True)
 def empty_process_memos():
     """Each test starts and ends with empty process memos: the k- and
-    j-suffix blocks, the enumerative routes' block denominators, and the
-    alternating route's odd powers and signed binomials.
+    j-suffix blocks, the enumerative routes' block denominators, the
+    alternating route's odd powers and signed binomials, and the eulerian2
+    route's binomial windows.
 
     The memos are kept for the process, so a test that wraps a block or
     row builder in a fault (or plants one in _exact_div) would otherwise
@@ -24,6 +25,7 @@ def empty_process_memos():
         coefficients._J_WEIGHTS,
         coefficients._ODD_POWERS,
         coefficients._SIGNED,
+        coefficients._BINOM_WINDOWS,
     )
     for memo in memos:
         memo.clear()

@@ -218,6 +218,10 @@ class TestSteppedSums:
                 assert c_alternating(p, ell) == alternating_sum(p, ell, power), (p, ell)
                 row = _EULERIAN2.row(ell)
                 assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
+        _windows_hold_the_columns()
+        for ell, (hi, window) in coefficients._BINOM_WINDOWS.items():
+            # The sweep reads t <= 129 - ell, so no window reaches ROW_CAP.
+            assert hi - len(window) + 1 >= 0 and hi <= 129 - ell, ell
 
     @pytest.mark.parametrize("p", LARGE_P)
     def test_alternating_large(self, p):
@@ -256,8 +260,10 @@ class TestRowPolicy:
             p = index + offset
             ell = index if route is c_eulerian2 else p // 2
             before = _row_counts()
+            windows = dict(coefficients._BINOM_WINDOWS)
             assert route(p, ell) == c_alternating(p, ell)
             assert _row_counts() == before, route.__name__
+            assert coefficients._BINOM_WINDOWS == windows, route.__name__
 
     def test_lookup_policy(self):
         """row() stores a row below ROW_CAP or the next row, and rolls any
@@ -457,6 +463,34 @@ class TestRouteIndependence:
             "alternating at ell=0)"
         ]
 
+    @pytest.fixture
+    def wrong_binomial(self, monkeypatch):
+        """C(7, 4) stored one too large in the eulerian2 route's window of
+        the column C(4 + t, 4), t = 5..0; c_eulerian2(p, 2) reads t = p - 3
+        and p - 4, so t = 3 at p = 6 and 7 only."""
+        window = [math.comb(4 + t, 4) for t in range(5, -1, -1)]
+        window[5 - 3] += 1
+        monkeypatch.setitem(coefficients._BINOM_WINDOWS, 2, (5, window))
+
+    def test_wrong_binomial_fails_only_eulerian2(self, wrong_binomial):
+        for p in range(1, 9):
+            for ell in range(p):
+                report = certify(p, ell)
+                expected = alternating_sum(p, ell)
+                wrong = {route for route, value in report.values.items() if value != expected}
+                reads = ell == 2 and p in (6, 7)
+                assert wrong == ({"eulerian2"} if reads else set()), (p, ell)
+                assert report.agree == (not reads)
+
+    def test_wrong_binomial_fails_two_verify_lines(self, wrong_binomial, capsys):
+        assert cli.main(["verify", "--suite", "coeff", "--pmax", "8"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("[fail]")] == [
+            f"[fail] coeff: routes agree p={p} (7 routes, ell=0..{p - 1}; differs from closed: "
+            "eulerian2 at ell=2)"
+            for p in (6, 7)
+        ]
+
 
 class TestAlternatingMemos:
     """c_alternating keeps its odd powers and signed binomials for the
@@ -535,6 +569,108 @@ class TestAlternatingMemos:
             assert row == [y**p for y in range(1, 2 * len(row), 2)], p
         for j, row in coefficients._SIGNED.items():
             assert row == [(-1) ** (j - x) * math.comb(j, x) for x in range(j + 1)], j
+
+
+def _windows_hold_the_columns():
+    """Every eulerian2 window is one run of its column C(2 ell + t, 2 ell)
+    from t = hi down to some t >= 0."""
+    for ell, (hi, window) in coefficients._BINOM_WINDOWS.items():
+        lo = hi - len(window) + 1
+        assert 0 <= lo <= hi, ell
+        assert window == [math.comb(2 * ell + t, 2 * ell) for t in range(hi, lo - 1, -1)], ell
+
+
+class TestEulerian2Memo:
+    """c_eulerian2 keeps one window of each column C(2 ell + t, 2 ell) for
+    the process, for p up to ROW_CAP, and publishes a wider window as a
+    new list."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """The divisors of every checked binomial step, in order."""
+        divisors = []
+        exact_div = coefficients._exact_div
+
+        def counted(num, den):
+            divisors.append(den)
+            return exact_div(num, den)
+
+        monkeypatch.setattr(coefficients, "_exact_div", counted)
+        return divisors
+
+    def test_cold_call_steps_as_before(self, steps):
+        """A cold column takes the steps of the stepped sum, one per term
+        after the first, none below t = 0; a warm read takes none."""
+        for p, ell in ((60, 20), (30, 20), (21, 20), (60, 0)):
+            coefficients._BINOM_WINDOWS.clear()
+            steps.clear()
+            row = _EULERIAN2.row(ell)
+            assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
+            assert len(steps) == min(len(row), p - ell) - 1, (p, ell)
+            steps.clear()
+            assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
+            assert steps == [], (p, ell)
+            _windows_hold_the_columns()
+
+    def test_widening_steps_each_new_entry_once(self, steps):
+        ell, row = 20, _EULERIAN2.row(20)
+        c_eulerian2(60, ell)  # t = 39..20
+        first_hi, first = coefficients._BINOM_WINDOWS[ell]
+        steps.clear()
+        assert c_eulerian2(70, ell) == eulerian2_sum(70, ell, row)  # t = 49..30
+        assert steps == list(range(40, 50))  # up: divisor t
+        steps.clear()
+        assert c_eulerian2(45, ell) == eulerian2_sum(45, ell, row)  # t = 24..5
+        assert steps == [2 * ell + t for t in range(20, 5, -1)]  # down: divisor k + t
+        hi, window = coefficients._BINOM_WINDOWS[ell]
+        assert (hi, len(window)) == (49, 45)
+        assert (first_hi, len(first)) == (39, 20)  # the published list is unchanged
+        _windows_hold_the_columns()
+
+    def test_no_window_read_or_kept_above_cap(self, steps):
+        c_eulerian2(ROW_CAP, 3)
+        held = dict(coefficients._BINOM_WINDOWS)
+        for p in (ROW_CAP + 1, 2 * ROW_CAP):
+            for ell in (0, 3, p // 2, p - 1):
+                steps.clear()
+                row = _EULERIAN2.row(ell)
+                assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
+                assert len(steps) == min(len(row), p - ell) - 1, (p, ell)
+        assert coefficients._BINOM_WINDOWS == held
+
+    def test_racing_threads_fill_the_memo(self):
+        """In each of 10 rounds, 4 threads fill the memo from empty, two in
+        each direction over points that share their ell, so that windows
+        widen up and down under a race; every value, and every window left
+        in the memo, is exact."""
+        points = [(p, ell) for ell in range(2, 200, 6) for p in range(ell + 1, 211, 9)]
+        expected = {point: c_closed(*point) for point in points}
+        threads_n = 4
+        barrier = threading.Barrier(threads_n)
+        seen = []
+
+        def worker(t):
+            barrier.wait(timeout=5)
+            for p, ell in points[:: 1 if t % 2 else -1]:
+                seen.append(((p, ell), c_eulerian2(p, ell)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                coefficients._BINOM_WINDOWS.clear()
+                threads = [threading.Thread(target=worker, args=(t,)) for t in range(threads_n)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=20)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 10 * threads_n * len(points)
+        for point, value in seen:
+            assert value == expected[point], point
+        _windows_hold_the_columns()
 
 
 # Runs a command and prints its exit code, its ru_maxrss from os.wait4 and
