@@ -212,42 +212,31 @@ def c_eulerian2(p: int, ell: int) -> int:
 
     Row ell of <<., .>> is read once, by _RowTable.row(). Term i has the
     binomial C(k + t, k), k = 2*ell, t = p - ell - 1 - i, zero for t < 0.
-    A call that finds no window for ell (every call above ROW_CAP) takes
-    only the first binomial from math.comb and steps down from it as
-    C(k + t - 1, k) = C(k + t, k) * t / (k + t) to t = 0 at the lowest,
-    summing as it steps; below ROW_CAP it keeps what it stepped as the
-    window (_BINOM_WINDOWS). Any other call widens the window at either
-    end to cover its terms, one step per new entry, up as
-    C(k + t, k) = C(k + t - 1, k) * (k + t) / t, and reads its binomials
-    as one slice of the window, in one C-level dot product with the row.
-    Every division is checked exact by _exact_div.
+    A call that finds no window for ell (every call above ROW_CAP) starts
+    from the one-entry window of its first binomial, from math.comb. Every
+    call then widens its window at either end to cover its terms, one
+    step per new entry, up as C(k + t, k) = C(k + t - 1, k) * (k + t) / t
+    and down as C(k + t - 1, k) = C(k + t, k) * t / (k + t) to t = 0 at
+    the lowest, and reads its binomials as one slice of the window, in one
+    C-level dot product with the row. Every division is checked exact by
+    _exact_div. Below ROW_CAP a new or widened window is kept
+    (_BINOM_WINDOWS).
     """
     _check_pair(p, ell)
     row = _EULERIAN2.row(ell)
     k, top = 2 * ell, p - ell - 1
     held = _BINOM_WINDOWS.get(ell) if p <= ROW_CAP else None
-    if held is None:
-        binom = math.comb(k + top, k)
-        window = [binom]
-        terms = iter(row)
-        total = next(terms) * binom
-        for e, t in zip(terms, range(top, 0, -1)):
-            binom = _exact_div(binom * t, k + t)
-            window.append(binom)
-            total += e * binom
-        if p <= ROW_CAP:
-            _BINOM_WINDOWS[ell] = (top, window)
-        return math.factorial(p - ell) * total
-    hi, window = held
+    hi, window = held or (top, [math.comb(k + top, k)])
     lo, bottom = hi - len(window) + 1, max(top - len(row) + 1, 0)
-    if top > hi or bottom < lo:
+    if not held or top > hi or bottom < lo:
         binom = window[0]
         up = [binom := _exact_div(binom * (k + t), t) for t in range(hi + 1, top + 1)]
         up.reverse()
         binom = window[-1]
         down = [binom := _exact_div(binom * t, k + t) for t in range(lo, bottom, -1)]
         hi, window = max(hi, top), [*up, *window, *down]
-        _BINOM_WINDOWS[ell] = (hi, window)
+        if p <= ROW_CAP:
+            _BINOM_WINDOWS[ell] = (hi, window)
     start = hi - top
     total = sum(map(operator.mul, row, window[start : start + len(row)]))
     return math.factorial(p - ell) * total

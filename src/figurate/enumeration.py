@@ -22,10 +22,13 @@ the last few entries of each tuple come from suffix blocks: lists of
 every valid end for what the leading entries leave, emitted in one
 map(tuple.__add__, block) pass per head. The same recursion over a
 one-entry head builds each block from narrower ones, so a family states
-its rule for the next entry once. A block is a pure function of its key,
-so each family keeps its blocks for the process, in one memo per family
-(_K_BLOCKS, _J_BLOCKS); a block is published there only once complete,
-and threads that race to build one build equal blocks. The memo is bounded by construction: a call builds
+its rule for the next entry once. One builder (_suffixes) serves both
+families: it holds only the memo lookup and the flattening, and each
+family passes it its own recursion, memo and fill. A block is a pure
+function of its key, so each family keeps its blocks for the process, in
+one memo per family (_K_BLOCKS, _J_BLOCKS); a block is published there
+only once complete, and threads that race to build one build equal
+blocks. The memo is bounded by construction: a call builds
 blocks of width at most _block_width(ell) <= 16 and content at most
 ell, the width depends on ell alone, and no ell past 55 has blocks, so
 the memo of a family never holds more than 9,692 tuples, and a call adds
@@ -33,8 +36,8 @@ at most 2,048 of them. Each family has its own recursion, its own blocks
 and its own stream of (head, block) pairs (_k_pairs, _j_pairs), so the
 k/j bijection stays a checked fact: the recursion pairs each head with
 the block for what it leaves, or with _EMPTY_BLOCK where the head is the
-whole tuple. The public generators flatten the pairs; the enumerative
-routes weigh them head by head.
+whole tuple. The public generators flatten every pair alike (head + ()
+is head); the enumerative routes weigh them head by head.
 
 Compositions come from one generator frame, which steps the leading
 parts like an odometer and takes the last parts from tail blocks built
@@ -76,9 +79,9 @@ def _check_length(length: int) -> None:
 def _k_rec(buf: list, m: int, i: int, rem: int, pos: int, prev: bool) -> Iterator[tuple]:
     """(head, block) for each distinct head, the first len(buf) entries of
     the length-m k-tuples, ascending; block is the suffix block of what the
-    head leaves (_k_suffixes, which builds it by this recursion). Entries
-    0..i-1 are already in buf, the rest of buf holds zeros. One frame per
-    entry.
+    head leaves, which _suffixes builds by this recursion into _K_BLOCKS.
+    Entries 0..i-1 are already in buf, the rest of buf holds zeros. One
+    frame per entry.
 
     rem is the content and pos the number of positive entries left for
     the m - i slots from i on, prev whether entry i - 1 is positive.
@@ -89,7 +92,8 @@ def _k_rec(buf: list, m: int, i: int, rem: int, pos: int, prev: bool) -> Iterato
     if some tuple starts with it.
     """
     if i == len(buf):
-        yield tuple(buf), _k_suffixes(m - i, rem, pos, prev) if m - i else _EMPTY_BLOCK
+        block = _suffixes(_k_rec, _K_BLOCKS, 0, m - i, rem, pos, prev) if m - i else _EMPTY_BLOCK
+        yield tuple(buf), block
         return
     left = m - i - 1
     if (pos <= rem and 2 * pos <= left + 1) if pos else not rem:
@@ -103,7 +107,7 @@ def _k_rec(buf: list, m: int, i: int, rem: int, pos: int, prev: bool) -> Iterato
 
 
 #: The suffix blocks of each family, kept for the process under their
-#: keys (see _k_suffixes and _j_suffixes).
+#: keys (see _suffixes).
 _K_BLOCKS: dict = {}
 _J_BLOCKS: dict = {}
 
@@ -112,28 +116,28 @@ _J_BLOCKS: dict = {}
 _EMPTY_BLOCK = ((),)
 
 
-def _k_suffixes(width: int, rem: int, pos: int, prev: bool) -> list:
-    """Every `width`-entry end of a k-tuple with content rem and pos
-    positive entries, behind a positive entry when prev, ascending: the
-    flattened pairs of _k_rec over a one-entry head. Kept in _K_BLOCKS
-    under (width, rem, pos, prev), put there only once complete.
+def _suffixes(rec, blocks: dict, fill: int, width: int, rem: int, count: int, prev: bool) -> list:
+    """Every `width`-entry end, width >= 1, of a tuple of the family
+    streamed by rec (_k_rec with fill 0, or _j_rec with fill 1), for the
+    state (rem, count, prev) its head leaves, ascending: the flattened
+    pairs of rec over a one-entry head. Kept in that family's memo, blocks,
+    under (width, rem, count, prev), put there only once complete.
     """
-    if not width:
-        return _EMPTY_BLOCK
-    key = (width, rem, pos, prev)
-    block = _K_BLOCKS.get(key)
+    key = (width, rem, count, prev)
+    block = blocks.get(key)
     if block is None:
         block = []
-        for head, narrower in _k_rec([0], width, 0, rem, pos, prev):
+        for head, narrower in rec([fill], width, 0, rem, count, prev):
             block += map(head.__add__, narrower)
-        _K_BLOCKS[key] = block
+        blocks[key] = block
     return block
 
 
 def _j_rec(buf: list, m: int, i: int, rem: int, big: int, prev: bool) -> Iterator[tuple]:
     """The (head, block) pairs of the length-m j-tuples as _k_rec gives
-    those of the k-tuples, with blocks from _j_suffixes, which builds them
-    by this recursion; the rest of buf holds ones. One frame per entry.
+    those of the k-tuples, with blocks that _suffixes builds by this
+    recursion into _J_BLOCKS; the rest of buf holds ones. One frame per
+    entry.
 
     rem is what the m - i slots from i on sum to, big how many of them
     are >= 2, prev whether entry i - 1 is >= 2. Each slot takes at least
@@ -143,7 +147,8 @@ def _j_rec(buf: list, m: int, i: int, rem: int, big: int, prev: bool) -> Iterato
     branches enter feasible states only.
     """
     if i == len(buf):
-        yield tuple(buf), _j_suffixes(m - i, rem, big, prev) if m - i else _EMPTY_BLOCK
+        block = _suffixes(_j_rec, _J_BLOCKS, 1, m - i, rem, big, prev) if m - i else _EMPTY_BLOCK
+        yield tuple(buf), block
         return
     left = m - i - 1
     excess = rem - 1 - left  # with entry i at 1
@@ -155,24 +160,6 @@ def _j_rec(buf: list, m: int, i: int, rem: int, big: int, prev: bool) -> Iterato
             buf[i] = v
             yield from _j_rec(buf, m, i + 1, rem - v, big - 1, True)
         buf[i] = 1
-
-
-def _j_suffixes(width: int, rem: int, big: int, prev: bool) -> list:
-    """Every `width`-entry end of a j-tuple summing to rem with big entries
-    >= 2, behind an entry >= 2 when prev, ascending: the flattened pairs
-    of _j_rec over a one-entry head, kept in _J_BLOCKS under (width, rem,
-    big, prev) as _k_suffixes keeps its blocks.
-    """
-    if not width:
-        return _EMPTY_BLOCK
-    key = (width, rem, big, prev)
-    block = _J_BLOCKS.get(key)
-    if block is None:
-        block = []
-        for head, narrower in _j_rec([1], width, 0, rem, big, prev):
-            block += map(head.__add__, narrower)
-        _J_BLOCKS[key] = block
-    return block
 
 
 def _suffix_count(width: int, content: int) -> int:
@@ -255,22 +242,17 @@ def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     lexicographic. For ell = 0 this is the single all-zero tuple of
     length p - 1 (empty for p = 1).
 
-    The stream is _k_pairs flattened: a head whose block is _EMPTY_BLOCK
-    is a whole tuple, and any other head is followed by its block, in one
-    map(head.__add__, block) pass.
+    The stream is _k_pairs flattened, each head followed by its block in
+    one map(head.__add__, block) pass (a whole tuple's block is
+    _EMPTY_BLOCK, and head + () is head). A valid ell = 0 request streams
+    its one tuple from this frame; every other request is validated by
+    _k_pairs when the stream starts.
     """
-    # _check_family's test inline: a valid request calls no function, so
-    # p = 1 streams in this one frame.
-    if p < 1 or not 0 <= ell <= p - 1 or p - 1 > MAX_TUPLE_LENGTH:
-        _check_family(p, ell)
-    if not ell:
+    if not ell and 0 < p <= MAX_TUPLE_LENGTH + 1:
         yield (0,) * (p - 1)
         return
     for head, block in _k_pairs(p, ell):
-        if block is _EMPTY_BLOCK:
-            yield head
-        else:
-            yield from map(head.__add__, block)
+        yield from map(head.__add__, block)
 
 
 def enumerate_j_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
@@ -280,18 +262,13 @@ def enumerate_j_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
 
     Entrywise this family is the +1 image of enumerate_k_tuples(p, ell),
     emitted in the same order, and streamed the same way from its own
-    pairs (_j_pairs) and suffix blocks (_j_suffixes).
+    pairs (_j_pairs) and suffix blocks.
     """
-    if p < 1 or not 0 <= ell <= p - 1 or p - 1 > MAX_TUPLE_LENGTH:  # as for the k-tuples
-        _check_family(p, ell)
-    if not ell:
+    if not ell and 0 < p <= MAX_TUPLE_LENGTH + 1:
         yield (1,) * (p - 1)
         return
     for head, block in _j_pairs(p, ell):
-        if block is _EMPTY_BLOCK:
-            yield head
-        else:
-            yield from map(head.__add__, block)
+        yield from map(head.__add__, block)
 
 
 def _widest_tail(spare: int) -> int:

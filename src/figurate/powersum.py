@@ -161,8 +161,13 @@ _TERM_BUILDERS = {
 #: Tags expressed as figurate term lists.
 TERM_TAGS = tuple(_TERM_BUILDERS)
 
+#: Entries each lru cache here keeps. An entry grows like p^2 digits; 64
+#: hold lib-warm's working set (55 term lists, 11 Faulhaber forms), and a
+#: sweep of p = 2..400 peaks at 66 MB where no bound took 188 MB.
+_CACHE_SIZE = 64
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def representation(tag: str, p: int) -> tuple[tuple[int, int, int], ...]:
     """The terms (coefficient, dimension, shift) of one of the TERM_TAGS
     formulas, each standing for coefficient * F_(n+shift)^dimension."""
@@ -221,7 +226,7 @@ def sum_variant(n: int, p: int) -> int:
     return _evaluate_terms("alt3", n, p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _faulhaber_form(p: int) -> tuple[tuple[int, ...], int]:
     """The integers (r_0, ..., r_(k-1)), k = p // 2, and L = (p + 1)! of
     the Faulhaber form of S_p(n), with u = n(n + 1):
@@ -268,7 +273,7 @@ def _faulhaber_form(p: int) -> tuple[tuple[int, ...], int]:
     return tuple(form), denom
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def faulhaber_coefficients(p: int) -> tuple[Fraction, ...]:
     """Coefficients (q_0, ..., q_(k-1)), k = p // 2, of the Faulhaber form of S_p(n):
 

@@ -114,11 +114,12 @@ class TestEnumerationRoutes:
         assert {r for r, v in report.values.items() if v != closed} == ENUMERATIVE
 
 
-#: Per enumerative route: its denominator memo, its family's block memo
-#: and block builder, and the shift its denominators take.
+#: Per enumerative route: its denominator memo, its family's block memo,
+#: the recursion and fill its blocks are built with, and the shift its
+#: denominators take.
 WEIGHED = {
-    "enum_k": (coefficients._K_WEIGHTS, enumeration._K_BLOCKS, enumeration._k_suffixes, 1),
-    "enum_j": (coefficients._J_WEIGHTS, enumeration._J_BLOCKS, enumeration._j_suffixes, 0),
+    "enum_k": (coefficients._K_WEIGHTS, enumeration._K_BLOCKS, (enumeration._k_rec, 0), 1),
+    "enum_j": (coefficients._J_WEIGHTS, enumeration._J_BLOCKS, (enumeration._j_rec, 1), 0),
 }
 
 
@@ -126,8 +127,8 @@ def _plant_denominator(route, key):
     """Publish the block for key in the route's family memo, and in the
     route's denominator memo its denominators with the first one above 1
     read as 1: every tuple of the block still divides, one weighs more."""
-    weights, _, build, shift = WEIGHED[route]
-    block = build(*key)
+    weights, blocks, (rec, fill), shift = WEIGHED[route]
+    block = enumeration._suffixes(rec, blocks, fill, *key)
     dens = [math.prod(math.factorial(e + shift) for e in t) for t in block]
     dens[next(i for i, d in enumerate(dens) if d > 1)] = 1
     weights[id(block)] = (block, dens)

@@ -504,6 +504,13 @@ def brute_suffixes(kind, width, rem, count, prev):
     return out
 
 
+#: Per family: the recursion, memo and fill its suffix blocks are built with.
+SUFFIX_FAMILIES = {
+    "k": (enumeration._k_rec, enumeration._K_BLOCKS, 0),
+    "j": (enumeration._j_rec, enumeration._J_BLOCKS, 1),
+}
+
+
 class TestSuffixBlocks:
     """The last entries of each k- and j-tuple come from suffix blocks,
     kept for the process, that hold a bounded number of tuples and are
@@ -511,13 +518,13 @@ class TestSuffixBlocks:
 
     @pytest.mark.parametrize("kind", ["k", "j"])
     def test_blocks_list_every_suffix(self, kind):
-        build = enumeration._k_suffixes if kind == "k" else enumeration._j_suffixes
+        family = SUFFIX_FAMILIES[kind]
         for width in range(1, 6):
             for content in range(7):
                 rem = content if kind == "k" else content + width
                 for count in range(4):
                     for prev in (False, True):
-                        block = build(width, rem, count, prev)
+                        block = enumeration._suffixes(*family, width, rem, count, prev)
                         assert block == brute_suffixes(kind, width, rem, count, prev), (
                             width, rem, count, prev,
                         )

@@ -627,6 +627,23 @@ class TestEulerian2Memo:
         assert (first_hi, len(first)) == (39, 20)  # the published list is unchanged
         _windows_hold_the_columns()
 
+    def test_one_comb_without_a_window_none_with_one(self, monkeypatch):
+        """A call with no usable window, cold or above the cap, seeds it
+        with one math.comb call; a warm call, widening or not, makes none."""
+        calls, values = [], []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
+        for ell, first, warm in ((20, 60, (60, 70, 45)), (20, 21, (21, 60)), (0, 60, (60, 30))):
+            coefficients._BINOM_WINDOWS.clear()
+            _EULERIAN2.row(ell)
+            for p, combs in ((first, 1), *((q, 0) for q in warm), (ROW_CAP + 1 + ell, 1)):
+                calls.clear()
+                values.append((p, ell, c_eulerian2(p, ell)))
+                assert len(calls) == combs, (p, ell, calls)
+        monkeypatch.undo()
+        for p, ell, value in values:
+            assert value == eulerian2_sum(p, ell, _EULERIAN2.row(ell)), (p, ell)
+
     def test_no_window_read_or_kept_above_cap(self, steps):
         c_eulerian2(ROW_CAP, 3)
         held = dict(coefficients._BINOM_WINDOWS)

@@ -1,11 +1,14 @@
 """Power-sum formulas against the brute-force oracle, pointwise and symbolic."""
 
 import hashlib
+import importlib.util
 import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,7 @@ from figurate.powersum import (
 )
 
 F = Fraction
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def oracle(n, p):
@@ -371,6 +375,51 @@ class TestDispatch:
         assert isinstance(rep, tuple)
         assert all(len(term) == 3 and all(type(x) is int for x in term) for term in rep)
         assert sum(c * figurate(10 + shift, dim) for c, dim, shift in rep) == oracle(10, 5)
+
+
+def lib_warm_pass():
+    """Every powersum call the lib-warm benchmark makes: its set-up's
+    cache fills (bench/libwarm.py), then its expand_symbolic and
+    evaluate_formula operations (bench/workloads.py)."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    ops = [
+        point
+        for cls in workloads.LIB_WARM
+        for point in cls.band
+        if point[0] in ("expand_symbolic", "evaluate_formula")
+    ]
+    for op in ops:
+        tag, p = (op[2], op[1]) if op[0] == "expand_symbolic" else (op[1], op[3])
+        if tag == "faulhaber":
+            faulhaber_coefficients(p)
+        elif tag != "brute":
+            representation(tag, p)
+    for kind, *args in ops:
+        (expand_symbolic if kind == "expand_symbolic" else evaluate_formula)(*args)
+
+
+class TestCacheBound:
+    CACHES = (representation, powersum._faulhaber_form, faulhaber_coefficients)
+
+    def test_second_lib_warm_pass_adds_no_miss(self):
+        # The caches are bounded, and lib-warm's keys (55 term lists and
+        # 11 Faulhaber forms) still fit: a second pass finds every one.
+        for cache in self.CACHES:
+            cache.cache_clear()
+        lib_warm_pass()
+        first = [cache.cache_info() for cache in self.CACHES]
+        assert [info.misses for info in first] == [55, 11, 11]
+        lib_warm_pass()
+        assert [cache.cache_info().misses for cache in self.CACHES] == [
+            info.misses for info in first
+        ]
+        assert all(cache.cache_info().maxsize is not None for cache in self.CACHES)
 
 
 class TestRecordedTerms:

@@ -290,35 +290,37 @@ def test_wrong_summand_count_fails_its_line(monkeypatch):
     assert _failed(run_suites(["coeff"], 6, 14)) == ["summand counts p=6"]
 
 
-def _drop_suffix(monkeypatch, builder, key, victim):
-    """enumeration.<builder> with `victim` missing from the suffix block
-    for key = (width, rem, count, prev), however often it is read."""
-    real = getattr(enumeration, builder)
+def _drop_suffix(monkeypatch, blocks, key, victim):
+    """enumeration._suffixes with `victim` missing from the suffix block
+    for key = (width, rem, count, prev) of the family whose memo is
+    blocks, however often it is read; the other family's blocks are
+    untouched."""
+    real = enumeration._suffixes
 
-    def planted(*args):
-        block = real(*args)
-        return [t for t in block if t != victim] if args == key else block
+    def planted(rec, memo, fill, *args):
+        block = real(rec, memo, fill, *args)
+        return [t for t in block if t != victim] if memo is blocks and args == key else block
 
-    monkeypatch.setattr(enumeration, builder, planted)
+    monkeypatch.setattr(enumeration, "_suffixes", planted)
 
 
 @pytest.mark.parametrize(
-    "builder, key, victim",
+    "blocks, key, victim",
     [
         # Three entries, content 4 in one positive entry: (0, 0, 4), (0, 4, 0), (4, 0, 0).
-        ("_k_suffixes", (3, 4, 1, False), (0, 4, 0)),
+        (enumeration._K_BLOCKS, (3, 4, 1, False), (0, 4, 0)),
         # Three entries summing to 7 with one entry >= 2: its +1 image.
-        ("_j_suffixes", (3, 7, 1, False), (1, 5, 1)),
+        (enumeration._J_BLOCKS, (3, 7, 1, False), (1, 5, 1)),
     ],
     ids=["k", "j"],
 )
-def test_dropped_suffix_fails_its_families_and_routes(monkeypatch, builder, key, victim):
+def test_dropped_suffix_fails_its_families_and_routes(monkeypatch, blocks, key, victim):
     # Every family streams suffix blocks. The planted block is first read
     # at p = 7, by the one-positive (one-big) tuples of length 3 at ell = 4,
     # and from there on, through the wider blocks built from it, by ell = 4
     # at every p, so one family's stream and its route fall short at
     # p = 7..10, and nowhere else.
-    _drop_suffix(monkeypatch, builder, key, victim)
+    _drop_suffix(monkeypatch, blocks, key, victim)
     assert _failed(run_suites(["all"], 10, 14)) == [
         *(f"routes agree p={p}" for p in range(7, 11)),
         *(f"tuple families p={p}" for p in range(7, 11)),
