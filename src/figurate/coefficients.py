@@ -313,8 +313,8 @@ def summand_count(p: int, j: int) -> int:
 
 
 def coefficient(p: int, ell: int, route: str = "closed") -> int:
-    """c(p, ell) by the named route, i.e. c_<route>(p, ell)."""
-    _check_pair(p, ell)
+    """c(p, ell) by the named route, i.e. c_<route>(p, ell). The route
+    checks (p, ell) itself, so an invalid pair raises its ValueError."""
     if route not in ROUTE_TABLE:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     return globals()[f"c_{route}"](p, ell)
@@ -365,8 +365,9 @@ class RouteReport(namedtuple("RouteReport", "values skipped")):
 def certify(p: int, ell: int, size_guard: int = DEFAULT_SIZE_GUARD) -> RouteReport:
     """Evaluate every route at (p, ell), skipping enumerative routes when
     p exceeds size_guard; the report holds values and skips, not p or ell.
-    A route that raises RuntimeError reports the error as its value."""
-    _check_pair(p, ell)
+    A route that raises RuntimeError reports the error as its value; an
+    invalid (p, ell) raises the ValueError of the closed route, which
+    always runs first."""
     run, skipped = split_routes(ROUTES, p, size_guard)
     values = {}
     for route in run:

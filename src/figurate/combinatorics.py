@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import threading
 from collections import namedtuple
@@ -178,16 +177,6 @@ def stirling2(k: int, j: int) -> int:
     return _STIRLING2.row(k)[j] if _STIRLING2.stores(k) else stirling2_single(k, j)
 
 
-def surjection_count(m: int, n: int) -> int:
-    """Number of surjections from an m-set onto an n-set: n! * S(m, n).
-
-    Returns 0 when m < n (no surjection exists).
-    """
-    if m < 1 or n < 1:
-        raise ValueError(f"set sizes must be positive, got ({m}, {n})")
-    return math.factorial(n) * stirling2(m, n)
-
-
 def _surjection_row(m: int) -> list[int]:
     """j! * S(m, j) for j = 0..m, from one row of S and a running j!."""
     factorials = itertools.accumulate(range(1, m + 1), operator.mul, initial=1)
@@ -215,13 +204,13 @@ def surjection_brute(m: int, n: int) -> int:
     """Surjection count by testing every one of the n**m maps from {1..m}
     to {1..n}.
 
-    Independent of surjection_count: a map is onto when the bitmask of its
-    image is full. The masks of all maps on the last q = min(m, 5)
-    coordinates sit in one bytes object of n**q bytes. For each map on the
-    other m - q coordinates, one bytes.translate ORs its mask into all of
-    them and count() finds the full ones, so every map is built and tested
-    in C-level passes. The OR tables those passes read are cached per
-    byte (_or_table), at most 2**7 of them.
+    Independent of the closed form n! * S(m, n): a map is onto when the
+    bitmask of its image is full. The masks of all maps on the last
+    q = min(m, 5) coordinates sit in one bytes object of n**q bytes. For
+    each map on the other m - q coordinates, one bytes.translate ORs its
+    mask into all of them and count() finds the full ones, so every map is
+    built and tested in C-level passes. The OR tables those passes read
+    are cached per byte (_or_table), at most 2**7 of them.
 
     Refuses instances whose exhaustive pass would write more than
     BRUTE_FORCE_LIMIT entries, m * n**m, before any work; n**m is never

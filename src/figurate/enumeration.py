@@ -215,20 +215,23 @@ def _k_pairs(p: int, ell: int) -> Iterator[tuple]:
     """The k-tuples at (p, ell) in stream order, as (head, block) pairs
     from _k_rec: the tuples are head + t for each t in block, in that
     order. Per support s, the heads span all but the last
-    min(_block_width(ell), m) of the m = p + s - ell - 1 entries."""
+    min(_block_width(ell), m) of the m = p + s - ell - 1 entries. Only the
+    supports that hold a tuple are visited, s up to min(ell, p - ell)
+    (see _check_family), so no block is empty."""
     _check_family(p, ell)
     width = _block_width(ell)
-    for s in range(min(ell, 1), ell + 1):
+    for s in range(min(ell, 1), min(ell, p - ell) + 1):
         m = p + s - ell - 1
         yield from _k_rec([0] * max(m - width, 0), m, 0, ell, s, False)
 
 
 def _j_pairs(p: int, ell: int) -> Iterator[tuple]:
     """The j-tuples at (p, ell) as _k_pairs gives the k-tuples, one
-    support per number t of entries >= 2, from _j_rec."""
+    support per number t of entries >= 2, from _j_rec, t up to
+    min(ell, p - ell)."""
     _check_family(p, ell)
     width = _block_width(ell)
-    for t in range(min(ell, 1), ell + 1):
+    for t in range(min(ell, 1), min(ell, p - ell) + 1):
         m = p + t - ell - 1
         yield from _j_rec([1] * max(m - width, 0), m, 0, ell + m, t, False)
 

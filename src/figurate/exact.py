@@ -59,13 +59,6 @@ class Polynomial:
         # copy and pickle rebuild through __init__, not the refusing __setattr__.
         return Polynomial, (self.coefficients,)
 
-    @classmethod
-    def monomial(cls, exponent: int) -> "Polynomial":
-        """n**exponent"""
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls((0,) * exponent + (1,))
-
     @property
     def degree(self) -> int:
         """Index of the last coefficient; -1 for the zero polynomial."""
@@ -81,8 +74,6 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coefficients, other.coefficients
-        if not a or not b:
-            return Polynomial()
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
@@ -92,10 +83,10 @@ class Polynomial:
     def __call__(self, x: int | Fraction) -> Fraction:
         """Exact value at x, by Horner's rule over integers.
 
-        The coefficients are scaled to their common denominator L, so for
-        an int x every step is an integer step. For x = u/w the
-        homogenised form sum a_i u^i w^(d-i) over L w^d, d the degree, is
-        stepped the same way. One Fraction is built at the end.
+        The coefficients are scaled to their common denominator L, and for
+        x = u/w (an int x is x/1) the homogenised form sum a_i u^i w^(d-i)
+        over L w^d, d the degree, is stepped in integers. One Fraction is
+        built at the end.
         """
         if not isinstance(x, int):
             x = _rational(x)
@@ -105,10 +96,6 @@ class Polynomial:
         den = math.lcm(*[c.denominator for c in coeffs])
         ints = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
         acc = ints[0]
-        if isinstance(x, int):
-            for a in ints[1:]:
-                acc = acc * x + a
-            return Fraction(acc, den)
         u, w = x.numerator, x.denominator
         scale = 1  # w ** (steps so far)
         for a in ints[1:]:

@@ -30,7 +30,6 @@ from figurate.coefficients import (
     summand_count,
     w_sum,
 )
-from figurate.combinatorics import surjection_count
 
 ENUMERATIVE = {route for route, enumerative in ROUTE_TABLE.items() if enumerative}
 
@@ -159,10 +158,14 @@ class TestBlockWeights:
         for p in range(1, 15):
             for ell in range(p):
                 assert certify(p, ell).agree, (p, ell)
+        # A family streams only the supports that hold a tuple, so every
+        # block kept and every denominator list holds at least one entry.
         for weights, blocks, _, _ in WEIGHED.values():
-            assert len(blocks) == 391
+            assert len(blocks) == 311
             assert sum(map(len, blocks.values())) == 4561
-            assert len(weights) == 332
+            assert len(weights) == 252
+            assert all(blocks.values())
+            assert all(dens for _, dens in weights.values())
 
     def test_threads_share_empty_memos(self):
         # Four threads weigh the band p = 8..12 from empty block and
@@ -462,6 +465,29 @@ class TestRouteAgreement:
             coefficient(3, 1, "magic")
 
 
+class TestPairChecks:
+    """coefficient() and certify() leave (p, ell) to the routes, and every
+    route checks it with the same message."""
+
+    @pytest.mark.parametrize("p, ell", [(0, 0), (3, -1), (3, 3)])
+    def test_every_route_refuses_an_invalid_pair(self, p, ell):
+        with pytest.raises(ValueError) as expected:
+            enumeration._check_pair(p, ell)
+        for route in ROUTES:
+            with pytest.raises(ValueError) as got:
+                coefficient(p, ell, route)
+            assert str(got.value) == str(expected.value), route
+        with pytest.raises(ValueError) as got:
+            certify(p, ell)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("p, ell", [(3, 1), (0, 0)])
+    def test_unknown_route_names_the_routes(self, p, ell):
+        with pytest.raises(ValueError) as got:
+            coefficient(p, ell, "nope")
+        assert str(got.value) == f"unknown route 'nope'; expected one of {ROUTES}"
+
+
 class TestRouteTable:
     def test_every_route_is_a_function_of_p_and_ell(self):
         for route in ROUTES:
@@ -506,9 +532,11 @@ class TestRowProperties:
             assert Fraction(c_closed(p, 2)) == expect
 
     def test_surjection_identity(self):
+        # j! S(p, j) counts the surjections onto a j-set, by inclusion-exclusion.
         for p in range(1, 26):
             for j in range(1, p + 1):
-                assert c_closed(p, p - j) == surjection_count(p, j)
+                onto = sum((-1) ** r * math.comb(j, r) * (j - r) ** p for r in range(j + 1))
+                assert c_closed(p, p - j) == onto
 
 
 class TestTriangle:

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from figurate import combinatorics
-from figurate.coefficients import _recurrence_step, composition_sum
+from figurate.coefficients import _recurrence_step, c_closed, composition_sum
 from figurate.combinatorics import (
     _EULERIAN2,
     FAMILIES,
@@ -20,7 +20,6 @@ from figurate.combinatorics import (
     number_triangle,
     stirling2,
     surjection_brute,
-    surjection_count,
 )
 
 
@@ -191,19 +190,19 @@ class TestEulerianSecond:
 
 class TestSurjections:
     def test_values(self):
-        assert surjection_count(3, 2) == 6
-        assert surjection_count(4, 3) == 36
+        # n! S(m, n) is the closed route's c(m, m - n).
+        assert surjection_brute(3, 2) == c_closed(3, 1) == 6
+        assert surjection_brute(4, 3) == c_closed(4, 1) == 36
         for m in range(1, 9):
-            assert surjection_count(m, 1) == 1
+            assert surjection_brute(m, 1) == c_closed(m, m - 1) == 1
 
     def test_no_surjection_onto_larger_set(self):
-        assert surjection_count(2, 5) == 0
         assert surjection_brute(2, 5) == 0
 
     def test_brute_matches_formula(self):
         for m in range(1, 6):
             for n in range(1, m + 1):
-                assert surjection_brute(m, n) == surjection_count(m, n)
+                assert surjection_brute(m, n) == c_closed(m, m - n)
 
     def test_bijections(self):
         for m in range(1, 6):
@@ -216,7 +215,7 @@ class TestSurjections:
 
     def test_brute_on_eight_points(self):
         for n in range(1, 8):
-            assert surjection_brute(8, n) == surjection_count(8, n), n
+            assert surjection_brute(8, n) == c_closed(8, 8 - n), n
 
     def test_brute_peaks_under_1mb(self):
         tracemalloc.start()
@@ -269,7 +268,7 @@ class TestSurjections:
         combinatorics._or_table.cache_clear()
         for m in range(1, 8):
             for n in range(1, 8):
-                assert surjection_brute(m, n) == surjection_count(m, n)
+                assert surjection_brute(m, n) == (c_closed(m, m - n) if n <= m else 0)
         assert 0 < combinatorics._or_table.cache_info().currsize <= 128
 
     @pytest.mark.parametrize(
@@ -288,7 +287,7 @@ class TestSurjections:
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
-            surjection_count(0, 1)
+            surjection_brute(0, 1)
         with pytest.raises(ValueError):
             surjection_brute(3, 0)
 

@@ -517,6 +517,23 @@ class TestSuffixBlocks:
     built for every family."""
 
     @pytest.mark.parametrize("kind", ["k", "j"])
+    def test_pairs_hold_no_empty_block(self, kind):
+        pairs = enumeration._k_pairs if kind == "k" else enumeration._j_pairs
+        for p in range(1, 19):
+            for ell in range(p):
+                assert all(block for _, block in pairs(p, ell)), (p, ell)
+
+    def test_streams_keep_no_empty_block(self):
+        for p in range(1, 17):
+            for ell in range(p):
+                for family in (enumerate_k_tuples, enumerate_j_tuples):
+                    for _ in family(p, ell):
+                        pass
+        for kind in ("k", "j"):
+            assert _memo(kind)
+            assert all(_memo(kind).values()), kind
+
+    @pytest.mark.parametrize("kind", ["k", "j"])
     def test_blocks_list_every_suffix(self, kind):
         family = SUFFIX_FAMILIES[kind]
         for width in range(1, 6):

@@ -56,10 +56,11 @@ def _stirling1_3(k):
 
 
 #: Single value -> (row k past ROW_CAP, its read at (k, 3) as an
-#: expression in k and c = figurate.combinatorics, its closed form).
+#: expression in k, c = figurate.combinatorics and figurate.coefficients,
+#: its closed form).
 ACCESSORS = {
     "stirling2": (2000, "c.stirling2(k, 3)", lambda k: (3**k - 3 * 2**k + 3) // 6),
-    "surjection_count": (2000, "c.surjection_count(k, 3)", lambda k: 3**k - 3 * 2**k + 3),
+    "c_closed": (2000, "coefficients.c_closed(k, k - 3)", lambda k: 3**k - 3 * 2**k + 3),
     "eulerian1": (
         1500,
         "c._EULERIAN1.row(k - 1, 3)[2]",
@@ -328,7 +329,8 @@ class TestRowPolicy:
     def test_accessors_above_cap_leave_tables(self):
         before = _row_counts(ALL_TABLES)
         for name, (k, read, value) in ACCESSORS.items():
-            assert eval(read, {"c": combinatorics, "k": k}) == value(k), name
+            namespace = {"c": combinatorics, "coefficients": coefficients, "k": k}
+            assert eval(read, namespace) == value(k), name
         assert _row_counts(ALL_TABLES) == before
 
     def test_representation_above_cap_reads_one_row(self, monkeypatch):
@@ -338,7 +340,7 @@ class TestRowPolicy:
         def refuse(*args):
             raise AssertionError(f"per-value call with {args}")
 
-        names = ("c_closed", "stirling2_single", "surjection_count", "stirling2")
+        names = ("c_closed", "stirling2_single", "stirling2")
         for module in (coefficients, combinatorics, powersum):
             for name in names:
                 monkeypatch.setattr(module, name, refuse, raising=False)
@@ -736,7 +738,8 @@ class TestColdMemory:
                 expected = second**p if argv[-1] == "ml1-power" else sum_brute(second, p)
         else:
             k, read, value = ACCESSORS[case]
-            command = ["-c", f"from figurate import combinatorics as c; k = {k}; print({read})"]
+            imports = "from figurate import coefficients, combinatorics as c"
+            command = ["-c", f"{imports}; k = {k}; print({read})"]
             expected = value(k)
         src = str(Path(figurate.__file__).resolve().parents[1])
         done = subprocess.run(
