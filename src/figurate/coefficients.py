@@ -20,9 +20,9 @@ route here computes the same c(p, ell) by a different mechanism:
                the route's own windows of each column C(2*ell + t, 2*ell)
                (_BINOM_WINDOWS).
 * alternating: with j = p - ell, the inclusion-exclusion surjection count
-               sum over r of (-1)^r * C(j, r) * (j - r)^p, read from the
-               route's own memos of odd p-th powers and signed binomials
-               (_ODD_POWERS, _SIGNED), not from a row table.
+               sum over r of (-1)^r * C(j, r) * (j - r)^p, r paired with
+               j - r, read from the route's own memos of p-th powers and half
+               rows of signed binomials (_POWERS, _SIGNED), not a row table.
 
 Every route is the module function c_<name>(p, ell) with 0 <= ell <= p - 1,
 and ROUTE_TABLE is the one place a route is named: it maps each name, in
@@ -242,53 +242,53 @@ def c_eulerian2(p: int, ell: int) -> int:
     return math.factorial(p - ell) * total
 
 
-#: The alternating route's own memos, read by no other route: p -> the
-#: p-th powers of the odd bases 1, 3, 5, ..., and j -> the signed
-#: binomials a_0..a_j (see c_alternating), kept for p, j <= ROW_CAP only.
-#: Filled for every p, j <= ROW_CAP = 512 they would hold 22.4 MB of powers
-#: and 8.4 MB of binomials (from the entries' bit lengths). A row is
-#: extended by publishing a new, longer list and a published list is
-#: never mutated, so a racing reader sees a complete row.
-_ODD_POWERS: dict = {}
+#: The alternating route's own memos, read by no other route: p -> x^p for
+#: x = 0, 1, 2, ..., and j -> a_0..a_(j // 2) (see c_alternating), kept for
+#: p, j <= ROW_CAP only. Filled for every p, j <= ROW_CAP = 512 they would
+#: hold 44.8 MB of powers and 4.2 MB of binomials (from the entries' bit
+#: lengths). A row is extended by publishing a new, longer list and a
+#: published list is never mutated, so a racing reader sees a complete row.
+_POWERS: dict = {}
 _SIGNED: dict = {}
 
 
 def c_alternating(p: int, ell: int) -> int:
     """Inclusion-exclusion at j = p - ell: sum of (-1)^r C(j, r) (j - r)^p.
 
-    That is the sum of a_x x^p over x = 1..j, a_x = (-1)^(j - x) C(j, x).
-    With x = d y, d = 2^a and y odd, it is Horner's rule in 2^p over a,
-    from the largest d down, of the C-level dot products of a_d, a_3d,
-    a_5d, ... with 1^p, 3^p, 5^p, ... Both lists come from the route's own
-    memos. a_x = a_(x-1) (x - j - 1) / x from a_0 = (-1)^j, each division
-    checked exact by _exact_div; only bases prime to 6 take a pow, an odd
-    multiple y of 3 being (y / 3)^p 3^p, with y / 3 earlier in the list.
+    That is the sum of a_x x^p over x = 0..j, a_x = (-1)^(j - x) C(j, x).
+    As a_(j - x) = (-1)^j a_x, it is one C-level dot product of a_x with
+    x^p + (-1)^j (j - x)^p over x < j / 2, plus a_(j/2) (j/2)^p for even j,
+    both lists from the route's own memos. a_x = a_(x-1) (x - j - 1) / x
+    from a_0 = (-1)^j, each division checked exact by _exact_div. Only bases
+    prime to 6 take a pow: an odd multiple y of 3 is (y / 3)^p 3^p, and each
+    2-adic level of even bases is the one below shifted left by p, in C.
     """
     _check_pair(p, ell)
     j = p - ell
+    half = j // 2
     signed = _SIGNED.get(j)
     if signed is None:
         binom = -1 if j & 1 else 1
-        signed = [binom]
-        for x in range(1, j + 1):
-            binom = _exact_div(binom * (x - j - 1), x)
-            signed.append(binom)
+        signed = [binom, *[binom := _exact_div(binom * (x - j - 1), x) for x in range(1, half + 1)]]
         if j <= ROW_CAP:
             _SIGNED[j] = signed
-    odd = _ODD_POWERS.get(p, [])
-    if len(odd) < (j + 1) // 2:
-        odd = [*odd]  # a new list: the published one is never mutated
+    powers = _POWERS.get(p, [0])
+    n = len(powers)
+    if n <= j:
+        powers = [*powers, *repeat(0, j + 1 - n)]  # a new list: the published one is never mutated
         three_p = 3**p
-        for y in range(2 * len(odd) + 1, j + 1, 2):
-            odd.append(odd[y // 6] * three_p if y % 3 == 0 else y**p)
+        for y in range(n | 1, j + 1, 2):
+            powers[y] = powers[y // 3] * three_p if y % 3 == 0 else y**p
+        d = 2
+        while d <= j:
+            x = n + (d - n) % (2 * d)  # the first new base with exactly d dividing it
+            powers[x :: 2 * d] = map(operator.lshift, powers[x // 2 : half + 1 : d], repeat(p))
+            d *= 2
         if p <= ROW_CAP:
-            _ODD_POWERS[p] = odd
-    total = 0
-    d = 1 << (j.bit_length() - 1)
-    while d:
-        total = (total << p) + sum(map(operator.mul, signed[d :: 2 * d], odd))
-        d >>= 1
-    return total
+            _POWERS[p] = powers
+    mirror = operator.sub if j & 1 else operator.add
+    total = sum(map(operator.mul, signed, map(mirror, powers, powers[j:half:-1])))
+    return total if j & 1 else total + signed[half] * powers[half]
 
 
 def w_sum(p: int, j: int) -> int:

@@ -9,7 +9,7 @@ from figurate import coefficients, enumeration
 def empty_process_memos():
     """Each test starts and ends with empty process memos: the k- and
     j-suffix blocks, the enumerative routes' block denominators, the
-    alternating route's odd powers and signed binomials, and the eulerian2
+    alternating route's powers and signed binomials, and the eulerian2
     route's binomial windows.
 
     The memos are kept for the process, so a test that wraps a block or
@@ -23,7 +23,7 @@ def empty_process_memos():
         enumeration._J_BLOCKS,
         coefficients._K_WEIGHTS,
         coefficients._J_WEIGHTS,
-        coefficients._ODD_POWERS,
+        coefficients._POWERS,
         coefficients._SIGNED,
         coefficients._BINOM_WINDOWS,
     )

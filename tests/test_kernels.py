@@ -423,8 +423,9 @@ class TestRouteIndependence:
         for p, ell in self.PAIRS:
             assert c_alternating(p, ell) == alternating_sum(p, ell), (p, ell)
 
-    # j at, or one either side of, 2^a, 3^b or 2^a 3^b: where a chain of
-    # c_alternating's grouped sum gains or loses its last base.
+    # j at, or one either side of, 2^a, 3^b or 2^a 3^b: where a row of
+    # c_alternating's powers gains or loses the last base of a 2-adic level
+    # or of a chain of multiples of 3.
     SMOOTH_JS = {
         400: (64, 81, 96, 216, 243, 256, 288, 384),
         1200: (512, 648, 729, 864, 972, 1024, 1152),
@@ -441,29 +442,66 @@ class TestRouteIndependence:
         refuse_tables.add(_EULERIAN2)
         assert [c_eulerian2(p, ell) for p, ell in self.PAIRS] == expected
 
+    @staticmethod
+    def plant_power(monkeypatch, base):
+        """base^7 stored one too large in the alternating route's own memo;
+        c_alternating(7, ell) reads it, as x^7 or as its mirror (j - x)^7,
+        wherever j = 7 - ell >= base."""
+        row = [x**7 for x in range(8)]
+        row[base] += 1
+        monkeypatch.setitem(coefficients._POWERS, 7, row)
+
     @pytest.fixture
     def wrong_odd_power(self, monkeypatch):
-        """5^7 stored one too large in the alternating route's own memo;
-        c_alternating(7, ell) reads it wherever j = 7 - ell >= 5."""
-        row = [y**7 for y in (1, 3, 5, 7)]
-        row[2] += 1
-        monkeypatch.setitem(coefficients._ODD_POWERS, 7, row)
+        self.plant_power(monkeypatch, 5)
 
-    def test_wrong_odd_power_fails_only_alternating(self, wrong_odd_power):
+    @pytest.fixture
+    def wrong_even_power(self, monkeypatch):
+        self.plant_power(monkeypatch, 4)
+
+    @staticmethod
+    def assert_only_alternating_fails(base):
         for ell in range(7):
             report = certify(7, ell)
             expected = alternating_sum(7, ell)
             wrong = {route for route, value in report.values.items() if value != expected}
-            assert wrong == ({"alternating"} if ell <= 2 else set()), ell
-            assert report.agree == (ell > 2)
+            assert wrong == ({"alternating"} if 7 - ell >= base else set()), ell
+            assert report.agree == (7 - ell < base)
 
-    def test_wrong_odd_power_fails_one_verify_line(self, wrong_odd_power, capsys):
+    @staticmethod
+    def assert_one_verify_line(capsys):
         assert cli.main(["verify", "--suite", "coeff", "--pmax", "8"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if line.startswith("[fail]")] == [
             "[fail] coeff: routes agree p=7 (7 routes, ell=0..6; differs from closed: "
             "alternating at ell=0)"
         ]
+
+    def test_wrong_odd_power_fails_only_alternating(self, wrong_odd_power):
+        self.assert_only_alternating_fails(5)
+
+    def test_wrong_odd_power_fails_one_verify_line(self, wrong_odd_power, capsys):
+        self.assert_one_verify_line(capsys)
+
+    def test_wrong_even_power_fails_only_alternating(self, wrong_even_power):
+        self.assert_only_alternating_fails(4)
+
+    def test_wrong_even_power_fails_one_verify_line(self, wrong_even_power, capsys):
+        self.assert_one_verify_line(capsys)
+
+    # (j, x): a_x stored one too large in the kept half a_0..a_(j // 2),
+    # paired with its mirror a_(j - x) or, at x = j / 2, the middle term.
+    @pytest.mark.parametrize("j, x", [(5, 0), (5, 2), (6, 1), (6, 3)])
+    def test_wrong_signed_binomial_fails_only_alternating(self, monkeypatch, j, x):
+        row = [(-1) ** (j - i) * math.comb(j, i) for i in range(j // 2 + 1)]
+        row[x] += 1
+        monkeypatch.setitem(coefficients._SIGNED, j, row)
+        for p in range(1, 11):
+            for ell in range(p):
+                report = certify(p, ell)
+                expected = alternating_sum(p, ell)
+                wrong = {route for route, value in report.values.items() if value != expected}
+                assert wrong == ({"alternating"} if p - ell == j else set()), (p, ell)
 
     @pytest.fixture
     def wrong_binomial(self, monkeypatch):
@@ -495,15 +533,15 @@ class TestRouteIndependence:
 
 
 class TestAlternatingMemos:
-    """c_alternating keeps its odd powers and signed binomials for the
-    process, for p and j up to ROW_CAP, and publishes a longer row as a
-    new list."""
+    """c_alternating keeps its powers and the first half of each row of
+    signed binomials for the process, for p and j up to ROW_CAP, and
+    publishes a longer row as a new list."""
 
     def test_no_key_above_cap(self):
         for p in (ROW_CAP + 1, 2 * ROW_CAP):
             for ell in (0, p - ROW_CAP, p // 2, p - 1):
                 c_alternating(p, ell)
-        assert not coefficients._ODD_POWERS
+        assert not coefficients._POWERS
         assert max(coefficients._SIGNED) == ROW_CAP  # j = ROW_CAP at ell = p - ROW_CAP
         p = ROW_CAP + 1
         assert c_alternating(p, 1) == alternating_sum(p, 1)
@@ -512,14 +550,25 @@ class TestAlternatingMemos:
         p = 60
         power = powers(p)
         assert c_alternating(p, p - 1) == alternating_sum(p, p - 1, power)
-        short = coefficients._ODD_POWERS[p]
-        assert len(short) == 1
+        short = coefficients._POWERS[p]
+        assert len(short) == 2
         assert c_alternating(p, 0) == alternating_sum(p, 0, power)
-        longer = coefficients._ODD_POWERS[p]
-        assert longer is not short and len(longer) == p // 2
+        longer = coefficients._POWERS[p]
+        assert longer is not short and len(longer) == p + 1
         assert c_alternating(p, p - 1) == alternating_sum(p, p - 1, power)
-        assert coefficients._ODD_POWERS[p] is longer
-        assert len(short) == 1
+        assert coefficients._POWERS[p] is longer
+        assert len(short) == 2
+
+    def test_every_ell_descending_extends_the_row(self):
+        """From ell = p - 1 down, each call needs one base more than the
+        row holds, so the row grows one base at a time from length 1 to
+        p + 1 and every base is built by an extension that starts at it;
+        j = 1, 2, 3, ... covers both parities of j and of the middle term."""
+        for p in range(1, 41):
+            power = powers(p)
+            for ell in range(p - 1, -1, -1):
+                assert c_alternating(p, ell) == alternating_sum(p, ell, power), (p, ell)
+                assert coefficients._POWERS[p] == power[: p - ell + 1], (p, ell)
 
     def test_each_binomial_step_is_checked_once(self, monkeypatch):
         divisors = []
@@ -531,9 +580,9 @@ class TestAlternatingMemos:
 
         monkeypatch.setattr(coefficients, "_exact_div", counted)
         assert c_alternating(60, 20) == alternating_sum(60, 20)
-        assert divisors == list(range(1, 41))
+        assert divisors == list(range(1, 21))
         assert c_alternating(70, 30) == alternating_sum(70, 30)  # j = 40 again
-        assert divisors == list(range(1, 41))
+        assert divisors == list(range(1, 21))
 
     def test_racing_threads_fill_the_memos(self):
         """In each of 5 rounds, 4 threads fill both memos from empty, two
@@ -554,7 +603,7 @@ class TestAlternatingMemos:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                coefficients._ODD_POWERS.clear()
+                coefficients._POWERS.clear()
                 coefficients._SIGNED.clear()
                 threads = [threading.Thread(target=worker, args=(t,)) for t in range(threads_n)]
                 for thread in threads:
@@ -567,10 +616,10 @@ class TestAlternatingMemos:
         assert len(seen) == 5 * threads_n * len(points)
         for point, value in seen:
             assert value == expected[point], point
-        for p, row in coefficients._ODD_POWERS.items():
-            assert row == [y**p for y in range(1, 2 * len(row), 2)], p
+        for p, row in coefficients._POWERS.items():
+            assert row == [x**p for x in range(len(row))], p
         for j, row in coefficients._SIGNED.items():
-            assert row == [(-1) ** (j - x) * math.comb(j, x) for x in range(j + 1)], j
+            assert row == [(-1) ** (j - x) * math.comb(j, x) for x in range(j // 2 + 1)], j
 
 
 def _windows_hold_the_columns():

@@ -328,9 +328,9 @@ def test_dropped_suffix_fails_its_families_and_routes(monkeypatch, blocks, key, 
 
 
 def test_wrong_stirling_value_fails_the_surjection_identity(monkeypatch):
-    # S(12, 5) + 2 on both bindings: the closed route and surjection_count
-    # read the same wrong value, and above the brute-force range only the
-    # surjection row that verify steps itself tells it apart.
+    # S(12, 5) + 2 on both bindings: the closed route reads the wrong value,
+    # and above the brute-force range only the surjection row that verify
+    # steps itself tells it apart.
     real = combinatorics.stirling2
 
     def planted(k, j):
