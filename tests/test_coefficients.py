@@ -2,9 +2,6 @@
 
 import itertools
 import math
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -166,33 +163,6 @@ class TestBlockWeights:
             assert len(weights) == 252
             assert all(blocks.values())
             assert all(dens for _, dens in weights.values())
-
-    def test_threads_share_empty_memos(self):
-        # Four threads weigh the band p = 8..12 from empty block and
-        # denominator memos at once, switching as often as the interpreter
-        # allows; a list read before it was complete would weigh short.
-        # Five rounds, each from empty memos, since a race is not certain.
-        points = [(p, ell) for p in range(8, 13) for ell in range(p)]
-        expected = [c_closed(p, ell) for p, ell in points for _ in range(2)]
-        start = threading.Barrier(4, timeout=60)
-
-        def sweep(_):
-            start.wait()
-            return [route(p, ell) for p, ell in points for route in (c_enum_k, c_enum_j)]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                for weights, blocks, _, _ in WEIGHED.values():
-                    weights.clear()
-                    blocks.clear()
-                with ThreadPoolExecutor(4) as pool:
-                    sweeps = list(pool.map(sweep, range(4), timeout=120))
-                assert len(sweeps) == 4
-                assert all(got == expected for got in sweeps)
-        finally:
-            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize(
         "route, key",

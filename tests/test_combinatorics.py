@@ -2,8 +2,6 @@
 
 import itertools
 import math
-import sys
-import threading
 import time
 import tracemalloc
 
@@ -21,6 +19,7 @@ from figurate.combinatorics import (
     stirling2,
     surjection_brute,
 )
+from memo_table import race
 
 
 def frozenset_surjections(m, n):
@@ -236,27 +235,11 @@ class TestSurjections:
         # race to fill it.
         pairs = [(m, n) for m in range(1, 7) for n in range(1, 7)]
         expected = {pair: surjection_brute(*pair) for pair in pairs}
-        combinatorics._or_table.cache_clear()
-        barrier = threading.Barrier(4)
-        seen = [[] for _ in range(4)]
 
         def worker(t):
-            order = pairs[t::4] + pairs[::-1]
-            barrier.wait(timeout=5)
-            for pair in order:
-                seen[t].append((pair, surjection_brute(*pair)))
+            return [(pair, surjection_brute(*pair)) for pair in pairs[t::4] + pairs[::-1]]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        [seen] = race(worker, reset=combinatorics._or_table.cache_clear)
         for t, results in enumerate(seen):
             assert len(results) == len(pairs[t::4]) + len(pairs), t
             for pair, value in results:
@@ -361,30 +344,14 @@ class TestRowTableThreads:
         reference = _RowTable((1,), step)
         expected = [reference.row(i) for i in range(self.ROWS)]
         table = _RowTable((1,), step)
-        barrier = threading.Barrier(self.THREADS)
-        seen = [[] for _ in range(self.THREADS)]
 
         def worker(t):
             # Thread t walks rows t, t + THREADS, ... up and back down, so
             # every thread races the others to grow the table.
             order = list(range(t, self.ROWS, self.THREADS))
-            barrier.wait(timeout=5)
-            for i in order + order[::-1]:
-                seen[t].append((i, table.row(i)))
+            return [(i, table.row(i)) for i in order + order[::-1]]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(t,)) for t in range(self.THREADS)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        [seen] = race(worker, threads=self.THREADS)
         for t, pairs in enumerate(seen):
             assert len(pairs) == 2 * len(range(t, self.ROWS, self.THREADS))
             for i, row in pairs:

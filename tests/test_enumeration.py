@@ -6,10 +6,8 @@ import itertools
 import math
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -23,6 +21,7 @@ from figurate.enumeration import (
     enumerate_j_tuples,
     enumerate_k_tuples,
 )
+from memo_table import block_bound, recursive_j_tuples, recursive_k_tuples
 
 
 def brute_compositions(total, parts, min_part):
@@ -58,95 +57,6 @@ def recursive_compositions(total, parts, min_part):
             yield from rec(i + 1, rem - v)
 
     yield from rec(0, total)
-
-
-def recursive_k_tuples(p, ell):
-    """The k-tuples by one recursion level per entry, pruned by a
-    feasibility test at every level: the reference for the generator
-    that takes the last entries from suffix blocks."""
-    supports = (0,) if ell == 0 else range(1, ell + 1)
-    for s in supports:
-        yield from _recursive_k_fixed(p + s - ell - 1, ell, s)
-
-
-def _max_spaced(slots, first_blocked):
-    if first_blocked:
-        slots -= 1
-    return max(0, (slots + 1) // 2)
-
-
-def _recursive_k_fixed(m, total, positives):
-    if m == 0:
-        if total == 0 and positives == 0:
-            yield ()
-        return
-
-    buf = [0] * m
-
-    def feasible(slots, rem, pos, prev_positive):
-        if pos == 0:
-            return rem == 0
-        return pos <= rem and pos <= _max_spaced(slots, prev_positive)
-
-    def rec(i, rem, pos, prev_positive):
-        if i == m:
-            yield tuple(buf)
-            return
-        left = m - i - 1
-        if feasible(left, rem, pos, False):
-            buf[i] = 0
-            yield from rec(i + 1, rem, pos, False)
-        if not prev_positive and pos >= 1:
-            for v in range(1, rem - (pos - 1) + 1):
-                if feasible(left, rem - v, pos - 1, True):
-                    buf[i] = v
-                    yield from rec(i + 1, rem - v, pos - 1, True)
-            buf[i] = 0
-
-    yield from rec(0, total, positives, False)
-
-
-def recursive_j_tuples(p, ell):
-    """The j-tuples by one recursion level per entry: the reference for
-    the generator that takes the last entries from suffix blocks."""
-    bigs = (0,) if ell == 0 else range(1, ell + 1)
-    for t in bigs:
-        m = p + t - ell - 1
-        yield from _recursive_j_fixed(m, ell + m, t)
-
-
-def _recursive_j_fixed(m, total, bigs):
-    if m == 0:
-        if total == 0 and bigs == 0:
-            yield ()
-        return
-
-    buf = [0] * m
-
-    def feasible(slots, rem, big, prev_big):
-        excess = rem - slots  # each slot carries at least 1
-        if excess < 0:
-            return False
-        if big == 0:
-            return excess == 0
-        return big <= excess and big <= _max_spaced(slots, prev_big)
-
-    def rec(i, rem, big, prev_big):
-        if i == m:
-            yield tuple(buf)
-            return
-        left = m - i - 1
-        if feasible(left, rem - 1, big, False):
-            buf[i] = 1
-            yield from rec(i + 1, rem - 1, big, False)
-        if not prev_big and big >= 1:
-            for v in range(2, rem - left + 1):
-                if feasible(left, rem - v, big - 1, True):
-                    buf[i] = v
-                    yield from rec(i + 1, rem - v, big - 1, True)
-            buf[i] = 0
-
-    yield from rec(0, total, bigs, False)
 
 
 def brute_k_tuples(p, ell):
@@ -457,34 +367,6 @@ def _held(kind):
     return sum(map(len, _memo(kind).values()))
 
 
-def _memo_bound():
-    """Tuples any sequence of calls can leave in one family's memo, from
-    _block_width and _suffix_count alone.
-
-    A call at (p, ell) builds blocks of width at most w = _block_width(ell)
-    and content (excess, for the j-family) at most ell, and w shrinks as
-    ell grows: past the first ell with w = 0 no call builds a block. For
-    each width u take the largest content c any call reaches at u. The
-    blocks of width u then hold the suffixes of content at most c,
-    _suffix_count(u, c), behind no positive entry, and those behind one,
-    which start with an entry 0 (1 for j), _suffix_count(u - 1, c).
-    """
-    widest = {}  # width -> the largest content a call builds at it
-    ell, last = 1, enumeration._TAIL_WIDTH
-    while True:
-        w = enumeration._block_width(ell)
-        assert w <= last, ell  # never wider for more content
-        if not w:
-            break
-        for u in range(1, w + 1):
-            widest[u] = ell
-        ell, last = ell + 1, w
-    return sum(
-        enumeration._suffix_count(u, c) + enumeration._suffix_count(u - 1, c)
-        for u, c in widest.items()
-    )
-
-
 def brute_suffixes(kind, width, rem, count, prev):
     """Every end of `width` entries of a k-tuple (content rem, `count`
     positives) or a j-tuple (sum rem, `count` entries >= 2), behind a
@@ -599,7 +481,7 @@ class TestSuffixBlocks:
         # family after the other into one memo, which never passes the
         # bound that any calls could reach (9,692 tuples).
         family = enumerate_k_tuples if kind == "k" else enumerate_j_tuples
-        bound = _memo_bound()
+        bound = block_bound()
         for p in range(1, 61):
             for ell in range(1, p):
                 if enumeration._block_width(ell):
@@ -607,30 +489,6 @@ class TestSuffixBlocks:
                         pass
                     assert _held(kind) <= bound, (p, ell)
         assert _held(kind) > bound // 2  # the bound is reached for, not trivially met
-
-    @pytest.mark.parametrize("kind", ["k", "j"])
-    def test_threads_share_an_empty_memo(self, kind):
-        # Four threads stream one family from an empty memo at once,
-        # switching as often as the interpreter allows; a block read
-        # before it was complete would cut a stream short.
-        family = enumerate_k_tuples if kind == "k" else enumerate_j_tuples
-        oracle = recursive_k_tuples if kind == "k" else recursive_j_tuples
-        expected = list(oracle(16, 8))
-        start = threading.Barrier(4, timeout=60)
-
-        def stream(_):
-            start.wait()
-            return list(family(16, 8))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(4) as pool:
-                streams = list(pool.map(stream, range(4), timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(streams) == 4
-        assert all(got == expected for got in streams)
 
     @pytest.mark.parametrize("width", range(17))
     def test_every_width_matches_recursive_oracle(self, width, monkeypatch):

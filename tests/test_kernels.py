@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,11 +39,13 @@ from figurate.combinatorics import (
 )
 from figurate.fermat import build_fermat
 from figurate.powersum import TERM_TAGS, representation, sum_brute
+from memo_table import MEMOS, check_definitions, race
 
 TABLES = {"stirling2": _STIRLING2, "recurrence": _RECURRENCE, "eulerian2": _EULERIAN2}
 ALL_TABLES = {"stirling1": _STIRLING1, "eulerian1": _EULERIAN1, **TABLES}
 TABLE_ROUTES = (c_closed, c_recurrence, c_eulerian2)
 LARGE_P = (ROW_CAP, ROW_CAP + 1, 700)
+WINDOWS = MEMOS["coefficients._BINOM_WINDOWS"]
 
 
 def _stirling1_3(k):
@@ -219,10 +220,10 @@ class TestSteppedSums:
                 assert c_alternating(p, ell) == alternating_sum(p, ell, power), (p, ell)
                 row = _EULERIAN2.row(ell)
                 assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
-        _windows_hold_the_columns()
-        for ell, (hi, window) in coefficients._BINOM_WINDOWS.items():
+        check_definitions(WINDOWS)
+        for ell, (hi, _) in coefficients._BINOM_WINDOWS.items():
             # The sweep reads t <= 129 - ell, so no window reaches ROW_CAP.
-            assert hi - len(window) + 1 >= 0 and hi <= 129 - ell, ell
+            assert hi <= 129 - ell, ell
 
     @pytest.mark.parametrize("p", LARGE_P)
     def test_alternating_large(self, p):
@@ -360,25 +361,12 @@ class TestRowPolicy:
         reference = _RowTable((1,), _recurrence_step)
         expected = [reference.row(i)[i // 2] for i in range(rows)]
         table = _RowTable((1,), _recurrence_step)
-        barrier = threading.Barrier(threads_n)
-        seen = [[] for _ in range(threads_n)]
 
         def worker(t):
-            barrier.wait(timeout=5)
-            for i in list(range(t, rows, 3)) + list(range(rows - 1 - t, -1, -5)):
-                seen[t].append((i, table.row(i, i // 2 + 1)[i // 2]))
+            order = list(range(t, rows, 3)) + list(range(rows - 1 - t, -1, -5))
+            return [(i, table.row(i, i // 2 + 1)[i // 2]) for i in order]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(t,)) for t in range(threads_n)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=20)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        [seen] = race(worker, threads=threads_n)
         assert all(seen)
         for pairs in seen:
             for i, value in pairs:
@@ -532,6 +520,20 @@ class TestRouteIndependence:
         ]
 
 
+@pytest.fixture
+def steps(monkeypatch):
+    """The divisors of every checked binomial step, in order."""
+    divisors = []
+    exact_div = coefficients._exact_div
+
+    def counted(num, den):
+        divisors.append(den)
+        return exact_div(num, den)
+
+    monkeypatch.setattr(coefficients, "_exact_div", counted)
+    return divisors
+
+
 class TestAlternatingMemos:
     """c_alternating keeps its powers and the first half of each row of
     signed binomials for the process, for p and j up to ROW_CAP, and
@@ -570,84 +572,17 @@ class TestAlternatingMemos:
                 assert c_alternating(p, ell) == alternating_sum(p, ell, power), (p, ell)
                 assert coefficients._POWERS[p] == power[: p - ell + 1], (p, ell)
 
-    def test_each_binomial_step_is_checked_once(self, monkeypatch):
-        divisors = []
-        exact_div = coefficients._exact_div
-
-        def counted(num, den):
-            divisors.append(den)
-            return exact_div(num, den)
-
-        monkeypatch.setattr(coefficients, "_exact_div", counted)
+    def test_each_binomial_step_is_checked_once(self, steps):
         assert c_alternating(60, 20) == alternating_sum(60, 20)
-        assert divisors == list(range(1, 21))
+        assert steps == list(range(1, 21))
         assert c_alternating(70, 30) == alternating_sum(70, 30)  # j = 40 again
-        assert divisors == list(range(1, 21))
-
-    def test_racing_threads_fill_the_memos(self):
-        """In each of 5 rounds, 4 threads fill both memos from empty, two
-        in each direction, so that two race for each row; every value,
-        and every row left in the memos, is exact."""
-        points = [(p, ell) for p in (60, 200, 400) for ell in _fractions(p)]
-        expected = {(p, ell): alternating_sum(p, ell) for p, ell in points}
-        threads_n = 4
-        barrier = threading.Barrier(threads_n)
-        seen = []
-
-        def worker(t):
-            barrier.wait(timeout=5)
-            for p, ell in points[:: 1 if t % 2 else -1]:
-                seen.append(((p, ell), c_alternating(p, ell)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                coefficients._POWERS.clear()
-                coefficients._SIGNED.clear()
-                threads = [threading.Thread(target=worker, args=(t,)) for t in range(threads_n)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=20)
-                assert not any(thread.is_alive() for thread in threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(seen) == 5 * threads_n * len(points)
-        for point, value in seen:
-            assert value == expected[point], point
-        for p, row in coefficients._POWERS.items():
-            assert row == [x**p for x in range(len(row))], p
-        for j, row in coefficients._SIGNED.items():
-            assert row == [(-1) ** (j - x) * math.comb(j, x) for x in range(j // 2 + 1)], j
-
-
-def _windows_hold_the_columns():
-    """Every eulerian2 window is one run of its column C(2 ell + t, 2 ell)
-    from t = hi down to some t >= 0."""
-    for ell, (hi, window) in coefficients._BINOM_WINDOWS.items():
-        lo = hi - len(window) + 1
-        assert 0 <= lo <= hi, ell
-        assert window == [math.comb(2 * ell + t, 2 * ell) for t in range(hi, lo - 1, -1)], ell
+        assert steps == list(range(1, 21))
 
 
 class TestEulerian2Memo:
     """c_eulerian2 keeps one window of each column C(2 ell + t, 2 ell) for
     the process, for p up to ROW_CAP, and publishes a wider window as a
     new list."""
-
-    @pytest.fixture
-    def steps(self, monkeypatch):
-        """The divisors of every checked binomial step, in order."""
-        divisors = []
-        exact_div = coefficients._exact_div
-
-        def counted(num, den):
-            divisors.append(den)
-            return exact_div(num, den)
-
-        monkeypatch.setattr(coefficients, "_exact_div", counted)
-        return divisors
 
     def test_cold_call_steps_as_before(self, steps):
         """A cold column takes the steps of the stepped sum, one per term
@@ -661,7 +596,7 @@ class TestEulerian2Memo:
             steps.clear()
             assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
             assert steps == [], (p, ell)
-            _windows_hold_the_columns()
+            check_definitions(WINDOWS)
 
     def test_widening_steps_each_new_entry_once(self, steps):
         ell, row = 20, _EULERIAN2.row(20)
@@ -676,7 +611,7 @@ class TestEulerian2Memo:
         hi, window = coefficients._BINOM_WINDOWS[ell]
         assert (hi, len(window)) == (49, 45)
         assert (first_hi, len(first)) == (39, 20)  # the published list is unchanged
-        _windows_hold_the_columns()
+        check_definitions(WINDOWS)
 
     def test_one_comb_without_a_window_none_with_one(self, monkeypatch):
         """A call with no usable window, cold or above the cap, seeds it
@@ -705,40 +640,6 @@ class TestEulerian2Memo:
                 assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
                 assert len(steps) == min(len(row), p - ell) - 1, (p, ell)
         assert coefficients._BINOM_WINDOWS == held
-
-    def test_racing_threads_fill_the_memo(self):
-        """In each of 10 rounds, 4 threads fill the memo from empty, two in
-        each direction over points that share their ell, so that windows
-        widen up and down under a race; every value, and every window left
-        in the memo, is exact."""
-        points = [(p, ell) for ell in range(2, 200, 6) for p in range(ell + 1, 211, 9)]
-        expected = {point: c_closed(*point) for point in points}
-        threads_n = 4
-        barrier = threading.Barrier(threads_n)
-        seen = []
-
-        def worker(t):
-            barrier.wait(timeout=5)
-            for p, ell in points[:: 1 if t % 2 else -1]:
-                seen.append(((p, ell), c_eulerian2(p, ell)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(10):
-                coefficients._BINOM_WINDOWS.clear()
-                threads = [threading.Thread(target=worker, args=(t,)) for t in range(threads_n)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=20)
-                assert not any(thread.is_alive() for thread in threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(seen) == 10 * threads_n * len(points)
-        for point, value in seen:
-            assert value == expected[point], point
-        _windows_hold_the_columns()
 
 
 # Runs a command and prints its exit code, its ru_maxrss from os.wait4 and

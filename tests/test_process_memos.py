@@ -1,13 +1,17 @@
-"""tests/conftest.py::empty_process_memos clears every process memo: in a
-fresh interpreter, the module-level dicts of figurate that are empty at
-import are exactly the ones the fixture names. A route memo added later
-therefore cannot be left out of the fixture."""
+"""Every process memo of figurate keeps the contract memo_table states
+for it, and memo_table.MEMOS lists them all: in a fresh interpreter, the
+module-level dicts of figurate that are empty at import are exactly the
+ones MEMOS names. A memo added later therefore needs one entry in MEMOS,
+which conftest empties around every test and CI checks at its scale."""
 
-import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import memo_table
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,23 +27,6 @@ for info in pkgutil.iter_modules(figurate.__path__):
 """
 
 
-def fixture_memos() -> set[str]:
-    """The "module.name" of every memo in the tuple `memos` that
-    empty_process_memos clears, read from the source."""
-    tree = ast.parse(ROOT.joinpath("tests", "conftest.py").read_text())
-    fixture = next(
-        node
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "empty_process_memos"
-    )
-    memos = next(
-        node.value
-        for node in ast.walk(fixture)
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "memos"
-    )
-    return {ast.unparse(element) for element in memos.elts}
-
-
 def test_fixture_clears_every_memo_empty_at_import():
     done = subprocess.run(
         [sys.executable, "-c", _EMPTY_DICTS],
@@ -49,6 +36,14 @@ def test_fixture_clears_every_memo_empty_at_import():
         timeout=120,
         check=True,
     )
-    cleared = fixture_memos()
-    assert cleared
-    assert set(done.stdout.split()) == cleared
+    assert set(done.stdout.split()) == set(memo_table.MEMOS)
+
+
+@pytest.mark.parametrize("name", memo_table.MEMOS)
+def test_sweep_cold_then_warm(name):
+    memo_table.check_sweep(memo_table.MEMOS[name], memo_table.TIER1)
+
+
+@pytest.mark.parametrize("name", memo_table.MEMOS)
+def test_race_from_empty(name):
+    memo_table.check_race(memo_table.MEMOS[name])
