@@ -12,9 +12,9 @@ route here computes the same c(p, ell) by a different mechanism:
 * recurrence:  c(p, ell) = (p - ell) * [c(p-1, ell) + c(p-1, ell-1)],
                reading c(p-1, .) as zero outside 0..p-2.
 * decompose:   with j = p - ell, group the enum_j sum by the number t of
-               parts >= 2: sum over t of C(j, t) times the sum of
-               p! / prod(s_i!) over compositions of p + t - j into t
-               parts, each >= 2 (and p! outright for j = p).
+               parts >= 2: sum over t <= min(j, ell) of C(j, t) times the
+               sum of p! / prod(s_i!) over compositions of p + t - j into
+               t parts, each >= 2 (and p! outright for j = p).
 * eulerian2:   (p - ell)! * sum over i of <<ell, i>> * C(p + ell - 1 - i, 2*ell)
                with second-kind Eulerian numbers, the binomials read from
                the route's own windows of each column C(2*ell + t, 2*ell)
@@ -87,8 +87,8 @@ def _exact_div(num: int, den: int) -> int:
 #: beside its family's blocks: id(block) -> (block, the list of its
 #: denominators), prod((t_i + 1)!) per tuple t for the k-route and
 #: prod(t_i!) for the j-route. Holding the block keeps its id from being
-#: reused, an entry is published only once its list is complete, and the
-#: memo holds no block that its family's memo does not.
+#: reused, an entry is published only once its list is complete, and, as
+#: a family's memo never replaces a block, this memo holds none it does not.
 _K_WEIGHTS: dict = {}
 _J_WEIGHTS: dict = {}
 
@@ -139,13 +139,11 @@ def c_closed(p: int, ell: int) -> int:
 
 def c_enum_k(p: int, ell: int) -> int:
     """Sum of p! / prod((k_i + 1)!) over the admissible nonnegative tuples."""
-    _check_pair(p, ell)
     return _multinomial_sum(p, _k_pairs(p, ell), 1, _K_WEIGHTS)
 
 
 def c_enum_j(p: int, ell: int) -> int:
     """Sum of p! / prod(j_i!) over the admissible positive tuples."""
-    _check_pair(p, ell)
     return _multinomial_sum(p, _j_pairs(p, ell), 0, _J_WEIGHTS)
 
 
@@ -180,11 +178,13 @@ def decompose_groups(p: int, j: int) -> list[tuple[int, int, int]]:
     """Per-t groups (t, C(j, t), inner sum) of the decompose route.
 
     The inner sum for each t runs p! / prod(s_i!) over the compositions
-    of p + t - j into t parts, each part >= 2. Requires 1 <= j <= p - 1.
+    of p + t - j >= 2t into t parts, each >= 2: t = 1..min(j, p - j), only
+    the groups that hold compositions. Requires 1 <= j <= p - 1.
     """
     _check_j(p, j)
     return [
-        (t, math.comb(j, t), composition_sum(p, p + t - j, t, 2)) for t in range(1, j + 1)
+        (t, math.comb(j, t), composition_sum(p, p + t - j, t, 2))
+        for t in range(1, min(j, p - j) + 1)
     ]
 
 
@@ -294,13 +294,14 @@ def c_alternating(p: int, ell: int) -> int:
 def w_sum(p: int, j: int) -> int:
     """Total weight of the length-j compositions of p containing a part 1.
 
-    Computed one way: the decompose groups t = 1..j-1, each inner sum
-    weighted by C(j, t). verify's composition identity checks it against
+    Computed one way: the decompose groups t < j, each inner sum weighted
+    by C(j, t). verify's composition identity checks it against
     the min-part-1 compositions of p that contain a 1. Requires
     1 <= j <= p - 1 (so the all-ones tuple never sums to p).
     """
     _check_j(p, j)
-    return sum(math.comb(j, t) * composition_sum(p, p + t - j, t, 2) for t in range(1, j))
+    groups = range(1, min(j - 1, p - j) + 1)  # those of decompose_groups with t < j
+    return sum(math.comb(j, t) * composition_sum(p, p + t - j, t, 2) for t in groups)
 
 
 def summand_count(p: int, j: int) -> int:

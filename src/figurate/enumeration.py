@@ -27,9 +27,9 @@ families: it holds only the memo lookup and the flattening, and each
 family passes it its own recursion, memo and fill. A block is a pure
 function of its key, so each family keeps its blocks for the process, in
 one memo per family (_K_BLOCKS, _J_BLOCKS); a block is published there
-only once complete, and threads that race to build one build equal
-blocks. The memo is bounded by construction: a call builds
-blocks of width at most _block_width(ell) <= 16 and content at most
+only once complete, and only once: threads that race to build one all
+return the first published. The memo is bounded by construction: a call
+builds blocks of width at most _block_width(ell) <= 16 and content at most
 ell, the width depends on ell alone, and no ell past 55 has blocks, so
 the memo of a family never holds more than 9,692 tuples, and a call adds
 at most 2,048 of them. Each family has its own recursion, its own blocks
@@ -44,9 +44,9 @@ parts like an odometer and takes the last parts from tail blocks built
 per call. Their key holds min_part, which has no bound, so they are not
 kept: the blocks of one call hold at most 2,048 tuples and go with its
 generator. Every family refuses, with ValueError, any request whose
-tuples would be longer than MAX_TUPLE_LENGTH; for the recursive families
-that keeps the deepest tuple well inside the interpreter's default limit
-of 1000 frames.
+tuples would be longer than MAX_TUPLE_LENGTH (the k/j pairs when called,
+before a route weighing them builds anything), which keeps the deepest
+recursion well inside the interpreter's default limit of 1000 frames.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from itertools import count, takewhile
+from itertools import chain, count, takewhile
 
 #: Longest tuple any generator here builds.
 MAX_TUPLE_LENGTH = 900
@@ -121,15 +121,15 @@ def _suffixes(rec, blocks: dict, fill: int, width: int, rem: int, count: int, pr
     streamed by rec (_k_rec with fill 0, or _j_rec with fill 1), for the
     state (rem, count, prev) its head leaves, ascending: the flattened
     pairs of rec over a one-entry head. Kept in that family's memo, blocks,
-    under (width, rem, count, prev), put there only once complete.
-    """
+    under (width, rem, count, prev), put there once complete and never
+    replaced: a builder that loses a race returns the first published."""
     key = (width, rem, count, prev)
     block = blocks.get(key)
     if block is None:
         block = []
         for head, narrower in rec([fill], width, 0, rem, count, prev):
             block += map(head.__add__, narrower)
-        blocks[key] = block
+        block = blocks.setdefault(key, block)
     return block
 
 
@@ -217,23 +217,25 @@ def _k_pairs(p: int, ell: int) -> Iterator[tuple]:
     order. Per support s, the heads span all but the last
     min(_block_width(ell), m) of the m = p + s - ell - 1 entries. Only the
     supports that hold a tuple are visited, s up to min(ell, p - ell)
-    (see _check_family), so no block is empty."""
+    (see _check_family, run at the call), so no block is empty."""
     _check_family(p, ell)
-    width = _block_width(ell)
-    for s in range(min(ell, 1), min(ell, p - ell) + 1):
-        m = p + s - ell - 1
-        yield from _k_rec([0] * max(m - width, 0), m, 0, ell, s, False)
+    return chain.from_iterable(
+        _k_rec([0] * max(m - _block_width(ell), 0), m, 0, ell, s, False)
+        for s in range(min(ell, 1), min(ell, p - ell) + 1)
+        for m in (p + s - ell - 1,)
+    )
 
 
 def _j_pairs(p: int, ell: int) -> Iterator[tuple]:
     """The j-tuples at (p, ell) as _k_pairs gives the k-tuples, one
     support per number t of entries >= 2, from _j_rec, t up to
-    min(ell, p - ell)."""
+    min(ell, p - ell), validated at the call."""
     _check_family(p, ell)
-    width = _block_width(ell)
-    for t in range(min(ell, 1), min(ell, p - ell) + 1):
-        m = p + t - ell - 1
-        yield from _j_rec([1] * max(m - width, 0), m, 0, ell + m, t, False)
+    return chain.from_iterable(
+        _j_rec([1] * max(m - _block_width(ell), 0), m, 0, ell + m, t, False)
+        for t in range(min(ell, 1), min(ell, p - ell) + 1)
+        for m in (p + t - ell - 1,)
+    )
 
 
 def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:

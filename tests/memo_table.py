@@ -249,7 +249,6 @@ def _weights(name, blocks, route, shift):
         return key == id(block) and dens and dens == expected
 
     def bound(weights):
-        # Not after a race: racing threads may each publish a block.
         kept = set(map(id, MEMOS[blocks].memo.values()))
         assert weights.keys() <= kept, (name, "a block its family does not keep")
         return sum(len(dens) for _, dens in weights.values()), block_bound()
@@ -321,8 +320,11 @@ def clear():
 
 
 def check_definitions(memo):
+    """Every entry equals its definition, and the memo is within its bound."""
     for key, value in memo.memo.items():
         assert memo.holds(key, value), (memo.name, key)
+    held, limit = memo.bound(memo.memo)
+    assert held <= limit, (memo.name, held, limit)
 
 
 def _copy_lists(value):
@@ -353,14 +355,13 @@ def check_sweep(memo, scale):
         assert value == expect(*point), (memo.name, "cold", point)
         assert call(*point) == value, (memo.name, "warm", point)
     check_definitions(memo)
-    held, limit = memo.bound(memo.memo)
-    assert held <= limit, (memo.name, held, limit)
 
 
 def check_race(memo):
     """Four threads run the race's points from empty memos at once, two
     forward and two backward, `rounds` times: every value is the expected
-    one, and every entry left equals its definition."""
+    one, and every entry left equals its definition, within the memo's
+    bound."""
     call, expect, points = memo.race
     expected = [expect(*point) for point in points]
 

@@ -19,34 +19,7 @@ from figurate.combinatorics import FAMILIES
 from figurate.enumeration import MAX_TUPLE_LENGTH
 from figurate.powersum import FORMULA_FLAGS
 from figurate.verify import SUITES
-
-TRIANGLE_9 = (
-    (1,),
-    (2, 1),
-    (6, 6, 1),
-    (24, 36, 14, 1),
-    (120, 240, 150, 30, 1),
-    (720, 1800, 1560, 540, 62, 1),
-    (5040, 15120, 16800, 8400, 1806, 126, 1),
-    (40320, 141120, 191520, 126000, 40824, 5796, 254, 1),
-    (362880, 1451520, 2328480, 1905120, 834120, 186480, 18150, 510, 1),
-)
-
-FERMAT_5_CELLS = (
-    ("1", "0", "0", "0", "0"),
-    ("1/2", "1/2", "0", "0", "0"),
-    ("1/3", "1/2", "1/6", "0", "0"),
-    ("1/4", "11/24", "1/4", "1/24", "0"),
-    ("1/5", "5/12", "7/24", "1/12", "1/120"),
-)
-
-INVERSE_5_CELLS = (
-    ("1", "0", "0", "0", "0"),
-    ("-1", "2", "0", "0", "0"),
-    ("1", "-6", "6", "0", "0"),
-    ("-1", "14", "-36", "24", "0"),
-    ("1", "-30", "150", "-240", "120"),
-)
+from reference import FERMAT_5_CELLS, INVERSE_5_CELLS, TRIANGLE_9
 
 
 def run(capsys, *argv):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,21 +28,9 @@ from figurate.coefficients import (
     summand_count,
     w_sum,
 )
+from reference import TRIANGLE_9
 
 ENUMERATIVE = {route for route, enumerative in ROUTE_TABLE.items() if enumerative}
-
-# Frozen reference: c(p, ell) for p = 1..9.
-TRIANGLE_9 = (
-    (1,),
-    (2, 1),
-    (6, 6, 1),
-    (24, 36, 14, 1),
-    (120, 240, 150, 30, 1),
-    (720, 1800, 1560, 540, 62, 1),
-    (5040, 15120, 16800, 8400, 1806, 126, 1),
-    (40320, 141120, 191520, 126000, 40824, 5796, 254, 1),
-    (362880, 1451520, 2328480, 1905120, 834120, 186480, 18150, 510, 1),
-)
 
 
 class TestClosedRoute:
@@ -307,6 +296,12 @@ class TestDecomposeRoute:
         assert sum(w * inner for _, w, inner in groups) == 186480
         assert c_decompose(9, 5) == 186480
 
+    def test_groups_end_where_compositions_do(self):
+        # j = 6 > p - j = 3: a group of t parts >= 2 needs 2t <= p + t - j.
+        groups = decompose_groups(9, 6)
+        assert [t for t, _, _ in groups] == [1, 2, 3]
+        assert sum(w * inner for _, w, inner in groups) == c_closed(9, 3) == 1905120
+
     def test_boundaries(self):
         for p in range(1, 10):
             assert c_decompose(p, 0) == math.factorial(p)
@@ -342,14 +337,31 @@ class TestAlternatingRoute:
 
 class TestTupleLengthLimit:
     def test_enumerative_route_refuses_overlong_tuples(self):
-        # c(1000, 1) sums over length-999 k-tuples.
-        with pytest.raises(ValueError, match="limit of 900"):
-            c_enum_k(1000, 1)
+        for route in (c_enum_k, c_enum_j):
+            # c(1000, 1) sums over length-999 tuples.
+            with pytest.raises(ValueError, match="limit of 900"):
+                route(1000, 1)
+            # Refused before anything is built: no 0!..8000! table.
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="length 7999 exceed the limit of 900 entries"):
+                    route(8000, 5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, route
 
-    def test_infeasible_long_groups_are_not_refused(self):
-        # Only t = 1 of decompose_groups(1000, 999) has compositions; the
-        # groups with up to 999 parts are empty and build no tuple.
+    def test_infeasible_long_groups_are_not_refused(self, monkeypatch):
+        # Only t = 1 of the groups at (1000, 999) has compositions, so it is
+        # the one group listed and the one inner sum taken.
+        assert [t for t, _, _ in decompose_groups(1000, 999)] == [1]
+        calls = []
+        inner = coefficients.composition_sum
+        monkeypatch.setattr(
+            coefficients, "composition_sum", lambda *args: calls.append(args) or inner(*args)
+        )
         assert c_decompose(1000, 1) == math.factorial(999) * math.comb(1000, 2)
+        assert calls == [(1000, 2, 1, 2)]
 
 
 class TestWSum:

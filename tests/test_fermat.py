@@ -20,28 +20,17 @@ from figurate.fermat import (
     inverse_closed,
     invert_exact,
 )
+from reference import FERMAT_5_CELLS, INVERSE_5_CELLS
 
 F = Fraction
+
+# The order-5 displays as values.
+A5 = tuple(tuple(map(F, row)) for row in FERMAT_5_CELLS)
+A5_INV = tuple(tuple(map(int, row)) for row in INVERSE_5_CELLS)
 
 
 def identity(n):
     return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
-
-# Frozen order-5 displays.
-A5 = (
-    (F(1), F(0), F(0), F(0), F(0)),
-    (F(1, 2), F(1, 2), F(0), F(0), F(0)),
-    (F(1, 3), F(1, 2), F(1, 6), F(0), F(0)),
-    (F(1, 4), F(11, 24), F(1, 4), F(1, 24), F(0)),
-    (F(1, 5), F(5, 12), F(7, 24), F(1, 12), F(1, 120)),
-)
-A5_INV = (
-    (1, 0, 0, 0, 0),
-    (-1, 2, 0, 0, 0),
-    (1, -6, 6, 0, 0),
-    (-1, 14, -36, 24, 0),
-    (1, -30, 150, -240, 120),
-)
 
 
 class TestRationalMatrix:
