@@ -178,8 +178,7 @@ def cmd_tuples(args: argparse.Namespace) -> int:
     if args.count_only:
         print(sum(1 for _ in stream))
     else:
-        for entries in stream:
-            print(",".join(str(e) for e in entries))
+        sys.stdout.writelines(",".join(map(str, t)) + "\n" for t in stream)
     return EXIT_OK
 
 

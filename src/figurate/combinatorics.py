@@ -92,6 +92,13 @@ class _RowTable:
                     self._rows.append(tuple(self._step(prev, len(self._rows))))
         return self._rows[index]
 
+    def head(self, count: int) -> tuple[tuple[int, ...], ...]:
+        """The first `count` rows as stored, in one slice; rows the table
+        lacks are first read through row() in row order, so all are stored."""
+        for index in range(len(self._rows), count):
+            self.row(index)
+        return tuple(self._rows[:count])
+
 
 def _padded(prev: Sequence[int], length: int):
     """(j, prev[j], prev[j - 1]) for j < length, reading prev as zero
@@ -247,8 +254,9 @@ class NumberTriangle(namedtuple("NumberTriangle", "rows first_row")):
 def number_triangle(family: str, max_row: int) -> NumberTriangle:
     """All rows of the named family up to max_row inclusive, without its name.
 
-    Raises ValueError when max_row lies before the family's first row
-    (0, or 1 for eulerian1).
+    The rows are the table's stored tuples, from one _RowTable.head() call;
+    every one is stored, past ROW_CAP too. Raises ValueError when max_row
+    lies before the family's first row (0, or 1 for eulerian1).
     """
     if max_row < 0:
         raise ValueError(f"max_row must be nonnegative, got {max_row}")
@@ -257,5 +265,4 @@ def number_triangle(family: str, max_row: int) -> NumberTriangle:
     table, first_row = _FAMILY_TABLES[family]
     if max_row < first_row:
         raise ValueError(f"{family} rows start at {first_row}")
-    rows = tuple(table.row(i) for i in range(max_row + 1 - first_row))
-    return NumberTriangle(rows, first_row)
+    return NumberTriangle(table.head(max_row + 1 - first_row), first_row)

@@ -180,12 +180,17 @@ def certified_rows(a: RationalMatrix, closed: RationalMatrix) -> int:
     hide no error. Row k's checks read only rows 1..k, and those of the
     leading block of any order p >= k, so the count certifies every
     leading block whose order is at most the count.
+
+    The pass stops at the first failing row, so the substitution's rows
+    X[i] above row k are C's rows, and entry (k, j < k) of S1 C is its
+    partial sum over i = j..k-1 of S1[k][i] X[i][j] plus pivot * C[k][j]:
+    it is zero exactly when X[k][j] = -partial / pivot is exact and equals
+    C[k][j]. At j = k, pivot * C[k][k] = k! is X[k][k] = C[k][k] with a
+    nonzero pivot. One sum per entry of S1 C so decides both checks.
     """
-    # Column j of S1, C and the forward-substitution inverse, from row j
-    # down to the last row read.
+    # Column j of S1 and C, from row j down to the last row read.
     s1_cols: list[list[int]] = []
     cl_cols: list[list[int]] = []
-    inv_cols: list[list[int]] = []
     fact = [1]
     for k, (arow, ascale, crow, cscale) in enumerate(
         zip(a._rows, a._scales, closed._rows, closed._scales)
@@ -201,7 +206,7 @@ def certified_rows(a: RationalMatrix, closed: RationalMatrix) -> int:
             cols.append([])
             for col, x in zip(cols, entries):
                 col.append(x)
-        # Row k of S1 C.
+        # Row k of S1 C, and with it row k of the forward substitution.
         for j in range(k + 1):
             if sum(map(operator.mul, srow[j:], cl_cols[j])) != (target if j == k else 0):
                 return k
@@ -210,24 +215,6 @@ def certified_rows(a: RationalMatrix, closed: RationalMatrix) -> int:
         for j in range(k + 1):
             if sum(map(operator.mul, weighted[j:], s1_cols[j])) != (target if j == k else 0):
                 return k
-        # Row k of the forward substitution; S1 C = diag(k!) above rules out
-        # a zero pivot. An entry that is not an integer cannot equal the
-        # integral closed form.
-        pivot = srow[k]
-        diag, rem = divmod(target, pivot)
-        if rem:
-            return k
-        row = [0] * k + [diag]
-        for j in range(k - 1, -1, -1):
-            q, rem = divmod(-sum(map(operator.mul, srow[j:k], inv_cols[j])), pivot)
-            if rem:
-                return k
-            row[j] = q
-        if tuple(row) != crow:
-            return k
-        inv_cols.append([])
-        for col, x in zip(inv_cols, row):
-            col.append(x)
     return len(fact) - 1
 
 

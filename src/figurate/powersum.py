@@ -28,13 +28,13 @@ argument shift), ...) that representation() builds from one row read by
 _RowTable.row() (the surjection counts j! S(p, j) = c(p, p-j) for eq5,
 alt1 and power_ml1, S(p+1, .) for alt3, <p, .> for alt2) and caches; one
 evaluator and one symbolic expander read it. The expander works in
-integers: each term is the product of its k linear factors (n+shift+i),
-reached from the previous term's product by dividing out and multiplying
-in the factors at its ends, weighted over the common denominator
-(largest dimension)!. The Faulhaber form is kept as the integers its
-derivation produces over L = (p+1)! (_faulhaber_form), derived and
-rebuilt by the same two steps, division and multiplication by (n + a);
-a Fraction or Polynomial is built only at the edge.
+integers over the common denominator (largest dimension)!: by Horner
+steps, multiplying by (n + a), where the terms' factor ranges nest, and
+otherwise by sliding one product of linear factors, dividing out and
+multiplying in the factors at its ends. The Faulhaber form is kept as the
+integers its derivation produces over L = (p+1)! (_faulhaber_form),
+derived and rebuilt by the same two steps, division and multiplication
+by (n + a); a Fraction or Polynomial is built only at the edge.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate
+from operator import itemgetter
 
 from .combinatorics import _EULERIAN1, _STIRLING2, _surjection_row
 
@@ -89,16 +90,34 @@ def _expand(terms) -> tuple[list[int], int]:
     c * (L / k!) * (n+shift)(n+shift+1)...(n+shift+k-1); the polynomial is
     their integer sum over L.
 
-    One window holds the integer coefficients of the product of (n+a) over
-    a in [lo, hi). Neighbouring terms differ by a factor or two at the
-    ends, so the window reaches each term's [shift, shift+k) by dividing
-    out the factors that leave (_divide_linear, which raises RuntimeError
-    on a nonzero remainder) and multiplying in those that enter
-    (_multiply_linear). It is rebuilt only when the two ranges are
-    disjoint. A chain of p terms so costs O(p^2) integer operations.
+    Where the factor ranges [shift, shift+k) nest (eq5, alt1, alt3,
+    power_ml1), the sum is a Horner form in the Newton basis (Knuth, TAOCP
+    Vol. 2, 4.6.4): from the widest term's weight, each narrower range
+    multiplies by the linear factors it lacks (_multiply_linear) and adds
+    its weight, and the narrowest range's factors come last. Nothing is
+    divided.
+
+    Otherwise (alt2) one window holds the product of (n+a) over a in
+    [lo, hi). Neighbouring terms differ by a factor or two at the ends, so
+    the window reaches each term's [shift, shift+k) by dividing out the
+    factors that leave (_divide_linear, which raises RuntimeError on a
+    nonzero remainder) and multiplying in those that enter. It is rebuilt
+    only when the two ranges are disjoint. A chain of p terms so costs
+    O(p^2) integer operations.
     """
     top = max((dim for _, dim, _ in terms), default=0)
     denom = math.factorial(top)
+    wide = sorted(terms, key=itemgetter(1), reverse=True)
+    if wide and all(a <= s and s + d <= a + e for (_, e, a), (_, d, s) in zip(wide, wide[1:])):
+        acc, lo, hi = [0], wide[0][2], wide[0][2] + wide[0][1]
+        for c, dim, shift in wide:
+            for a in (*range(lo, shift), *range(shift + dim, hi)):
+                _multiply_linear(acc, a)
+            acc[0] += c * (denom // math.factorial(dim))
+            lo, hi = shift, shift + dim
+        for a in range(lo, hi):
+            _multiply_linear(acc, a)
+        return acc, denom
     acc = [0] * (top + 1)
     window, lo, hi = [1], 0, 0
     for c, dim, shift in terms:
@@ -235,9 +254,9 @@ def _faulhaber_form(p: int) -> tuple[tuple[int, ...], int]:
         S_p(n) =          u^2 * sum_j r_j u^j / L   for odd  p.
 
     S_p(n) is interpolated from _brute_sums at n = 0..p+1 by its forward
-    differences d_k as sum_k d_k C(n, k). Over L that is the integer
-    polynomial N reached by Horner's rule in the Newton basis: start
-    from d_(p+1); for k = p..0, multiply by (n - k) and add d_k L / k!.
+    differences d_k as sum_k d_k C(n, k), the terms (d_k, k, 1 - k) as
+    d_k C(n, k) = d_k F_(n+1-k)^k. Their ranges nest, so _expand gives over
+    L the integer polynomial N by Horner's rule in the Newton basis.
     Dividing N exactly by n(n + 1) for even p, and by n^2 (n + 1) for odd
     p, leaves R = w * sum_j r_j u^j with w = 2n + 1 or n + 1. As w(0) = 1,
     r_0 = R(0); R - r_0 w then divides exactly by n(n + 1), and the next
@@ -252,11 +271,7 @@ def _faulhaber_form(p: int) -> tuple[tuple[int, ...], int]:
     for _ in range(p + 2):
         heads.append(diffs[0])
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    rest, denom = [heads.pop()], 1
-    for k in range(p, -1, -1):
-        denom *= k + 1  # L / k!
-        _multiply_linear(rest, -k)
-        rest[0] += heads[k] * denom
+    rest, denom = _expand([(d, k, 1 - k) for k, d in enumerate(heads)])
     odd = p % 2
     for a in (0, 1, 0)[: 2 + odd]:
         _divide_linear(rest, a)

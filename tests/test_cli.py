@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -231,6 +232,20 @@ class TestTuples:
         )
         assert code == 0
         assert out.splitlines() == ["2,5", "3,4", "4,3", "5,2"]
+
+    def test_long_stream_holds_no_per_value_table(self, monkeypatch):
+        # 50,000 lines into a discarding stdout: the stream holds O(parts)
+        # however large total is; a str per value written would be ~8 MB.
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main(["tuples", "--kind", "comp", "--total", "50001", "--parts", "2"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 1_000_000
 
     def test_infeasible_composition_count(self, capsys):
         code, out, _ = run(

@@ -329,6 +329,48 @@ class TestNumberTriangle:
         assert set(FAMILIES) == {"stirling1", "stirling2", "eulerian1", "eulerian2"}
         assert isinstance(number_triangle("stirling1", 2), NumberTriangle)
 
+    @staticmethod
+    def empty_tables(monkeypatch):
+        """Point number_triangle at empty tables of the same families."""
+        empty = {
+            family: (_RowTable(table._rows[0], table._step), first_row)
+            for family, (table, first_row) in combinatorics._FAMILY_TABLES.items()
+        }
+        monkeypatch.setattr(combinatorics, "_FAMILY_TABLES", empty)
+        return empty
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rows_are_the_stored_tuples(self, family, monkeypatch):
+        table, first_row = self.empty_tables(monkeypatch)[family]
+        for max_row in (7, 30, 12):
+            rows = number_triangle(family, max_row).rows
+            assert len(rows) == max_row + 1 - first_row
+            assert all(row is stored for row, stored in zip(rows, table._rows))
+        assert len(table._rows) == 31 - first_row
+
+    def test_racing_triangles_match_single_thread(self, monkeypatch):
+        """Four threads read every family, in orders of their own, from
+        empty tables; each gets the single-threaded rows, and they are
+        the rows the tables store."""
+        expected = {family: number_triangle(family, 60).rows for family in FAMILIES}
+        requests = [(family, m) for m in (17, 60, 3, 41) for family in FAMILIES]
+
+        def work(t):
+            order = requests[t:] + requests[:t]
+            return [(family, m, number_triangle(family, m).rows) for family, m in order]
+
+        for _ in range(3):
+            tables = self.empty_tables(monkeypatch)
+            [seen] = race(work)
+            for triangles in seen:
+                assert len(triangles) == len(requests)
+                for family, m, rows in triangles:
+                    table, first_row = tables[family]
+                    assert rows == expected[family][: m + 1 - first_row], (family, m)
+                    assert all(row is stored for row, stored in zip(rows, table._rows))
+            for family, (table, first_row) in tables.items():
+                assert len(table._rows) == 61 - first_row
+
 
 class TestRowTableThreads:
     """Row tables grow monotonically behind a lock, so concurrent readers

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import math
+import operator
 import pickle
 from fractions import Fraction
 
@@ -290,6 +291,95 @@ class TestCertifyInverseRejects:
         monkeypatch.setattr(fermat, "build_fermat", _perturbed(build_fermat, 3, 1, 0))
         monkeypatch.setattr(fermat, "inverse_closed", _perturbed(inverse_closed, 3, 1, 0))
         assert certify_inverse(12) is True
+
+
+def certified_rows_three_pass(a: RationalMatrix, closed: RationalMatrix) -> int:
+    """fermat.certified_rows as it was before it shared the partial sums,
+    kept verbatim as an oracle: S1 C, C A_p and the forward substitution
+    each checked in a pass of their own sums."""
+    # Column j of S1, C and the forward-substitution inverse, from row j
+    # down to the last row read.
+    s1_cols: list[list[int]] = []
+    cl_cols: list[list[int]] = []
+    inv_cols: list[list[int]] = []
+    fact = [1]
+    for k, (arow, ascale, crow, cscale) in enumerate(
+        zip(a._rows, a._scales, closed._rows, closed._scales)
+    ):
+        target = fact[k] * (k + 1)
+        fact.append(target)
+        q, rem = divmod(target, ascale)
+        if rem or cscale != 1 or any(arow[k + 1 :]) or any(crow[k + 1 :]):
+            return k
+        srow = [x * q for x in arow[: k + 1]]
+        crow = crow[: k + 1]
+        for cols, entries in ((s1_cols, srow), (cl_cols, crow)):
+            cols.append([])
+            for col, x in zip(cols, entries):
+                col.append(x)
+        # Row k of S1 C.
+        for j in range(k + 1):
+            if sum(map(operator.mul, srow[j:], cl_cols[j])) != (target if j == k else 0):
+                return k
+        # Row k of C A_p times k!: the weight k!/i! clears the 1/i! of row i.
+        weighted = [c * (target // fact[i + 1]) for i, c in enumerate(crow)]
+        for j in range(k + 1):
+            if sum(map(operator.mul, weighted[j:], s1_cols[j])) != (target if j == k else 0):
+                return k
+        # Row k of the forward substitution; S1 C = diag(k!) above rules out
+        # a zero pivot. An entry that is not an integer cannot equal the
+        # integral closed form.
+        pivot = srow[k]
+        diag, rem = divmod(target, pivot)
+        if rem:
+            return k
+        row = [0] * k + [diag]
+        for j in range(k - 1, -1, -1):
+            q, rem = divmod(-sum(map(operator.mul, srow[j:k], inv_cols[j])), pivot)
+            if rem:
+                return k
+            row[j] = q
+        if tuple(row) != crow:
+            return k
+        inv_cols.append([])
+        for col, x in zip(inv_cols, row):
+            col.append(x)
+    return len(fact) - 1
+
+
+def _moved(m, k, j, delta):
+    """m with entry (k, j), 0-based, moved by delta: an int moves the
+    stored int over the row's scale; a Fraction moves the value, so the
+    row's least common denominator may change."""
+    if isinstance(delta, Fraction):
+        rows = [list(row) for row in m.rows]
+        rows[k][j] += delta
+        return RationalMatrix(rows)
+    rows = [list(row) for row in m._rows]
+    rows[k][j] += delta
+    return RationalMatrix._scaled(tuple(map(tuple, rows)), m._scales)
+
+
+class TestSharedPartialSums:
+    """certified_rows decides row k of S1 C and of the forward substitution
+    from one sum per entry; it counts the rows the three-pass oracle
+    counts, so sharing the sums weakens no certificate."""
+
+    def test_real_matrices(self):
+        for p in range(1, 41):
+            a, closed = build_fermat(p), inverse_closed(p)
+            assert fermat.certified_rows(a, closed) == certified_rows_three_pass(a, closed) == p
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    @pytest.mark.parametrize("delta", [1, -1, F(1, 2)], ids=["+1", "-1", "half"])
+    def test_one_moved_entry(self, p, delta):
+        """Every entry of either matrix, above the diagonal too: the pass
+        ends at the moved row in both implementations."""
+        a, closed = build_fermat(p), inverse_closed(p)
+        for k in range(p):
+            for j in range(p):
+                for pair in ((_moved(a, k, j, delta), closed), (a, _moved(closed, k, j, delta))):
+                    assert fermat.certified_rows(*pair) == certified_rows_three_pass(*pair) == k
 
 
 class TestFiguratePolynomial:

@@ -285,9 +285,13 @@ class TestRowPolicy:
         assert table.stores(ROW_CAP + 1)
         assert table.row(3, 1) is table._rows[3]
 
-    def test_number_triangle_past_cap_stores_rows(self):
+    def test_number_triangle_past_cap_stores_rows(self, monkeypatch):
+        # From an empty table: every row is stored, as the stored tuple.
+        table = _RowTable((1,), _stirling2_step)
+        monkeypatch.setitem(combinatorics._FAMILY_TABLES, "stirling2", (table, 0))
         triangle = number_triangle("stirling2", ROW_CAP + 3)
-        assert len(_STIRLING2._rows) >= ROW_CAP + 4
+        assert len(table._rows) == ROW_CAP + 4
+        assert all(row is stored for row, stored in zip(triangle.rows, table._rows))
         last = triangle.rows[ROW_CAP + 3]
         for j in _fractions(ROW_CAP + 3):
             assert last[j] == stirling2_single(ROW_CAP + 3, j)

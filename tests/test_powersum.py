@@ -543,3 +543,59 @@ class TestProductWindow:
         terms = [*representation("alt2", 14), *newton_terms(14), *representation("eq5", 9)]
         random.Random(seed).shuffle(terms)
         assert as_polynomial(_expand(terms)) == expand_rebuilt(terms)
+
+
+class TestExpansionEngine:
+    """_expand takes Horner steps when the factor ranges nest and the
+    sliding window otherwise; only the window divides."""
+
+    NESTED = ("eq5", "alt1", "alt3", "power_ml1")
+
+    @pytest.fixture
+    def divisions(self, monkeypatch):
+        """The number of _divide_linear calls so far, as a one-entry list."""
+        calls = [0]
+        divide = powersum._divide_linear
+
+        def counted(coeffs, a):
+            calls[0] += 1
+            divide(coeffs, a)
+
+        monkeypatch.setattr(powersum, "_divide_linear", counted)
+        return calls
+
+    @pytest.mark.parametrize("tag", NESTED)
+    def test_nested_lists_divide_nothing(self, tag, divisions):
+        # In either order: the window divides when eq5's ranges shrink
+        # and when reversed alt1/alt3/power_ml1 lists do.
+        for p in (*range(1, 61), 200):
+            terms = representation(tag, p)
+            assert _expand(terms[::-1]) == _expand(terms)
+        assert divisions == [0]
+        for p in (1, 2, 7, 16):
+            terms = representation(tag, p)
+            assert as_polynomial(_expand(terms)) == expand_rebuilt(terms)
+        assert divisions == [0]
+
+    def test_newton_terms_nest(self, divisions):
+        # Ranges [1 - k, 1) for k = 0..p + 1, the empty range included.
+        for p in (1, 5, 14):
+            terms = newton_terms(p)
+            assert as_polynomial(_expand(terms)) == expand_rebuilt(terms)
+        assert divisions == [0]
+
+    @pytest.mark.parametrize("p", [2, 7, 16])
+    def test_alt2_takes_the_window(self, p, divisions):
+        terms = representation("alt2", p)
+        assert as_polynomial(_expand(terms)) == expand_rebuilt(terms)
+        assert divisions[0] > 0
+
+    @pytest.mark.parametrize("p", [4, 9, 16])
+    def test_unnested_eq5_takes_the_window(self, p, divisions):
+        # eq5's ranges are [0, dim); a middle term moved to [2, dim + 2)
+        # holds neither the narrower range nor lies in the wider one.
+        terms = list(representation("eq5", p))
+        c, dim, _ = terms[p // 2]
+        terms[p // 2] = (c, dim, 2)
+        assert as_polynomial(_expand(terms)) == expand_rebuilt(terms)
+        assert divisions[0] > 0
