@@ -45,8 +45,10 @@ per call. Their key holds min_part, which has no bound, so they are not
 kept: the blocks of one call hold at most 2,048 tuples and go with its
 generator. Every family refuses, with ValueError, any request whose
 tuples would be longer than MAX_TUPLE_LENGTH (the k/j pairs when called,
-before a route weighing them builds anything), which keeps the deepest
-recursion well inside the interpreter's default limit of 1000 frames.
+before a route weighing them builds anything). The longest k- and
+j-tuples, at (901, 1), recurse about 935 frames deep while their suffix
+blocks are built (about 890 once kept): inside the interpreter's default
+limit of 1000 frames, with only about 65 to spare.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ form a'(k, j) = (-1)^(k-j) * j! * S(k, j), read from one row of surjection
 counts per k. A RationalMatrix holds ints over one scale per row:
 A_p the Stirling rows s(k, .) over k!, the closed form the signed
 surjection rows over 1. Neither builder makes a Fraction; entries become
-Fractions only when read. certify_inverse checks the closed form as a
-two-sided inverse and against forward substitution, over the stored ints
-and row by row (certified_rows), so one pass at order p decides every
-leading block of order p or less.
+Fractions only when read. certify_inverse checks A_p C = I for the
+closed form C, which makes C the two-sided inverse as A_p is square, and
+checks C against forward substitution, both from one product over the
+stored ints, row by row (certified_rows), so one pass at order p decides
+every leading block of order p or less.
 
 Matrix indices are 1-based at the API surface.
 """
@@ -158,9 +159,10 @@ def invert_exact(m: RationalMatrix) -> RationalMatrix:
 
 
 def certify_inverse(p: int) -> bool:
-    """True iff the closed-form inverse is the exact two-sided inverse of
-    A_p and matches the forward-substitution inversion entrywise: every
-    row of build_fermat(p) and inverse_closed(p) passes certified_rows.
+    """True iff the closed form C is the exact inverse of A_p (A_p C = I,
+    two-sided as A_p is square) and matches the forward-substitution
+    inversion entrywise: every row of build_fermat(p) and inverse_closed(p)
+    passes certified_rows.
     """
     return certified_rows(build_fermat(p), inverse_closed(p)) == p
 
@@ -172,14 +174,17 @@ def certified_rows(a: RationalMatrix, closed: RationalMatrix) -> int:
 
     Row k is checked over the stored ints. Let S1 be A_p with row k scaled
     by k! and C the closed form. Row k of A_p C = I is row k of
-    S1 C = diag(k!), row k of C A_p = I is sum_i C[k][i] S1[i][j] (k!/i!)
-    = k! [k == j], and forward substitution on A_p is forward
+    S1 C = diag(k!), and forward substitution on A_p is forward
     substitution on S1 with row k's right-hand side k!. Row k of S1 and C
     must be integral (row scale dividing k!, resp. 1) and zero above the
     diagonal; both facts are checked, so sums restricted to the triangle
     hide no error. Row k's checks read only rows 1..k, and those of the
     leading block of any order p >= k, so the count certifies every
     leading block whose order is at most the count.
+
+    C A_p = I needs no pass of its own. When rows 1..k pass, the leading
+    blocks satisfy A_k C_k = I_k, and a one-sided inverse of a square
+    matrix is two-sided, so C_k A_k = I_k: row k of C A_p = I holds.
 
     The pass stops at the first failing row, so the substitution's rows
     X[i] above row k are C's rows, and entry (k, j < k) of S1 C is its
@@ -188,34 +193,25 @@ def certified_rows(a: RationalMatrix, closed: RationalMatrix) -> int:
     C[k][j]. At j = k, pivot * C[k][k] = k! is X[k][k] = C[k][k] with a
     nonzero pivot. One sum per entry of S1 C so decides both checks.
     """
-    # Column j of S1 and C, from row j down to the last row read.
-    s1_cols: list[list[int]] = []
+    # Column j of C, from row j down to the last row read.
     cl_cols: list[list[int]] = []
-    fact = [1]
+    target = 1
     for k, (arow, ascale, crow, cscale) in enumerate(
         zip(a._rows, a._scales, closed._rows, closed._scales)
     ):
-        target = fact[k] * (k + 1)
-        fact.append(target)
+        target *= k + 1
         q, rem = divmod(target, ascale)
         if rem or cscale != 1 or any(arow[k + 1 :]) or any(crow[k + 1 :]):
             return k
         srow = [x * q for x in arow[: k + 1]]
-        crow = crow[: k + 1]
-        for cols, entries in ((s1_cols, srow), (cl_cols, crow)):
-            cols.append([])
-            for col, x in zip(cols, entries):
-                col.append(x)
+        cl_cols.append([])
+        for col, x in zip(cl_cols, crow):
+            col.append(x)
         # Row k of S1 C, and with it row k of the forward substitution.
         for j in range(k + 1):
             if sum(map(operator.mul, srow[j:], cl_cols[j])) != (target if j == k else 0):
                 return k
-        # Row k of C A_p times k!: the weight k!/i! clears the 1/i! of row i.
-        weighted = [c * (target // fact[i + 1]) for i, c in enumerate(crow)]
-        for j in range(k + 1):
-            if sum(map(operator.mul, weighted[j:], s1_cols[j])) != (target if j == k else 0):
-                return k
-    return len(fact) - 1
+    return len(cl_cols)
 
 
 def is_leading_block(small: RationalMatrix, big: RationalMatrix) -> bool:

@@ -6,6 +6,7 @@ import itertools
 import math
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -633,3 +634,27 @@ class TestTupleLengthLimit:
             next(enumerate_k_tuples(n + 2, (n + 2) // 2))
         # An infeasible instance builds no tuple at all.
         assert list(enumerate_compositions(5, n + 1, 1)) == []
+
+    def test_longest_families_stream_with_frames_to_spare(self):
+        """The first stream of the longest k- and j-tuples, which builds
+        their suffix blocks, uses about 935 of the default 1000 frames, so
+        both stream from a fresh thread 50 frames deep; a recursion 10
+        frames deeper fails here."""
+        assert sys.getrecursionlimit() == 1000
+        n = MAX_TUPLE_LENGTH
+        counts = {}
+
+        def nested(depth, family):
+            if depth:
+                return nested(depth - 1, family)
+            return sum(1 for _ in family(n + 1, 1))
+
+        def run():
+            for family in (enumerate_k_tuples, enumerate_j_tuples):
+                counts[family.__name__] = nested(50, family)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert counts == {"enumerate_k_tuples": n, "enumerate_j_tuples": n}

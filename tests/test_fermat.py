@@ -2,12 +2,15 @@
 
 import copy
 import hashlib
+import itertools
 import math
 import operator
 import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from figurate import cli, exact, fermat
 from figurate.coefficients import c_closed
@@ -360,10 +363,27 @@ def _moved(m, k, j, delta):
     return RationalMatrix._scaled(tuple(map(tuple, rows)), m._scales)
 
 
+@st.composite
+def _several_moved(draw):
+    """build_fermat(p) and inverse_closed(p), p <= 9, with 1-3 entries
+    moved, in either matrix or both, by one of +-1, +-2, 1/2 and -1/3."""
+    p = draw(st.integers(1, 9))
+    index = st.integers(0, p - 1)
+    pair = [build_fermat(p), inverse_closed(p)]
+    for _ in range(draw(st.integers(1, 3))):
+        side, k, j = draw(st.integers(0, 1)), draw(index), draw(index)
+        delta = draw(st.sampled_from([1, -1, 2, -2, F(1, 2), F(-1, 3)]))
+        pair[side] = _moved(pair[side], k, j, delta)
+    return pair
+
+
 class TestSharedPartialSums:
-    """certified_rows decides row k of S1 C and of the forward substitution
-    from one sum per entry; it counts the rows the three-pass oracle
-    counts, so sharing the sums weakens no certificate."""
+    """certified_rows decides row k from the sums of S1 C alone: those
+    sums decide the forward substitution too, and C A_p = I follows from
+    A_p C = I on the leading blocks, as a one-sided inverse of a square
+    matrix is two-sided. It counts the rows the three-pass oracle counts,
+    which also checks C A_p and the substitution with sums of their own,
+    so one product weakens no certificate."""
 
     def test_real_matrices(self):
         for p in range(1, 41):
@@ -380,6 +400,34 @@ class TestSharedPartialSums:
             for j in range(p):
                 for pair in ((_moved(a, k, j, delta), closed), (a, _moved(closed, k, j, delta))):
                     assert fermat.certified_rows(*pair) == certified_rows_three_pass(*pair) == k
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(_several_moved())
+    def test_several_moved_entries(self, pair):
+        assert fermat.certified_rows(*pair) == certified_rows_three_pass(*pair)
+
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_zero_pivot(self, p):
+        a, closed = build_fermat(p), inverse_closed(p)
+        for k in range(p):
+            pair = (_moved(a, k, k, -a._rows[k][k]), closed)
+            assert fermat.certified_rows(*pair) == certified_rows_three_pass(*pair) == k
+
+    @pytest.mark.parametrize("p", range(2, 10))
+    def test_swapped_closed_rows(self, p):
+        """Row i then holds row j's nonzero entry at column j > i."""
+        a, closed = build_fermat(p), inverse_closed(p)
+        for i, j in itertools.combinations(range(p), 2):
+            rows = list(closed._rows)
+            rows[i], rows[j] = rows[j], rows[i]
+            pair = (a, RationalMatrix._scaled(tuple(rows), closed._scales))
+            assert fermat.certified_rows(*pair) == certified_rows_three_pass(*pair) == i
+
+    def test_unequal_orders(self):
+        """The pass reads the rows both matrices have."""
+        for p, q in itertools.permutations(range(1, 10), 2):
+            pair = (build_fermat(p), inverse_closed(q))
+            assert fermat.certified_rows(*pair) == certified_rows_three_pass(*pair) == min(p, q)
 
 
 class TestFiguratePolynomial:
