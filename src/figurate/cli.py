@@ -394,6 +394,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (MemoryError, RecursionError) as exc:
+        # The run ran out of a resource; no check failed, so not exit 1.
+        what = "memory" if isinstance(exc, MemoryError) else "stack (the recursion limit)"
+        print(f"internal error: out of {what}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (RuntimeError, ZeroDivisionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

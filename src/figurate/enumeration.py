@@ -17,27 +17,24 @@ each tuple length for the k/j families, lengths ascending) and never
 materialize the full family. The ordering is a reproducibility
 convention, nothing more.
 
-The k- and j-families recurse once per leading entry. In every family
-the last few entries of each tuple come from suffix blocks: lists of
-every valid end for what the leading entries leave, emitted in one
-map(tuple.__add__, block) pass per head. The same recursion over a
-one-entry head builds each block from narrower ones, so a family states
-its rule for the next entry once. One builder (_suffixes) serves both
-families: it holds only the memo lookup and the flattening, and each
-family passes it its own recursion, memo and fill. A block is a pure
-function of its key, so each family keeps its blocks for the process, in
-one memo per family (_K_BLOCKS, _J_BLOCKS); a block is published there
-only once complete, and only once: threads that race to build one all
-return the first published. The memo is bounded by construction: a call
-builds blocks of width at most _block_width(ell) <= 16 and content at most
-ell, the width depends on ell alone, and no ell past 55 has blocks, so
-the memo of a family never holds more than 9,692 tuples, and a call adds
-at most 2,048 of them. Each family has its own recursion, its own blocks
-and its own stream of (head, block) pairs (_k_pairs, _j_pairs), so the
-k/j bijection stays a checked fact: the recursion pairs each head with
-the block for what it leaves, or with _EMPTY_BLOCK where the head is the
-whole tuple. The public generators flatten every pair alike (head + ()
-is head); the enumerative routes weigh them head by head.
+The k- and j-families recurse once per positive entry (k) or entry >= 2
+(j) of a head, the leading entries of a tuple. The last few entries come
+from suffix blocks: lists of every valid end for what a head leaves,
+emitted in one map(tuple.__add__, block) pass per head. The same
+recursion over a one-entry head builds each block from narrower ones, so
+a family states its rule for the next entry once. One builder
+(_suffixes) holds the memo lookup and the flattening for both families;
+each passes it its own recursion, memo (_K_BLOCKS, _J_BLOCKS) and fill.
+A block is a pure function of its key, so it is kept for the process
+(see _suffixes). The memo is bounded by construction: a call builds
+blocks of width at most _block_width(ell) <= 16 and content at most ell,
+the width depends on ell alone, and no ell past 55 has blocks, so the
+memo of a family never holds more than 9,692 tuples, and a call adds at
+most 2,048 of them. Each family streams its own (head, block) pairs
+(_k_pairs, _j_pairs), a head that is the whole tuple with _EMPTY_BLOCK,
+so the k/j bijection stays a checked fact. The public generators flatten
+every pair alike (head + () is head); the enumerative routes weigh them
+head by head.
 
 Compositions come from one generator frame, which steps the leading
 parts like an odometer and takes the last parts from tail blocks built
@@ -45,10 +42,9 @@ per call. Their key holds min_part, which has no bound, so they are not
 kept: the blocks of one call hold at most 2,048 tuples and go with its
 generator. Every family refuses, with ValueError, any request whose
 tuples would be longer than MAX_TUPLE_LENGTH (the k/j pairs when called,
-before a route weighing them builds anything). The longest k- and
-j-tuples, at (901, 1), recurse about 935 frames deep while their suffix
-blocks are built (about 890 once kept): inside the interpreter's default
-limit of 1000 frames, with only about 65 to spare.
+before a route weighing them builds anything). A k/j stream recurses
+as deep as its heads' support plus its block build, not its length: at
+(901, 1), the longest, about 35 frames, and 4 once its blocks are kept.
 """
 
 from __future__ import annotations
@@ -82,30 +78,34 @@ def _k_rec(buf: list, m: int, i: int, rem: int, pos: int, prev: bool) -> Iterato
     """(head, block) for each distinct head, the first len(buf) entries of
     the length-m k-tuples, ascending; block is the suffix block of what the
     head leaves, which _suffixes builds by this recursion into _K_BLOCKS.
-    Entries 0..i-1 are already in buf, the rest of buf holds zeros. One
-    frame per entry.
+    Entries 0..i-1 are in buf, zeros after them. One level per positive
+    entry: a stream recurses as deep as its heads' support plus the blocks.
 
-    rem is the content and pos the number of positive entries left for
-    the m - i slots from i on, prev whether entry i - 1 is positive.
-    Both branches enter a state only if it is feasible: pos positives,
-    each at least 1 and no two side by side, fit in `slots` slots exactly
-    when pos <= rem and 2 * pos <= slots + 1 (one slot fewer behind a
-    positive entry); pos = 0 needs rem = 0. So every head is emitted only
-    if some tuple starts with it.
+    rem is the content and pos the number of positives left for the m - i
+    slots from i on, prev whether entry i - 1 is positive. Zeros to the end
+    of buf come first, then the next positive at each q, the last first (a
+    later positive sorts first), its value ascending. A state is entered
+    only if feasible: pos positives, each at least 1 and no two side by
+    side, fit in `slots` slots exactly when pos <= rem and 2 * pos <=
+    slots + 1 (one fewer behind a positive: q <= m + 1 - 2 * pos); pos = 0
+    needs rem = 0. So every head is emitted only if a tuple starts with it.
     """
-    if i == len(buf):
-        block = _suffixes(_k_rec, _K_BLOCKS, 0, m - i, rem, pos, prev) if m - i else _EMPTY_BLOCK
+    end = len(buf)
+    width = m - end
+    if (pos <= rem and 2 * pos <= width + 1) if pos else not rem:  # zeros to the end
+        block = _suffixes(_k_rec, _K_BLOCKS, 0, width, rem, pos, False) if width else _EMPTY_BLOCK
         yield tuple(buf), block
-        return
-    left = m - i - 1
-    if (pos <= rem and 2 * pos <= left + 1) if pos else not rem:
-        yield from _k_rec(buf, m, i + 1, rem, pos, False)  # entry i is 0
-    if pos and not prev and pos <= rem and 2 * pos <= left + 2:
-        last = rem - pos + 1  # the other pos - 1 positives take at least 1 each
-        for v in range(last if pos == 1 else 1, last + 1):  # a last positive takes all
-            buf[i] = v
-            yield from _k_rec(buf, m, i + 1, rem - v, pos - 1, True)
-        buf[i] = 0
+    if 0 < pos <= rem:
+        values = range(rem if pos == 1 else 1, rem - pos + 2)  # all if last; 1 per other
+        for q in range(end - 1 if 2 * pos <= width + 1 else m + 1 - 2 * pos, i + prev - 1, -1):
+            for v in values:
+                buf[q] = v
+                if q + 1 < end or not width:
+                    yield from _k_rec(buf, m, q + 1, rem - v, pos - 1, True)
+                else:  # the head ends in this positive, emitted from this level
+                    block = _suffixes(_k_rec, _K_BLOCKS, 0, width, rem - v, pos - 1, True)
+                    yield tuple(buf), block
+            buf[q] = 0
 
 
 #: The suffix blocks of each family, kept for the process under their
@@ -137,31 +137,33 @@ def _suffixes(rec, blocks: dict, fill: int, width: int, rem: int, count: int, pr
 
 def _j_rec(buf: list, m: int, i: int, rem: int, big: int, prev: bool) -> Iterator[tuple]:
     """The (head, block) pairs of the length-m j-tuples as _k_rec gives
-    those of the k-tuples, with blocks that _suffixes builds by this
-    recursion into _J_BLOCKS; the rest of buf holds ones. One frame per
-    entry.
+    those of the k-tuples, one level per entry >= 2, with blocks that
+    _suffixes builds by this recursion into _J_BLOCKS; buf holds ones.
 
-    rem is what the m - i slots from i on sum to, big how many of them
-    are >= 2, prev whether entry i - 1 is >= 2. Each slot takes at least
-    1, and the big entries share the excess rem - slots, so a state is
-    feasible exactly when big <= excess and 2 * big <= slots + 1 (one
-    slot fewer behind a big entry); big = 0 needs no excess. Both
-    branches enter feasible states only.
+    rem is what the m - i slots from i on sum to, big how many of them are
+    >= 2, prev whether entry i - 1 is >= 2. Each slot takes at least 1 and
+    the big entries share the excess rem - slots, kept along a run of ones:
+    feasible exactly when big <= excess and 2 * big <= slots + 1 (one fewer
+    behind a big entry); big = 0 needs no excess.
     """
-    if i == len(buf):
-        block = _suffixes(_j_rec, _J_BLOCKS, 1, m - i, rem, big, prev) if m - i else _EMPTY_BLOCK
+    end = len(buf)
+    width = m - end
+    rest = rem - end + i  # what the entries from end on sum to behind ones
+    excess = rest - width
+    if (big <= excess and 2 * big <= width + 1) if big else not excess:  # ones to the end
+        block = _suffixes(_j_rec, _J_BLOCKS, 1, width, rest, big, False) if width else _EMPTY_BLOCK
         yield tuple(buf), block
-        return
-    left = m - i - 1
-    excess = rem - 1 - left  # with entry i at 1
-    if (big <= excess and 2 * big <= left + 1) if big else not excess:
-        yield from _j_rec(buf, m, i + 1, rem - 1, big, False)  # entry i is 1
-    if big and not prev and big <= excess and 2 * big <= left + 2:
-        last = excess - big + 2  # the other big - 1 entries take at least 2 each
-        for v in range(last if big == 1 else 2, last + 1):  # a last big entry takes all
-            buf[i] = v
-            yield from _j_rec(buf, m, i + 1, rem - v, big - 1, True)
-        buf[i] = 1
+    if 0 < big <= excess:
+        values = range(excess + 1 if big == 1 else 2, excess - big + 3)  # all if last; 2 per other
+        for q in range(end - 1 if 2 * big <= width + 1 else m + 1 - 2 * big, i + prev - 1, -1):
+            for v in values:
+                buf[q] = v
+                if q + 1 < end or not width:
+                    yield from _j_rec(buf, m, q + 1, rem - (q - i) - v, big - 1, True)
+                else:  # the head ends in this big entry
+                    block = _suffixes(_j_rec, _J_BLOCKS, 1, width, rest + 1 - v, big - 1, True)
+                    yield tuple(buf), block
+            buf[q] = 1
 
 
 def _suffix_count(width: int, content: int) -> int:
@@ -249,11 +251,9 @@ def enumerate_k_tuples(p: int, ell: int) -> Iterator[tuple[int, ...]]:
     lexicographic. For ell = 0 this is the single all-zero tuple of
     length p - 1 (empty for p = 1).
 
-    The stream is _k_pairs flattened, each head followed by its block in
-    one map(head.__add__, block) pass (a whole tuple's block is
-    _EMPTY_BLOCK, and head + () is head). A valid ell = 0 request streams
-    its one tuple from this frame; every other request is validated by
-    _k_pairs when the stream starts.
+    The stream is _k_pairs flattened, one map(head.__add__, block) pass
+    per head. A valid ell = 0 request streams its one tuple from this
+    frame; _k_pairs validates every other when the stream starts.
     """
     if not ell and 0 < p <= MAX_TUPLE_LENGTH + 1:
         yield (0,) * (p - 1)

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import figurate
-from figurate import combinatorics, powersum
+from figurate import cli, combinatorics, powersum
 from figurate.cli import build_parser, main
 from figurate.coefficients import ROUTES
 from figurate.combinatorics import FAMILIES
@@ -683,6 +684,44 @@ class TestClosedPipe:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 141
         assert head and err == b""
+
+
+def _limit_address_space():
+    """In the child only: 300 MB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+
+class TestResourceExhaustion:
+    """A run that exhausts memory or the stack exits 3 with one stderr
+    line naming the resource and no traceback: exit 1 means a failed
+    check."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+    @pytest.mark.parametrize(
+        "argv",
+        ["triangle --family stirling2 --pmax 3000 --format csv", "fermat --p 1500 --format csv"],
+        ids=["triangle", "fermat"],
+    )
+    def test_out_of_memory_exits_3(self, argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "figurate.cli", *argv.split()],
+            env=fresh_env(),
+            capture_output=True,
+            timeout=120,
+            preexec_fn=_limit_address_space,
+        )
+        assert done.returncode == 3
+        assert done.stderr.decode() == "internal error: out of memory\n"
+
+    def test_recursion_limit_exits_3(self, capsys, monkeypatch):
+        def deep(args):
+            return deep(args)
+
+        monkeypatch.setattr(cli, "cmd_faulhaber", deep)
+        code, out, err = run(capsys, "faulhaber", "--p", "3")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: out of stack (the recursion limit)\n"
 
 
 

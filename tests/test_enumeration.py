@@ -637,9 +637,8 @@ class TestTupleLengthLimit:
 
     def test_longest_families_stream_with_frames_to_spare(self):
         """The first stream of the longest k- and j-tuples, which builds
-        their suffix blocks, uses about 935 of the default 1000 frames, so
-        both stream from a fresh thread 50 frames deep; a recursion 10
-        frames deeper fails here."""
+        their suffix blocks, uses about 35 of the default 1000 frames, so
+        both stream from a fresh thread 50 frames deep."""
         assert sys.getrecursionlimit() == 1000
         n = MAX_TUPLE_LENGTH
         counts = {}
@@ -652,6 +651,32 @@ class TestTupleLengthLimit:
         def run():
             for family in (enumerate_k_tuples, enumerate_j_tuples):
                 counts[family.__name__] = nested(50, family)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert counts == {"enumerate_k_tuples": n, "enumerate_j_tuples": n}
+
+    def test_longest_families_stream_near_the_recursion_limit(self):
+        """Heads recurse once per positive (k) or big (j) entry, not once
+        per entry, so the first stream of the longest k- and j-tuples, from
+        empty memos, runs from a thread nested within 100 frames of the
+        interpreter's limit."""
+        n = MAX_TUPLE_LENGTH
+        counts = {}
+
+        def nested(depth, family):
+            if depth:
+                return nested(depth - 1, family)
+            return sum(1 for _ in family(n + 1, 1))
+
+        def run():
+            for family in (enumerate_k_tuples, enumerate_j_tuples):
+                try:
+                    counts[family.__name__] = nested(sys.getrecursionlimit() - 100, family)
+                except RecursionError:
+                    counts[family.__name__] = "RecursionError"
 
         thread = threading.Thread(target=run)
         thread.start()
