@@ -83,12 +83,13 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-#: Each enumerative route's block denominators, kept for the process
-#: beside its family's blocks: id(block) -> (block, the list of its
-#: denominators), prod((t_i + 1)!) per tuple t for the k-route and
-#: prod(t_i!) for the j-route. Holding the block keeps its id from being
-#: reused, an entry is published only once its list is complete, and, as
-#: a family's memo never replaces a block, this memo holds none it does not.
+#: Each enumerative route's block weights, kept for the process beside
+#: its family's blocks: id(block) -> (block, L, N), with d_t the
+#: denominator of tuple t, prod((t_i + 1)!) for the k-route and prod(t_i!)
+#: for the j-route, L = lcm of the d_t and N = sum of L // d_t over the
+#: block. Holding the block keeps its id from being reused, an entry is
+#: published whole, and, as a family's memo never replaces a block, this
+#: memo holds none it does not.
 _K_WEIGHTS: dict = {}
 _J_WEIGHTS: dict = {}
 
@@ -100,30 +101,38 @@ def _multinomial_sum(p: int, pairs, shift: int, weighed: dict) -> int:
 
     For each head, q = p! / prod over the head, checked exact. A head
     whose block is _EMPTY_BLOCK is a whole tuple and weighs q; otherwise
-    each of its tuples weighs q // d, d the product over t, and q % d
-    must be 0. Both passes over a block run in C. A block's denominators
-    depend on the block and shift alone, so they are computed once and
-    kept in weighed, the caller's memo for that shift.
+    each of its tuples t weighs q // d_t, d_t the product over t. q is a
+    multiple of every d_t exactly when it is one of L = lcm(d_t), and then
+    the block weighs q // L * N, N the sum of L // d_t: one division per
+    head. A block's L and N depend on the block and shift alone, so they
+    are computed once from its tuples and kept in weighed, the caller's
+    memo for that shift. When L does not divide q, the first d_t of the
+    block that does not is named in the error.
 
     Each factorial is read from one table of 0!..p!, so every s_i + shift
-    must lie in 0..p: a larger one would leave no integer quotient.
+    must lie in 0..p: a larger one would leave no integer quotient. As
+    0! = 1! = 1, the zeros of a head are skipped at either shift.
     """
     factorials = list(accumulate(range(1, p + 1), operator.mul, initial=1))
     fact_p = factorials[p]
     weight = factorials[shift:].__getitem__
     total = 0
     for head, block in pairs:
-        q = _exact_div(fact_p, math.prod(map(weight, head)))
+        q = _exact_div(fact_p, math.prod(map(weight, filter(None, head))))
         if block is _EMPTY_BLOCK:
             total += q
             continue
         held = weighed.get(id(block))
         if held is None:
-            held = weighed[id(block)] = (block, [math.prod(map(weight, t)) for t in block])
-        dens = held[1]
-        total += sum(map(q.__floordiv__, dens))
-        if any(map(q.__mod__, dens)):
+            dens = [math.prod(map(weight, t)) for t in block]
+            lcm = math.lcm(*dens)
+            held = weighed[id(block)] = (block, lcm, sum(map(lcm.__floordiv__, dens)))
+        _, lcm, n = held
+        share, r = divmod(q, lcm)
+        if r:
+            dens = (math.prod(map(weight, t)) for t in block)
             raise RuntimeError(f"{q} not divisible by {next(d for d in dens if q % d)}")
+        total += share * n
     return total
 
 
@@ -366,14 +375,17 @@ class RouteReport(namedtuple("RouteReport", "values skipped")):
 def certify(p: int, ell: int, size_guard: int = DEFAULT_SIZE_GUARD) -> RouteReport:
     """Evaluate every route at (p, ell), skipping enumerative routes when
     p exceeds size_guard; the report holds values and skips, not p or ell.
-    A route that raises RuntimeError reports the error as its value; an
-    invalid (p, ell) raises the ValueError of the closed route, which
-    always runs first."""
+    A route that raises RuntimeError reports the error as its value,
+    except RecursionError: a route out of stack has not failed a check,
+    so it propagates. An invalid (p, ell) raises the ValueError of the
+    closed route, which always runs first."""
     run, skipped = split_routes(ROUTES, p, size_guard)
     values = {}
     for route in run:
         try:
             values[route] = coefficient(p, ell, route)
+        except RecursionError:
+            raise
         except RuntimeError as exc:
             values[route] = exc
     return RouteReport(values, tuple(skipped))

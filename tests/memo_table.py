@@ -244,18 +244,23 @@ def _certified(p, ell):
 
 def _weights(name, blocks, route, shift):
     def holds(key, value):
-        block, dens = value
-        expected = [math.prod(math.factorial(e + shift) for e in t) for t in block]
-        return key == id(block) and dens and dens == expected
+        block, lcm, n = value
+        dens = [math.prod(math.factorial(e + shift) for e in t) for t in block]
+        return (
+            key == id(block)
+            and dens
+            and lcm == math.lcm(*dens)
+            and n == sum(lcm // d for d in dens)
+        )
 
     def bound(weights):
         kept = set(map(id, MEMOS[blocks].memo.values()))
         assert weights.keys() <= kept, (name, "a block its family does not keep")
-        return sum(len(dens) for _, dens in weights.values()), block_bound()
+        return len(weights), len(kept)
 
     racing = (route, c_closed, [(p, ell) for p in range(8, 13) for ell in range(p)])
     sweep = (certify, _certified, _pairs)
-    return Memo(name, sweep, (10, 14), racing, 5, holds, bound, operator.itemgetter(1))
+    return Memo(name, sweep, (10, 14), racing, 5, holds, bound, lambda value: value[1:])
 
 
 def _alternating(name, holds):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -49,20 +50,25 @@ class TestClosedRoute:
             c_closed(0, 0)
 
 
+def _plant_factorial(monkeypatch, index, value):
+    """index! read as value in the one factorial table of _multinomial_sum."""
+    real = coefficients.accumulate
+
+    def planted(*args, **kwargs):
+        table = list(real(*args, **kwargs))
+        if len(table) > index:
+            table[index] = value
+        return iter(table)
+
+    monkeypatch.setattr(coefficients, "accumulate", planted)
+
+
 @pytest.fixture
 def wrong_factorial_table(monkeypatch):
     """3! read as 3 in the one factorial table of _multinomial_sum. At
     p = 3 that makes p! itself 3, which 2! does not divide, so the
     enumerative routes raise there."""
-    real = coefficients.accumulate
-
-    def planted(*args, **kwargs):
-        table = list(real(*args, **kwargs))
-        if len(table) > 3:
-            table[3] = 3
-        return iter(table)
-
-    monkeypatch.setattr(coefficients, "accumulate", planted)
+    _plant_factorial(monkeypatch, 3, 3)
 
 
 class TestEnumerationRoutes:
@@ -99,8 +105,8 @@ class TestEnumerationRoutes:
         assert {r for r, v in report.values.items() if v != closed} == ENUMERATIVE
 
 
-#: Per enumerative route: its denominator memo, its family's block memo,
-#: the recursion and fill its blocks are built with, and the shift its
+#: Per enumerative route: its weight memo, its family's block memo, the
+#: recursion and fill its blocks are built with, and the shift its
 #: denominators take.
 WEIGHED = {
     "enum_k": (coefficients._K_WEIGHTS, enumeration._K_BLOCKS, (enumeration._k_rec, 0), 1),
@@ -108,33 +114,40 @@ WEIGHED = {
 }
 
 
-def _plant_denominator(route, key):
+def _weight(block, shift):
+    """(L, N) of a block: the lcm L of its tuples' denominators
+    prod((t_i + shift)!), and the sum of L // d over them."""
+    dens = [math.prod(math.factorial(e + shift) for e in t) for t in block]
+    lcm = math.lcm(*dens)
+    return lcm, sum(lcm // d for d in dens)
+
+
+def _plant_weight(route, key):
     """Publish the block for key in the route's family memo, and in the
-    route's denominator memo its denominators with the first one above 1
-    read as 1: every tuple of the block still divides, one weighs more."""
+    route's weight memo its (L, N) with N one more: every tuple of the
+    block still divides, and each head q weighs the block q // L more."""
     weights, blocks, (rec, fill), shift = WEIGHED[route]
     block = enumeration._suffixes(rec, blocks, fill, *key)
-    dens = [math.prod(math.factorial(e + shift) for e in t) for t in block]
-    dens[next(i for i, d in enumerate(dens) if d > 1)] = 1
-    weights[id(block)] = (block, dens)
+    lcm, n = _weight(block, shift)
+    weights[id(block)] = (block, lcm, n + 1)
 
 
 class TestBlockWeights:
-    """Each enumerative route keeps its blocks' denominators for the
+    """Each enumerative route keeps its blocks' weights (L, N) for the
     process, beside its family's blocks, and still checks every quotient."""
 
     @pytest.mark.parametrize("route", ["enum_k", "enum_j"])
     def test_second_call_weighs_no_block(self, route):
-        weights, blocks, _, _ = WEIGHED[route]
+        weights, blocks, _, shift = WEIGHED[route]
         value = coefficient(12, 6, route)
-        held = {key: dens for key, (_, dens) in weights.items()}
+        held = dict(weights)
         assert held
         assert coefficient(12, 6, route) == value == c_closed(12, 6)
         assert weights.keys() == held.keys()
-        assert all(weights[key][1] is dens for key, dens in held.items())
-        # One entry per block the family's memo holds, as long as its block.
+        assert all(weights[key] is entry for key, entry in held.items())
+        # One entry per block the family's memo holds, its (L, N) from its tuples.
         assert weights.keys() <= set(map(id, blocks.values()))
-        assert all(len(dens) == len(block) for block, dens in weights.values())
+        assert all((lcm, n) == _weight(block, shift) for block, lcm, n in weights.values())
 
     def test_certify_to_14_fills_pinned_memos(self):
         # From the empty memos the fixture leaves, certify at every p <= 14
@@ -145,13 +158,14 @@ class TestBlockWeights:
             for ell in range(p):
                 assert certify(p, ell).agree, (p, ell)
         # A family streams only the supports that hold a tuple, so every
-        # block kept and every denominator list holds at least one entry.
+        # block kept and every block weighed holds at least one tuple, and
+        # N, a sum of one share per tuple, at least as many.
         for weights, blocks, _, _ in WEIGHED.values():
             assert len(blocks) == 311
             assert sum(map(len, blocks.values())) == 4561
             assert len(weights) == 252
             assert all(blocks.values())
-            assert all(dens for _, dens in weights.values())
+            assert all(n >= len(block) > 0 for block, _, n in weights.values())
 
     @pytest.mark.parametrize(
         "route, key",
@@ -161,7 +175,7 @@ class TestBlockWeights:
     def test_wrong_denominator_disagrees_on_its_route(self, route, key):
         # The ends of six entries with content 3 in three positive entries
         # (their +1 images for j), read behind heads at (12, 7).
-        _plant_denominator(route, key)
+        _plant_weight(route, key)
         report = certify(12, 7)
         closed = report.values["closed"]
         assert {r for r, v in report.values.items() if v != closed} == {route}
@@ -175,7 +189,7 @@ class TestBlockWeights:
         # One entry serves every p: the planted block is read whole at
         # (7, 3), and behind heads at (12, 7), (13, 7..8) and (14, 7..9).
         # Only the routes-agree lines of those p fail, each at its first ell.
-        _plant_denominator(route, key)
+        _plant_weight(route, key)
         assert cli.main(["verify", "--suite", "coeff", "--pmax", "14"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if line.startswith("[fail]")] == [
@@ -183,6 +197,17 @@ class TestBlockWeights:
             f"differs from closed: {route} at ell={ell})"
             for p, ell in [(7, 3), (12, 7), (13, 7), (14, 7)]
         ]
+
+    @pytest.mark.parametrize("route", ["enum_k", "enum_j"])
+    def test_inexact_block_names_its_first_denominator(self, route, monkeypatch):
+        # 3! read as 78 = 13 * 3!, which 12! does not divide. At (12, 6)
+        # the first block that holds an entry read at 3! (k: 2, j: 3) is
+        # the second behind the empty head, and its first such tuple is its
+        # second, with the other entry read at 5! (k: 4, j: 5): 78 * 120.
+        _plant_factorial(monkeypatch, 3, 78)
+        with pytest.raises(RuntimeError) as raised:
+            coefficient(12, 6, route)
+        assert str(raised.value) == "479001600 not divisible by 9360"
 
 
 class TestRouteErrors:
@@ -272,6 +297,41 @@ class TestRouteErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "internal error: integer division or modulo by zero\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--p", "40", "--ell", "3", "--size-guard", "40"],
+            ["verify", "--suite", "coeff", "--pmax", "14"],
+        ],
+        ids=["certify", "verify"],
+    )
+    def test_out_of_stack_is_internal(self, argv, monkeypatch, capsys):
+        # A route that runs out of stack has failed no check, so certify
+        # lets the RecursionError through, as the route alone does. Each
+        # enum_k call here runs with 4 frames to spare, which its first
+        # stream outgrows while it sizes and builds its suffix blocks.
+        real = coefficients.c_enum_k
+
+        def spare(n=0):  # frames the interpreter allows below the caller's
+            try:
+                return spare(n + 1)
+            except RecursionError:
+                return n
+
+        def planted(p, ell):
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(limit - spare() + 4)
+            try:
+                return real(p, ell)
+            finally:
+                sys.setrecursionlimit(limit)
+
+        monkeypatch.setattr(coefficients, "c_enum_k", planted)
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: out of stack (the recursion limit)\n"
 
 
 class TestRecurrenceRoute:
