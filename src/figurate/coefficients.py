@@ -94,27 +94,29 @@ _K_WEIGHTS: dict = {}
 _J_WEIGHTS: dict = {}
 
 
-def _multinomial_sum(p: int, pairs, shift: int, weighed: dict) -> int:
+def _factorials(p: int) -> list[int]:
+    return list(accumulate(range(1, p + 1), operator.mul, initial=1))  # 0!..p!
+
+
+def _multinomial_sum(pairs, factorials: list[int], shift: int, weighed: dict) -> int:
     """Sum of p! / prod((s_i + shift)!) over the tuples (s_1, s_2, ...)
     head + t of the given (head, block) pairs, t running over block
-    (enumeration._k_pairs), each quotient checked exact.
+    (enumeration._k_pairs), each factorial read from factorials, the
+    caller's table of 0!..p!, so every s_i + shift must lie in 0..p.
 
-    For each head, q = p! / prod over the head, checked exact. A head
-    whose block is _EMPTY_BLOCK is a whole tuple and weighs q; otherwise
-    each of its tuples t weighs q // d_t, d_t the product over t. q is a
+    For each head, q = p! / prod over the head, checked exact (as
+    0! = 1! = 1, its zeros are skipped at either shift). A head whose
+    block is _EMPTY_BLOCK is a whole tuple and weighs q; otherwise each
+    of its tuples t weighs q // d_t, d_t the product over t. q is a
     multiple of every d_t exactly when it is one of L = lcm(d_t), and then
     the block weighs q // L * N, N the sum of L // d_t: one division per
     head. A block's L and N depend on the block and shift alone, so they
     are computed once from its tuples and kept in weighed, the caller's
     memo for that shift. When L does not divide q, the first d_t of the
-    block that does not is named in the error.
-
-    Each factorial is read from one table of 0!..p!, so every s_i + shift
-    must lie in 0..p: a larger one would leave no integer quotient. As
-    0! = 1! = 1, the zeros of a head are skipped at either shift.
+    block that does not is named in the error. The k/j routes make their
+    stream, which refuses an invalid request, before their table.
     """
-    factorials = list(accumulate(range(1, p + 1), operator.mul, initial=1))
-    fact_p = factorials[p]
+    fact_p = factorials[-1]
     weight = factorials[shift:].__getitem__
     total = 0
     for head, block in pairs:
@@ -148,12 +150,12 @@ def c_closed(p: int, ell: int) -> int:
 
 def c_enum_k(p: int, ell: int) -> int:
     """Sum of p! / prod((k_i + 1)!) over the admissible nonnegative tuples."""
-    return _multinomial_sum(p, _k_pairs(p, ell), 1, _K_WEIGHTS)
+    return _multinomial_sum(_k_pairs(p, ell), _factorials(p), 1, _K_WEIGHTS)
 
 
 def c_enum_j(p: int, ell: int) -> int:
     """Sum of p! / prod(j_i!) over the admissible positive tuples."""
-    return _multinomial_sum(p, _j_pairs(p, ell), 0, _J_WEIGHTS)
+    return _multinomial_sum(_j_pairs(p, ell), _factorials(p), 0, _J_WEIGHTS)
 
 
 def _recurrence_step(prev: Sequence[int], index: int) -> list:
@@ -176,11 +178,14 @@ def c_recurrence(p: int, ell: int) -> int:
     return _RECURRENCE.row(p - 1, ell + 1)[ell]
 
 
-def composition_sum(p: int, total: int, parts: int, min_part: int) -> int:
-    """Sum of p! / prod(s_i!) over the compositions of total into `parts`
-    parts, each >= min_part."""
-    stream = enumerate_compositions(total, parts, min_part)
-    return _multinomial_sum(p, zip(stream, repeat(_EMPTY_BLOCK)), 0, {})
+def _groups(p: int, j: int, top: int) -> list[tuple[int, int, int]]:
+    """The groups t = 1..top of decompose_groups, weighed with one table."""
+    factorials = _factorials(p)
+    streams = ((t, enumerate_compositions(p + t - j, t, 2)) for t in range(1, top + 1))
+    return [
+        (t, math.comb(j, t), _multinomial_sum(zip(s, repeat(_EMPTY_BLOCK)), factorials, 0, {}))
+        for t, s in streams
+    ]
 
 
 def decompose_groups(p: int, j: int) -> list[tuple[int, int, int]]:
@@ -188,13 +193,11 @@ def decompose_groups(p: int, j: int) -> list[tuple[int, int, int]]:
 
     The inner sum for each t runs p! / prod(s_i!) over the compositions
     of p + t - j >= 2t into t parts, each >= 2: t = 1..min(j, p - j), only
-    the groups that hold compositions. Requires 1 <= j <= p - 1.
+    the groups that hold compositions. One 0!..p! table weighs them all.
+    Requires 1 <= j <= p - 1.
     """
     _check_j(p, j)
-    return [
-        (t, math.comb(j, t), composition_sum(p, p + t - j, t, 2))
-        for t in range(1, min(j, p - j) + 1)
-    ]
+    return _groups(p, j, min(j, p - j))
 
 
 def c_decompose(p: int, ell: int) -> int:
@@ -268,9 +271,9 @@ def c_alternating(p: int, ell: int) -> int:
     As a_(j - x) = (-1)^j a_x, it is one C-level dot product of a_x with
     x^p + (-1)^j (j - x)^p over x < j / 2, plus a_(j/2) (j/2)^p for even j,
     both lists from the route's own memos. a_x = a_(x-1) (x - j - 1) / x
-    from a_0 = (-1)^j, each division checked exact by _exact_div. Only bases
-    prime to 6 take a pow: an odd multiple y of 3 is (y / 3)^p 3^p, and each
-    2-adic level of even bases is the one below shifted left by p, in C.
+    from a_0 = (-1)^j, each division checked exact by _exact_div. The row
+    of powers grows in one ascending pass: an even y is (y / 2)^p << p, an
+    odd multiple of 3 (y / 3)^p 3^p, and only bases prime to 6 take a pow.
     """
     _check_pair(p, ell)
     j = p - ell
@@ -282,17 +285,14 @@ def c_alternating(p: int, ell: int) -> int:
         if j <= ROW_CAP:
             _SIGNED[j] = signed
     powers = _POWERS.get(p, [0])
-    n = len(powers)
-    if n <= j:
-        powers = [*powers, *repeat(0, j + 1 - n)]  # a new list: the published one is never mutated
+    if len(powers) <= j:
+        powers = powers[:]  # extended as a copy: the published list is never mutated
         three_p = 3**p
-        for y in range(n | 1, j + 1, 2):
-            powers[y] = powers[y // 3] * three_p if y % 3 == 0 else y**p
-        d = 2
-        while d <= j:
-            x = n + (d - n) % (2 * d)  # the first new base with exactly d dividing it
-            powers[x :: 2 * d] = map(operator.lshift, powers[x // 2 : half + 1 : d], repeat(p))
-            d *= 2
+        for y in range(len(powers), j + 1):
+            if y & 1:
+                powers.append(y**p if y % 3 else powers[y // 3] * three_p)
+            else:
+                powers.append(powers[y >> 1] << p)
         if p <= ROW_CAP:
             _POWERS[p] = powers
     mirror = operator.sub if j & 1 else operator.add
@@ -303,14 +303,13 @@ def c_alternating(p: int, ell: int) -> int:
 def w_sum(p: int, j: int) -> int:
     """Total weight of the length-j compositions of p containing a part 1.
 
-    Computed one way: the decompose groups t < j, each inner sum weighted
-    by C(j, t). verify's composition identity checks it against
-    the min-part-1 compositions of p that contain a 1. Requires
-    1 <= j <= p - 1 (so the all-ones tuple never sums to p).
+    Computed one way: the decompose groups t < j, one 0!..p! table for
+    all, each inner sum weighted by C(j, t). verify's composition identity
+    checks it against the min-part-1 compositions of p that contain a 1.
+    Requires 1 <= j <= p - 1 (so the all-ones tuple never sums to p).
     """
     _check_j(p, j)
-    groups = range(1, min(j - 1, p - j) + 1)  # those of decompose_groups with t < j
-    return sum(math.comb(j, t) * composition_sum(p, p + t - j, t, 2) for t in groups)
+    return sum(weight * inner for _, weight, inner in _groups(p, j, min(j - 1, p - j)))
 
 
 def summand_count(p: int, j: int) -> int:

@@ -37,9 +37,9 @@ BRUTE_FORCE_LIMIT = 10**8
 
 
 #: row() stores a row at or above this index only when it is the row right
-#: after the last stored one. At 512 rows the rows and entries of the
-#: Stirling table of the second kind take about 26 MB, and those of the
-#: recurrence and second-kind Eulerian tables 45-47 MB.
+#: after the last stored one. At 512 rows the five tables' rows and entries
+#: take 188 MB (from the entries' bit lengths): Stirling 30 and 26 MB (first
+#: and second kind), Eulerian 40 and 47 MB, recurrence 45 MB.
 ROW_CAP = 512
 
 

@@ -51,7 +51,8 @@ class TestClosedRoute:
 
 
 def _plant_factorial(monkeypatch, index, value):
-    """index! read as value in the one factorial table of _multinomial_sum."""
+    """index! read as value in every 0!..p! table of _factorials, which
+    all three enumerative routes weigh with."""
     real = coefficients.accumulate
 
     def planted(*args, **kwargs):
@@ -65,7 +66,7 @@ def _plant_factorial(monkeypatch, index, value):
 
 @pytest.fixture
 def wrong_factorial_table(monkeypatch):
-    """3! read as 3 in the one factorial table of _multinomial_sum. At
+    """3! read as 3 in every factorial table of _factorials. At
     p = 3 that makes p! itself 3, which 2! does not divide, so the
     enumerative routes raise there."""
     _plant_factorial(monkeypatch, 3, 3)
@@ -97,9 +98,9 @@ class TestEnumerationRoutes:
 
     @pytest.mark.parametrize("p, ell", [(7, 3), (12, 6), (14, 7)])
     def test_wrong_factorial_table_disagrees(self, p, ell, wrong_factorial_table):
-        # 3! read as 3 in the one factorial table of _multinomial_sum:
-        # every enumerative route weighs with it, whole tuples and blocked
-        # heads alike, and certify sees all three disagree.
+        # 3! read as 3 in every factorial table of _factorials: every
+        # enumerative route weighs with one, whole tuples and blocked heads
+        # alike, and certify sees all three disagree.
         report = certify(p, ell)
         closed = report.values["closed"]
         assert {r for r, v in report.values.items() if v != closed} == ENUMERATIVE
@@ -413,15 +414,15 @@ class TestTupleLengthLimit:
 
     def test_infeasible_long_groups_are_not_refused(self, monkeypatch):
         # Only t = 1 of the groups at (1000, 999) has compositions, so it is
-        # the one group listed and the one inner sum taken.
+        # the one group listed and the one composition stream opened.
         assert [t for t, _, _ in decompose_groups(1000, 999)] == [1]
         calls = []
-        inner = coefficients.composition_sum
+        real = coefficients.enumerate_compositions
         monkeypatch.setattr(
-            coefficients, "composition_sum", lambda *args: calls.append(args) or inner(*args)
+            coefficients, "enumerate_compositions", lambda *args: calls.append(args) or real(*args)
         )
         assert c_decompose(1000, 1) == math.factorial(999) * math.comb(1000, 2)
-        assert calls == [(1000, 2, 1, 2)]
+        assert calls == [(2, 1, 2)]
 
 
 class TestWSum:

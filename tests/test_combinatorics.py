@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from figurate import combinatorics
-from figurate.coefficients import _recurrence_step, c_closed, composition_sum
+from figurate.coefficients import _recurrence_step, c_closed, decompose_groups
 from figurate.combinatorics import (
     _EULERIAN2,
     FAMILIES,
@@ -60,14 +60,9 @@ class TestMultinomial:
     """Multinomials p! / prod(s_i!) summed over compositions of p."""
 
     def test_values(self):
-        # the four orderings of (2, 2, 2, 3), each 9! / (2! 2! 2! 3!) = 7560
-        assert composition_sum(9, 9, 4, 2) == 4 * 7560 == 30240
-        assert composition_sum(11, 11, 1, 1) == 1
-        assert composition_sum(3, 3, 3, 1) == 6
-
-    def test_negative_part_rejected(self):
-        with pytest.raises(ValueError):
-            composition_sum(3, 3, 2, 0)
+        # The t = 4 group of decompose_groups(9, 4) sums over the four
+        # orderings of (2, 2, 2, 3), each 9! / (2! 2! 2! 3!) = 7560.
+        assert decompose_groups(9, 4)[-1] == (4, 1, 4 * 7560) == (4, 1, 30240)
 
 
 def stirling1(k, r):

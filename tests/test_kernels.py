@@ -415,9 +415,9 @@ class TestRouteIndependence:
         for p, ell in self.PAIRS:
             assert c_alternating(p, ell) == alternating_sum(p, ell), (p, ell)
 
-    # j at, or one either side of, 2^a, 3^b or 2^a 3^b: where a row of
-    # c_alternating's powers gains or loses the last base of a 2-adic level
-    # or of a chain of multiples of 3.
+    # j at, or one either side of, 2^a, 3^b or 2^a 3^b: where the last base
+    # of c_alternating's row of powers ends or just misses a chain of
+    # halvings and thirds down to a base that takes a pow.
     SMOOTH_JS = {
         400: (64, 81, 96, 216, 243, 256, 288, 384),
         1200: (512, 648, 729, 864, 972, 1024, 1152),
@@ -575,6 +575,37 @@ class TestAlternatingMemos:
             for ell in range(p - 1, -1, -1):
                 assert c_alternating(p, ell) == alternating_sum(p, ell, power), (p, ell)
                 assert coefficients._POWERS[p] == power[: p - ell + 1], (p, ell)
+
+    @staticmethod
+    def grow(p, n, j, power):
+        """Keep the row x^p, x < n, then ask for j = p - ell: the value is
+        the sum's, the kept row is x^p for x <= max(j, n - 1), and the
+        shorter list, once published, is left as it was."""
+        short = coefficients._POWERS[p] = power[:n]
+        assert c_alternating(p, p - j) == alternating_sum(p, p - j, power), (p, n, j)
+        assert coefficients._POWERS[p] == power[: max(j + 1, n)], (p, n, j)
+        assert short == power[:n], (p, n, j)
+
+    def test_row_grows_by_any_jump(self):
+        """From every kept length n <= 40 to every j <= 40, so each base is
+        built by extensions that start below it at every distance."""
+        for p in (7, 60, 400):
+            power = powers(p)
+            for n in range(1, min(40, p) + 2):
+                for j in range(1, min(40, p) + 1):
+                    self.grow(p, n, j, power)
+
+    def test_row_grows_across_smooth_bases(self):
+        """At p = 400, from n = 63, 80, 242 and 255 (just below 2^6, 3^4,
+        3^5 and 2^8) to j just below, at and just above each of 2^6, 3^4,
+        2^7, 2 * 3^4, 3^5 and 2^8, and to j = p; 2 * 3^5 = 486 lies past the
+        largest base a call reads, p."""
+        p = 400
+        power = powers(p)
+        ends = {p, *(y + d for y in (64, 81, 128, 162, 243, 256) for d in (-1, 0, 1))}
+        for n in (63, 80, 242, 255):
+            for j in sorted(j for j in ends if j >= n):
+                self.grow(p, n, j, power)
 
     def test_each_binomial_step_is_checked_once(self, steps):
         assert c_alternating(60, 20) == alternating_sum(60, 20)

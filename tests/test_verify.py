@@ -261,15 +261,19 @@ def test_bad_min_part_2_composition_fails_every_line_that_streams_it(monkeypatch
 
 
 def test_wrong_composition_sum_fails_its_identity(monkeypatch):
-    # The decompose route at (p, ell) = (6, 4) reads composition_sum(6, 6, 2, 2)
-    # for its t = 2 group; verify weighs that set in its own pass, so only
-    # the route and the oracle's total see the fault.
-    real = coefficients.composition_sum
+    # The decompose route at (p, ell) = (6, 4) weighs the compositions of 6
+    # into 2 parts, each >= 2, for its t = 2 group. On the route's binding
+    # only, that stream gains (6, 0), which adds 6! / (6! 0!) = 1 to the
+    # group's sum; verify weighs that set in its own pass through its own
+    # binding, so only the route and the oracle's total see the fault.
+    real = coefficients.enumerate_compositions
 
-    def planted(*args):
-        return real(*args) + (args == (6, 6, 2, 2))
+    def planted(total, parts, min_part):
+        yield from real(total, parts, min_part)
+        if (total, parts, min_part) == (6, 2, 2):
+            yield (6, 0)
 
-    monkeypatch.setattr(coefficients, "composition_sum", planted)
+    monkeypatch.setattr(coefficients, "enumerate_compositions", planted)
     assert _failed(run_suites(["coeff"], 6, 14)) == [
         "routes agree p=6",
         "composition identity p=6",
