@@ -404,5 +404,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+def entry() -> None:
+    """`python -m figurate.cli` and the `figurate` script: exit with the
+    code main() returns. Exit 3 ends the process at once, after stdout is
+    flushed so that a stream keeps what it wrote: a run that ran out of
+    memory may still hold its stored rows, and the interpreter's shutdown
+    would then print MemoryError lines after main's one stderr line."""
+    code = main()
+    if code == EXIT_INTERNAL:
+        try:
+            sys.stdout.flush()
+        except OSError:  # the reader closed stdout; nothing is left to keep
+            pass
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -5,7 +5,12 @@ against frozen reference data (the coefficient triangle up to p = 9, the
 order-5 transition matrices, the p = 8 expansion coefficients). A check
 is pass, fail, or skipped; skipped means an enumerative check was
 clipped by the size guard, never that it failed. SUITES is the only list
-of suites: each one is run by `_<suite>_checks(results, pmax, size_guard)`.
+of suites: each one is run by `_<suite>_checks(pmax, size_guard)`, which
+returns its lines in run order as `(name, ok)` or `(name, ok, detail)`.
+ok is read for its truth, pass or fail, unless it is _SKIP, the marker
+of a line the size guard clipped. run_suites alone writes the
+CheckResults: it names each line's suite and gives every skipped line
+the detail `size guard N` from the run's own guard.
 
 The two-way cross-checks live here: a library function computes its
 value one way and a suite computes the other side, so a mismatch fails
@@ -131,12 +136,8 @@ class VerifyReport(namedtuple("VerifyReport", "suites checks duration")):
         return self.failed == 0
 
 
-def _check(results: list[CheckResult], suite: str, name: str, ok: bool, detail: str = "") -> None:
-    results.append(CheckResult(suite, name, "pass" if ok else "fail", detail))
-
-
-def _skip(results: list[CheckResult], suite: str, name: str, detail: str) -> None:
-    results.append(CheckResult(suite, name, "skipped", detail))
+#: The ok of a line the size guard clipped; no check expression is it.
+_SKIP = object()
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def _route_faults(reports) -> list[str]:
     return faults
 
 
-def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
+def _coeff_checks(pmax: int, guard: int) -> list[tuple]:
     # Row p, the reference triangle and the guard's route split are read
     # from these reports.
     all_reports = [
@@ -165,12 +166,7 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
     ]
     ref_rows = min(pmax, 9)
     got = tuple(tuple(r.value for r in reports) for reports in all_reports[:ref_rows])
-    _check(
-        results,
-        "coeff",
-        f"reference triangle rows 1..{ref_rows}",
-        got == REFERENCE_TRIANGLE[:ref_rows],
-    )
+    lines = [(f"reference triangle rows 1..{ref_rows}", got == REFERENCE_TRIANGLE[:ref_rows])]
 
     # In the loop, surj[j] counts the surjections from a p-set onto a
     # j-set, stepped from the row of p - 1 by surj(p, j) = j * (surj(p - 1,
@@ -184,23 +180,21 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
         agree = all(r.agree for r in reports)
         if not agree:
             detail += "; differs from closed: " + ", ".join(_route_faults(reports))
-        _check(results, "coeff", f"routes agree p={p}", agree, detail)
+        lines.append((f"routes agree p={p}", agree, detail))
         if reports[0].skipped:
-            _skip(results, "coeff", f"enumerative routes p={p}", f"size guard {guard}")
+            lines.append((f"enumerative routes p={p}", _SKIP))
 
         # A closed route that raised reads as 0, which no c(p, ell) is, so
         # each line that reads it fails.
         row = [0 if isinstance(r.value, RuntimeError) else r.value for r in reports]
         alternating = sum((-1) ** ell * c for ell, c in enumerate(row))
-        _check(
-            results,
-            "coeff",
+        lines.append((
             f"row properties p={p}",
             row[0] == math.factorial(p)
             and row[-1] == 1
             and alternating == 1
             and all(c > 0 for c in row),
-        )
+        ))
 
         if p >= 2:
             # c(p, 1) = (p - 1)/2 * p! and c(p, 2) = 1/8 * p! (p - 2)(p - 5/3),
@@ -208,7 +202,7 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
             ok = 2 * row[1] == (p - 1) * math.factorial(p)
             if p >= 3:
                 ok = ok and 24 * row[2] == math.factorial(p) * (p - 2) * (3 * p - 5)
-            _check(results, "coeff", f"closed sub-formulas p={p}", ok)
+            lines.append((f"closed sub-formulas p={p}", ok))
 
         brute = p <= 7
         ok = all(
@@ -216,31 +210,18 @@ def _coeff_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
             and (not brute or row[p - j] == combinatorics.surjection_brute(p, j))
             for j in range(1, p + 1)
         )
-        _check(
-            results,
-            "coeff",
+        lines.append((
             f"surjection identity p={p}",
             ok,
             "brute force included" if brute else "counting formula only",
-        )
+        ))
 
-        if p >= 2:
-            if p <= guard:
-                _check(
-                    results,
-                    "coeff",
-                    f"composition identity p={p}",
-                    _composition_identity(p, reports, sets),
-                )
-                _check(
-                    results,
-                    "coeff",
-                    f"summand counts p={p}",
-                    _summand_counts(p, sets),
-                )
-            else:
-                _skip(results, "coeff", f"composition identity p={p}", f"size guard {guard}")
-                _skip(results, "coeff", f"summand counts p={p}", f"size guard {guard}")
+        if 2 <= p <= guard:
+            lines.append((f"composition identity p={p}", _composition_identity(p, reports, sets)))
+            lines.append((f"summand counts p={p}", _summand_counts(p, sets)))
+        elif p >= 2:
+            lines += [(f"composition identity p={p}", _SKIP), (f"summand counts p={p}", _SKIP)]
+    return lines
 
 
 def _min_part_2(sets: dict, total: int, parts: int) -> tuple[int, int]:
@@ -302,12 +283,11 @@ def _summand_counts(p: int, sets: dict) -> bool:
 # enumeration suite
 # ---------------------------------------------------------------------------
 
-def _enumeration_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
-    for p in range(1, pmax + 1):
-        if p > guard:
-            _skip(results, "enumeration", f"tuple families p={p}", f"size guard {guard}")
-            continue
-        _check(results, "enumeration", f"tuple families p={p}", _tuple_families(p))
+def _enumeration_checks(pmax: int, guard: int) -> list[tuple]:
+    lines = [
+        (f"tuple families p={p}", _tuple_families(p) if p <= guard else _SKIP)
+        for p in range(1, pmax + 1)
+    ]
 
     ok = all(
         sum(1 for _ in enumeration.enumerate_compositions(total, k, 1))
@@ -315,7 +295,8 @@ def _enumeration_checks(results: list[CheckResult], pmax: int, guard: int) -> No
         for total in range(1, 21)
         for k in range(1, 9)
     )
-    _check(results, "enumeration", "composition counts T<=20", ok)
+    lines.append(("composition counts T<=20", ok))
+    return lines
 
 
 def _tuple_families(p: int) -> bool:
@@ -357,7 +338,7 @@ def _tuple_families(p: int) -> bool:
 # fermat suite
 # ---------------------------------------------------------------------------
 
-def _fermat_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
+def _fermat_checks(pmax: int, guard: int) -> list[tuple]:
     from fractions import Fraction
 
     from . import fermat
@@ -369,6 +350,7 @@ def _fermat_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
     a_max, c_max = fermat.build_fermat(pmax), fermat.inverse_closed(pmax)
     certified = fermat.certified_rows(a_max, c_max)
     det_num = det_den = expect_den = 1
+    lines = []
     for p in range(1, pmax + 1):
         a, inv = fermat.build_fermat(p), fermat.inverse_closed(p)
         ok = (
@@ -376,7 +358,7 @@ def _fermat_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
             and fermat.is_leading_block(a, a_max)
             and fermat.is_leading_block(inv, c_max)
         )
-        _check(results, "fermat", f"inverse certified p={p}", ok)
+        lines.append((f"inverse certified p={p}", ok))
 
         # det A_p = det A_(p-1) * a(p, p), read from A_pmax, as
         # det_num / det_den, against 1 / (1! 2! ... p!) = 1 / expect_den.
@@ -384,18 +366,13 @@ def _fermat_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
         det_num *= ints[p - 1]
         det_den *= scale
         expect_den *= math.factorial(p)
-        _check(
-            results,
-            "fermat",
-            f"determinant p={p}",
-            det_num * expect_den == det_den and det_num != 0,
-        )
+        lines.append((f"determinant p={p}", det_num * expect_den == det_den and det_num != 0))
 
         ints, scale = inv.scaled_row(p)
         ok = scale == 1 and ints == tuple(
             (-1) ** (p - i) * coefficients.c_closed(p, p - i) for i in range(1, p + 1)
         )
-        _check(results, "fermat", f"power-basis row p={p}", ok)
+        lines.append((f"power-basis row p={p}", ok))
 
     for k in range(1, min(pmax, 12) + 1):
         poly = fermat.figurate_polynomial(k)
@@ -408,7 +385,7 @@ def _fermat_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
         eval_ok = all(
             poly(n) == math.comb(n + k - 1, k) for n in range(1, 51)
         )
-        _check(results, "fermat", f"figurate polynomial k={k}", coeff_ok and eval_ok)
+        lines.append((f"figurate polynomial k={k}", coeff_ok and eval_ok))
 
     if pmax >= 5:
         a5 = fermat.build_fermat(5)
@@ -419,7 +396,8 @@ def _fermat_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
             for k in range(1, 6)
             for j in range(1, 6)
         )
-        _check(results, "fermat", "reference matrices p=5", ok)
+        lines.append(("reference matrices p=5", ok))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -443,24 +421,19 @@ def orthogonality_row(k: int, j_max: int) -> bool:
     return True
 
 
-def _orthogonality_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
-    for k in range(pmax + 1):
-        _check(
-            results,
-            "orthogonality",
-            f"orthogonality row k={k}",
-            orthogonality_row(k, pmax),
-        )
+def _orthogonality_checks(pmax: int, guard: int) -> list[tuple]:
+    return [(f"orthogonality row k={k}", orthogonality_row(k, pmax)) for k in range(pmax + 1)]
 
 
 # ---------------------------------------------------------------------------
 # powersum suite
 # ---------------------------------------------------------------------------
 
-def _powersum_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
+def _powersum_checks(pmax: int, guard: int) -> list[tuple]:
     from . import fermat
     from .exact import Polynomial
 
+    lines = []
     for p in range(1, min(pmax, 10) + 1):
         tags = ("eq5", "alt1", "alt2", "alt3") + (("faulhaber",) if p >= 2 else ())
         # S_p(0..100) as one running sum of r^p, kept apart from the
@@ -474,7 +447,7 @@ def _powersum_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
         power_ok = all(
             powersum.evaluate_formula("power_ml1", n, p) == n**p for n in range(1, 101)
         )
-        _check(results, "powersum", f"pointwise agreement p={p}", ok and power_ok)
+        lines.append((f"pointwise agreement p={p}", ok and power_ok))
 
         expansions = [powersum.expand_symbolic(p, tag) for tag in tags]
         base = expansions[0]
@@ -484,7 +457,7 @@ def _powersum_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
             and base.coefficients[0] == 0
             and powersum.expand_symbolic(p, "power_ml1") == Polynomial((0,) * p + (1,))
         )
-        _check(results, "powersum", f"symbolic agreement p={p}", sym_ok)
+        lines.append((f"symbolic agreement p={p}", sym_ok))
 
     ok = all(
         powersum.figurate(n, k) == want
@@ -493,28 +466,28 @@ def _powersum_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
             accumulate((powersum.figurate(i, k - 1) for i in range(1, 51)), initial=0)
         )
     )
-    _check(results, "powersum", "telescoping k<=8 n<=50", ok)
+    lines.append(("telescoping k<=8 n<=50", ok))
 
     ok = all(
         (powersum.figurate(n, k) == 0) == (-(k - 1) <= n <= 0)
         for k in range(1, 11)
         for n in range(-25, 26)
     )
-    _check(results, "powersum", "figurate roots k<=10", ok)
+    lines.append(("figurate roots k<=10", ok))
 
     ok = True
     for p in range(1, 13):
         coeffs = [c for c, _, _ in powersum.representation("alt2", p)]
         if coeffs != coeffs[::-1]:
             ok = False
-    _check(results, "powersum", "eulerian coefficient symmetry p<=12", ok)
+    lines.append(("eulerian coefficient symmetry p<=12", ok))
 
     if pmax >= 8:
         ok = all(
             powersum.representation(tag, 8) == REFERENCE_SUM8_TERMS[tag]
             for tag in ("eq5", "alt1", "alt2", "alt3")
         )
-        _check(results, "powersum", "reference expansions p=8", ok)
+        lines.append(("reference expansions p=8", ok))
 
     if pmax >= 3:
         t_squared = powersum.expand_symbolic(3, "faulhaber")
@@ -526,13 +499,14 @@ def _powersum_checks(results: list[CheckResult], pmax: int, guard: int) -> None:
                 for n in range(51)
             )
         )
-        _check(results, "powersum", "cube identity", cube_ok)
+        lines.append(("cube identity", cube_ok))
 
     ok = all(
         all(c != 0 for c in powersum.faulhaber_coefficients(p))
         for p in range(2, 13)
     )
-    _check(results, "powersum", "faulhaber coefficients nonzero p<=12", ok)
+    lines.append(("faulhaber coefficients nonzero p<=12", ok))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +527,14 @@ def run_suites(suites: list[str], pmax: int, size_guard: int) -> VerifyReport:
         raise ValueError(f"unknown suites {sorted(unknown)}; expected {SUITES + ('all',)}")
 
     start = time.monotonic()
-    results: list[CheckResult] = []
+    checks = []
     for suite in SUITES:  # fixed alphabetical order regardless of request order
         if suite in wanted:
             # Looked up at call time, so a replaced _<suite>_checks is the one run.
-            globals()[f"_{suite}_checks"](results, pmax, size_guard)
+            for name, ok, *detail in globals()[f"_{suite}_checks"](pmax, size_guard):
+                if ok is _SKIP:
+                    checks.append(CheckResult(suite, name, "skipped", f"size guard {size_guard}"))
+                else:
+                    checks.append(CheckResult(suite, name, "pass" if ok else "fail", *detail))
     duration = time.monotonic() - start
-    return VerifyReport(tuple(sorted(wanted)), tuple(results), duration)
+    return VerifyReport(tuple(sorted(wanted)), tuple(checks), duration)

@@ -382,7 +382,8 @@ class TestRowPolicy:
 class TestRouteIndependence:
     """The alternating route reads no row table, and the eulerian2 route
     reads only the second-kind Eulerian one; neither runs the closed
-    route's kernel."""
+    route's kernel. A fault planted in a route's own memo or in a shared
+    kernel fails the routes that read it and no other."""
 
     PAIRS = [(p, ell) for p in (*range(1, 25), 60, ROW_CAP + 2) for ell in _fractions(p)]
 
@@ -521,6 +522,89 @@ class TestRouteIndependence:
             f"[fail] coeff: routes agree p={p} (7 routes, ell=0..{p - 1}; differs from closed: "
             "eulerian2 at ell=2)"
             for p in (6, 7)
+        ]
+
+    @pytest.fixture
+    def wrong_padded(self, monkeypatch):
+        """Entry 1 of row p = 4 read one too large by the recurrence
+        route's step to row p = 5, through coefficients' binding of
+        _padded only, so the row tables of combinatorics step as before.
+        The route reads a new table, so the rows stepped with the fault
+        go with it."""
+        real = coefficients._padded
+
+        def planted(prev, length):
+            for j, at, below in real(prev, length):
+                yield j, at, below + ((length, j) == (5, 2))
+
+        monkeypatch.setattr(coefficients, "_padded", planted)
+        monkeypatch.setattr(coefficients, "_RECURRENCE", _RowTable((1,), _recurrence_step))
+
+    def test_wrong_padded_fails_only_recurrence(self, wrong_padded):
+        for p in range(1, 9):
+            for ell in range(p):
+                report = certify(p, ell)
+                expected = alternating_sum(p, ell)
+                wrong = {route for route, value in report.values.items() if value != expected}
+                reads = 2 <= ell <= p - 3  # c(5, 2) and the cells stepped from it
+                assert wrong == ({"recurrence"} if reads else set()), (p, ell)
+                assert report.agree == (not reads)
+
+    def test_wrong_padded_fails_four_verify_lines(self, wrong_padded, capsys):
+        assert cli.main(["verify", "--suite", "coeff", "--pmax", "8"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("[fail]")] == [
+            f"[fail] coeff: routes agree p={p} (7 routes, ell=0..{p - 1}; differs from closed: "
+            "recurrence at ell=2)"
+            for p in range(5, 9)
+        ]
+
+    #: The routes that divide through _exact_div: closed and recurrence do not.
+    DIVIDING = {"enum_k", "enum_j", "decompose", "eulerian2", "alternating"}
+
+    @pytest.fixture
+    def wrong_exact_div(self, monkeypatch):
+        """Every checked division by more than 1 one too large."""
+        real = coefficients._exact_div
+
+        def planted(num, den):
+            q = real(num, den)
+            return q + 1 if den > 1 else q
+
+        monkeypatch.setattr(coefficients, "_exact_div", planted)
+
+    def test_wrong_exact_div_fails_only_the_dividing_routes(self, wrong_exact_div):
+        seen = set()
+        for p in range(1, 15):
+            for ell in range(p):
+                report = certify(p, ell)
+                expected = alternating_sum(p, ell)
+                wrong = {route for route, value in report.values.items() if value != expected}
+                assert wrong <= self.DIVIDING and report.value == expected, (p, ell)
+                assert report.agree == (not wrong)
+                seen |= wrong
+        assert seen == self.DIVIDING
+
+    def test_wrong_exact_div_fails_fourteen_verify_lines(self, wrong_exact_div, capsys):
+        assert cli.main(["verify", "--suite", "coeff", "--pmax", "8"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        differs = {
+            2: "decompose at ell=1",
+            3: "decompose at ell=1, eulerian2 at ell=0",
+            4: "decompose at ell=1, eulerian2 at ell=0, alternating at ell=0",
+            5: "decompose at ell=1, eulerian2 at ell=0, alternating at ell=0",
+            6: "decompose at ell=1, eulerian2 at ell=0, alternating raised at ell=0",
+            7: "decompose at ell=1, eulerian2 at ell=0, alternating raised at ell=0",
+            8: "decompose at ell=1, eulerian2 at ell=0, alternating raised at ell=0",
+        }
+        assert [line for line in out if line.startswith("[fail]")] == [
+            line
+            for p, faults in differs.items()
+            for line in (
+                f"[fail] coeff: routes agree p={p} (7 routes, ell=0..{p - 1}; "
+                f"differs from closed: {faults})",
+                f"[fail] coeff: composition identity p={p}",
+            )
         ]
 
 

@@ -20,14 +20,41 @@ def test_runs_replaced_suite(suite, monkeypatch):
     # A _<suite>_checks replaced on the module is the one run_suites calls.
     seen = []
 
-    def stand_in(results, pmax, size_guard):
+    def stand_in(pmax, size_guard):
         seen.append((pmax, size_guard))
-        results.append(CheckResult(suite, "stand-in", "pass"))
+        return [("stand-in", True)]
 
     monkeypatch.setattr(verify, f"_{suite}_checks", stand_in)
     report = run_suites([suite], 3, 7)
     assert seen == [(3, 7)]
     assert [(c.suite, c.name) for c in report.checks] == [(suite, "stand-in")]
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_runner_writes_every_line(suite, monkeypatch):
+    # run_suites names the suite, reads ok for its truth and writes each
+    # skip's detail from its own guard; a falsy ok is a fail, never a skip.
+    def stand_in(pmax, size_guard):
+        return [
+            ("false", False),
+            ("zero", 0),
+            ("none", None),
+            ("empty", ""),
+            ("true", True, "with detail"),
+            ("clipped", verify._SKIP),
+        ]
+
+    monkeypatch.setattr(verify, f"_{suite}_checks", stand_in)
+    report = run_suites([suite], 3, 7)
+    assert report.checks == (
+        CheckResult(suite, "false", "fail"),
+        CheckResult(suite, "zero", "fail"),
+        CheckResult(suite, "none", "fail"),
+        CheckResult(suite, "empty", "fail"),
+        CheckResult(suite, "true", "pass", "with detail"),
+        CheckResult(suite, "clipped", "skipped", "size guard 7"),
+    )
+    assert (report.passed, report.failed, report.skipped) == (1, 4, 1)
 
 
 @pytest.mark.parametrize(
