@@ -24,6 +24,10 @@ route here computes the same c(p, ell) by a different mechanism:
                j - r, read from the route's own memos of p-th powers and half
                rows of signed binomials (_POWERS, _SIGNED), not a row table.
 
+The eulerian2 and alternating routes also keep each value they return for
+p <= ROW_CAP, each in a dict of its own (_EULERIAN2_VALUES,
+_ALTERNATING_VALUES), so a repeated point costs one lookup.
+
 Every route is the module function c_<name>(p, ell) with 0 <= ell <= p - 1,
 and ROUTE_TABLE is the one place a route is named: it maps each name, in
 canonical order, to whether the route is enumerative. coefficient()
@@ -218,6 +222,14 @@ def c_decompose(p: int, ell: int) -> int:
 #: list is never mutated, so a racing reader sees a complete window.
 _BINOM_WINDOWS: dict = {}
 
+#: The eulerian2 route's own values, read by no other route: (p, ell) ->
+#: c(p, ell) as c_eulerian2 returned it, published once, whole, for
+#: p <= ROW_CAP only. Filled for every p <= ROW_CAP = 512 it would hold
+#: 131,328 values, 36.3 MiB of integer bits (the recurrence table's
+#: c(p, ell)), 42.0 MiB as int objects, plus 7.0 MiB of key tuples and
+#: 5.0 MiB of dict (sys.getsizeof, CPython 3.11).
+_EULERIAN2_VALUES: dict = {}
+
 
 def c_eulerian2(p: int, ell: int) -> int:
     """(p - ell)! * sum of <<ell, i>> * C(p + ell - 1 - i, 2*ell).
@@ -232,9 +244,14 @@ def c_eulerian2(p: int, ell: int) -> int:
     the lowest, and reads its binomials as one slice of the window, in one
     C-level dot product with the row. Every division is checked exact by
     _exact_div. Below ROW_CAP a new or widened window is kept
-    (_BINOM_WINDOWS).
+    (_BINOM_WINDOWS), and so is the value (_EULERIAN2_VALUES), which a
+    later call at the same point returns without reading row or window.
     """
     _check_pair(p, ell)
+    key = p, ell
+    value = _EULERIAN2_VALUES.get(key)
+    if value is not None:
+        return value
     row = _EULERIAN2.row(ell)
     k, top = 2 * ell, p - ell - 1
     held = _BINOM_WINDOWS.get(ell) if p <= ROW_CAP else None
@@ -251,7 +268,10 @@ def c_eulerian2(p: int, ell: int) -> int:
             _BINOM_WINDOWS[ell] = (hi, window)
     start = hi - top
     total = sum(map(operator.mul, row, window[start : start + len(row)]))
-    return math.factorial(p - ell) * total
+    value = math.factorial(p - ell) * total
+    if p <= ROW_CAP:
+        _EULERIAN2_VALUES[key] = value
+    return value
 
 
 #: The alternating route's own memos, read by no other route: p -> x^p for
@@ -262,6 +282,11 @@ def c_eulerian2(p: int, ell: int) -> int:
 #: published list is never mutated, so a racing reader sees a complete row.
 _POWERS: dict = {}
 _SIGNED: dict = {}
+
+#: The alternating route's own values, read by no other route: (p, ell) ->
+#: c(p, ell) as c_alternating returned it, published once, whole, for
+#: p <= ROW_CAP only; at the same bound and size as _EULERIAN2_VALUES.
+_ALTERNATING_VALUES: dict = {}
 
 
 def c_alternating(p: int, ell: int) -> int:
@@ -274,8 +299,14 @@ def c_alternating(p: int, ell: int) -> int:
     from a_0 = (-1)^j, each division checked exact by _exact_div. The row
     of powers grows in one ascending pass: an even y is (y / 2)^p << p, an
     odd multiple of 3 (y / 3)^p 3^p, and only bases prime to 6 take a pow.
+    For p <= ROW_CAP the value is kept (_ALTERNATING_VALUES), and a later
+    call at the same point returns it without reading either list.
     """
     _check_pair(p, ell)
+    key = p, ell
+    value = _ALTERNATING_VALUES.get(key)
+    if value is not None:
+        return value
     j = p - ell
     half = j // 2
     signed = _SIGNED.get(j)
@@ -297,7 +328,10 @@ def c_alternating(p: int, ell: int) -> int:
             _POWERS[p] = powers
     mirror = operator.sub if j & 1 else operator.add
     total = sum(map(operator.mul, signed, map(mirror, powers, powers[j:half:-1])))
-    return total if j & 1 else total + signed[half] * powers[half]
+    value = total if j & 1 else total + signed[half] * powers[half]
+    if p <= ROW_CAP:
+        _ALTERNATING_VALUES[key] = value
+    return value
 
 
 def w_sum(p: int, j: int) -> int:

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Iterator
 from itertools import chain, count, takewhile
 
@@ -199,9 +200,11 @@ def _block_width(ell: int) -> int:
 
 
 def _check_pair(p: int, ell: int) -> None:
-    if p < 1:
+    # operator.index raises TypeError on a non-integer: a float such as 10.0
+    # hashes equal to an int and would otherwise read a route's kept value.
+    if operator.index(p) < 1:
         raise ValueError(f"p must be positive, got {p}")
-    if not 0 <= ell <= p - 1:
+    if not 0 <= operator.index(ell) <= p - 1:
         raise ValueError(f"ell must lie in 0..{p - 1}, got {ell}")
 
 

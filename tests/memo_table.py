@@ -1,6 +1,6 @@
 """The process memos of figurate, each declared once with its contract.
 
-MEMOS lists the seven module-level dicts that figurate keeps for the
+MEMOS lists the nine module-level dicts that figurate keeps for the
 process. A call must return the certified value whatever earlier calls
 left in them, so each entry states a sweep of calls with values from no
 memo, run cold and then warm, during which no published value changes (a
@@ -263,6 +263,13 @@ def _weights(name, blocks, route, shift):
     return Memo(name, sweep, (10, 14), racing, 5, holds, bound, lambda value: value[1:])
 
 
+#: The alternating races' points: p = 60, 200 and 400, ell = p/10..9p/10.
+_FRACTIONS = sorted({(p, p * f // 10) for p in (60, 200, 400) for f in range(1, 10)})
+#: The eulerian2 races' points, which share their ell, so that racing
+#: threads widen windows up and down.
+_COLUMNS = [(p, ell) for ell in range(2, 200, 6) for p in range(ell + 1, 211, 9)]
+
+
 def _alternating(name, holds):
     def by_j(top):  # j ascending: each next j extends every row of powers by one base
         return [(p, p - j) for j in range(1, top + 1) for p in range(j, top + 1)]
@@ -270,8 +277,7 @@ def _alternating(name, holds):
     def bound(memo):
         return max(memo, default=0), ROW_CAP
 
-    fractions = sorted({(p, p * f // 10) for p in (60, 200, 400) for f in range(1, 10)})
-    racing = (c_alternating, c_closed, fractions)
+    racing = (c_alternating, c_closed, _FRACTIONS)
     return Memo(name, (c_alternating, c_closed, by_j), (40, 200), racing, 5, holds, bound)
 
 
@@ -298,10 +304,30 @@ def _windows(name):
     def bound(windows):
         return max((hi + ell for ell, (hi, _) in windows.items()), default=0), ROW_CAP - 1
 
-    # Points that share their ell, so that racing threads widen windows up and down.
-    columns = [(p, ell) for ell in range(2, 200, 6) for p in range(ell + 1, 211, 9)]
-    sweep, racing = (c_eulerian2, c_closed, middle_out), (c_eulerian2, c_closed, columns)
+    sweep, racing = (c_eulerian2, c_closed, middle_out), (c_eulerian2, c_closed, _COLUMNS)
     return Memo(name, sweep, (40, 200), racing, 10, _is_column, bound, operator.itemgetter(1))
+
+
+def surjections(p, ell):
+    """c(p, ell) as the inclusion-exclusion surjection count at j = p - ell,
+    from math alone: sum of (-1)^r C(j, r) (j - r)^p over r."""
+    j = p - ell
+    return sum((-1) ** r * math.comb(j, r) * (j - r) ** p for r in range(j))
+
+
+def _values(name, route, racing):
+    def past_cap(top):  # every point to top, then points on either side of the cap
+        ends = [(p, ell) for p in (ROW_CAP, ROW_CAP + 1) for ell in (0, 1, 20, p - 20, p - 1)]
+        return [*_pairs(top), *ends]
+
+    def holds(key, value):
+        return value == surjections(*key)
+
+    def bound(values):
+        return max((p for p, _ in values), default=0), ROW_CAP
+
+    sweep = (route, c_closed, past_cap)
+    return Memo(name, sweep, (40, 200), (route, c_closed, racing), 5, holds, bound, lambda v: [v])
 
 
 MEMOS = {
@@ -314,6 +340,8 @@ MEMOS = {
         _alternating("coefficients._POWERS", lambda p, row: row == _powers(p, len(row))),
         _alternating("coefficients._SIGNED", lambda j, row: row == _signed_half(j)),
         _windows("coefficients._BINOM_WINDOWS"),
+        _values("coefficients._ALTERNATING_VALUES", c_alternating, _FRACTIONS),
+        _values("coefficients._EULERIAN2_VALUES", c_eulerian2, _COLUMNS),
     )
 }
 

@@ -524,6 +524,17 @@ class TestPairChecks:
             certify(p, ell)
         assert str(got.value) == str(expected.value)
 
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("p, ell", [(10.0, 4), (10, 4.0)])
+    def test_every_route_refuses_a_float(self, route, p, ell, warm):
+        """A float equal to an int is refused, also after a call at that int
+        point, whose value a route may keep under a key the float hashes to."""
+        if warm:
+            coefficient(10, 4, route)
+        with pytest.raises(TypeError):
+            coefficient(p, ell, route)
+
     @pytest.mark.parametrize("p, ell", [(3, 1), (0, 0)])
     def test_unknown_route_names_the_routes(self, p, ell):
         with pytest.raises(ValueError) as got:

@@ -524,6 +524,32 @@ class TestRouteIndependence:
             for p in (6, 7)
         ]
 
+    #: (route, its value memo, the planted point (p, ell)).
+    VALUE_PLANTS = [
+        ("alternating", "_ALTERNATING_VALUES", (6, 2)),
+        ("eulerian2", "_EULERIAN2_VALUES", (8, 5)),
+    ]
+
+    @pytest.mark.parametrize("route, memo, point", VALUE_PLANTS)
+    def test_wrong_kept_value_fails_only_its_route(self, monkeypatch, capsys, route, memo, point):
+        """c(p, ell) kept one too large in a route's own value memo: certify
+        names that route at that point alone, and verify fails that row."""
+        p, ell = point
+        monkeypatch.setitem(getattr(coefficients, memo), point, alternating_sum(p, ell) + 1)
+        for q in range(1, 9):
+            for m in range(q):
+                report = certify(q, m)
+                expected = alternating_sum(q, m)
+                wrong = {name for name, value in report.values.items() if value != expected}
+                assert wrong == ({route} if (q, m) == point else set()), (q, m)
+                assert report.agree == ((q, m) != point)
+        assert cli.main(["verify", "--suite", "coeff", "--pmax", "8"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("[fail]")] == [
+            f"[fail] coeff: routes agree p={p} (7 routes, ell=0..{p - 1}; differs from closed: "
+            f"{route} at ell={ell})"
+        ]
+
     @pytest.fixture
     def wrong_padded(self, monkeypatch):
         """Entry 1 of row p = 4 read one too large by the recurrence
@@ -662,10 +688,11 @@ class TestAlternatingMemos:
 
     @staticmethod
     def grow(p, n, j, power):
-        """Keep the row x^p, x < n, then ask for j = p - ell: the value is
-        the sum's, the kept row is x^p for x <= max(j, n - 1), and the
-        shorter list, once published, is left as it was."""
+        """Keep the row x^p, x < n, and no value, then ask for j = p - ell:
+        the value is the sum's, the kept row is x^p for x <= max(j, n - 1),
+        and the shorter list, once published, is left as it was."""
         short = coefficients._POWERS[p] = power[:n]
+        coefficients._ALTERNATING_VALUES.clear()  # a kept value would skip the row
         assert c_alternating(p, p - j) == alternating_sum(p, p - j, power), (p, n, j)
         assert coefficients._POWERS[p] == power[: max(j + 1, n)], (p, n, j)
         assert short == power[:n], (p, n, j)
