@@ -22,7 +22,7 @@ import sys
 import threading
 from typing import Callable, NamedTuple
 
-from figurate import enumeration
+from figurate import coefficients, enumeration
 from figurate.coefficients import (
     ROUTES,
     RouteReport,
@@ -270,15 +270,30 @@ _FRACTIONS = sorted({(p, p * f // 10) for p in (60, 200, 400) for f in range(1, 
 _COLUMNS = [(p, ell) for ell in range(2, 200, 6) for p in range(ell + 1, 211, 9)]
 
 
+def _unkept(route, values):
+    """route(p, ell) with the value it kept at (p, ell), if any, dropped
+    first, so that a repeated point reads the route's rows and windows
+    again; in a race, another thread can still publish that value before
+    the call reads it."""
+
+    def call(p, ell):
+        values.pop((p, ell), None)
+        return route(p, ell)
+
+    return call
+
+
 def _alternating(name, holds):
+    route = _unkept(c_alternating, coefficients._ALTERNATING_VALUES)
+
     def by_j(top):  # j ascending: each next j extends every row of powers by one base
         return [(p, p - j) for j in range(1, top + 1) for p in range(j, top + 1)]
 
     def bound(memo):
         return max(memo, default=0), ROW_CAP
 
-    racing = (c_alternating, c_closed, _FRACTIONS)
-    return Memo(name, (c_alternating, c_closed, by_j), (40, 200), racing, 5, holds, bound)
+    racing = (route, c_closed, _FRACTIONS)
+    return Memo(name, (route, c_closed, by_j), (40, 200), racing, 5, holds, bound)
 
 
 def _powers(p, n):
@@ -298,13 +313,15 @@ def _is_column(ell, value):
 
 
 def _windows(name):
+    route = _unkept(c_eulerian2, coefficients._EULERIAN2_VALUES)
+
     def middle_out(top):  # p from top / 2 outwards, so that windows widen at both ends
         return sorted(_pairs(top), key=lambda point: abs(2 * point[0] - top))
 
     def bound(windows):
         return max((hi + ell for ell, (hi, _) in windows.items()), default=0), ROW_CAP - 1
 
-    sweep, racing = (c_eulerian2, c_closed, middle_out), (c_eulerian2, c_closed, _COLUMNS)
+    sweep, racing = (route, c_closed, middle_out), (route, c_closed, _COLUMNS)
     return Memo(name, sweep, (40, 200), racing, 10, _is_column, bound, operator.itemgetter(1))
 
 
