@@ -16,9 +16,8 @@ route here computes the same c(p, ell) by a different mechanism:
                sum of p! / prod(s_i!) over compositions of p + t - j into
                t parts, each >= 2 (and p! outright for j = p).
 * eulerian2:   (p - ell)! * sum over i of <<ell, i>> * C(p + ell - 1 - i, 2*ell)
-               with second-kind Eulerian numbers, the binomials read from
-               the route's own windows of each column C(2*ell + t, 2*ell)
-               (_BINOM_WINDOWS).
+               with second-kind Eulerian numbers, the binomials stepped
+               down from one math.comb per call.
 * alternating: with j = p - ell, the inclusion-exclusion surjection count
                sum over r of (-1)^r * C(j, r) * (j - r)^p, r paired with
                j - r, read from the route's own memos of p-th powers and half
@@ -212,16 +211,6 @@ def c_decompose(p: int, ell: int) -> int:
     return sum(weight * inner for _, weight, inner in decompose_groups(p, p - ell))
 
 
-#: The eulerian2 route's own memo, read by no other route: ell -> (hi,
-#: window), window[s] = C(2*ell + hi - s, 2*ell), one contiguous run of the
-#: column t -> C(2*ell + t, 2*ell) from t = hi down, never below t = 0.
-#: Kept for p <= ROW_CAP only, so window ell holds no t past
-#: ROW_CAP - 1 - ell. Filled for every ell and p <= ROW_CAP = 512 it would
-#: hold 131,328 binomials, 10.0 MB (from the entries' bit lengths). A
-#: window is widened by publishing a new, longer list and a published
-#: list is never mutated, so a racing reader sees a complete window.
-_BINOM_WINDOWS: dict = {}
-
 #: The eulerian2 route's own values, read by no other route: (p, ell) ->
 #: c(p, ell) as c_eulerian2 returned it, published once, whole, for
 #: p <= ROW_CAP only. Filled for every p <= ROW_CAP = 512 it would hold
@@ -236,16 +225,12 @@ def c_eulerian2(p: int, ell: int) -> int:
 
     Row ell of <<., .>> is read once, by _RowTable.row(). Term i has the
     binomial C(k + t, k), k = 2*ell, t = p - ell - 1 - i, zero for t < 0.
-    A call that finds no window for ell (every call above ROW_CAP) starts
-    from the one-entry window of its first binomial, from math.comb. Every
-    call then widens its window at either end to cover its terms, one
-    step per new entry, up as C(k + t, k) = C(k + t - 1, k) * (k + t) / t
-    and down as C(k + t - 1, k) = C(k + t, k) * t / (k + t) to t = 0 at
-    the lowest, and reads its binomials as one slice of the window, in one
-    C-level dot product with the row. Every division is checked exact by
-    _exact_div. Below ROW_CAP a new or widened window is kept
-    (_BINOM_WINDOWS), and so is the value (_EULERIAN2_VALUES), which a
-    later call at the same point returns without reading row or window.
+    The first comes from math.comb, and each next one steps down as
+    C(k + t - 1, k) = C(k + t, k) * t / (k + t), each division checked
+    exact by _exact_div, to the last term or t = 0; the sum is one C-level
+    dot product with the row. For p <= ROW_CAP the value is kept
+    (_EULERIAN2_VALUES), and a later call at the same point returns it
+    without reading the row.
     """
     _check_pair(p, ell)
     key = p, ell
@@ -254,21 +239,10 @@ def c_eulerian2(p: int, ell: int) -> int:
         return value
     row = _EULERIAN2.row(ell)
     k, top = 2 * ell, p - ell - 1
-    held = _BINOM_WINDOWS.get(ell) if p <= ROW_CAP else None
-    hi, window = held or (top, [math.comb(k + top, k)])
-    lo, bottom = hi - len(window) + 1, max(top - len(row) + 1, 0)
-    if not held or top > hi or bottom < lo:
-        binom = window[0]
-        up = [binom := _exact_div(binom * (k + t), t) for t in range(hi + 1, top + 1)]
-        up.reverse()
-        binom = window[-1]
-        down = [binom := _exact_div(binom * t, k + t) for t in range(lo, bottom, -1)]
-        hi, window = max(hi, top), [*up, *window, *down]
-        if p <= ROW_CAP:
-            _BINOM_WINDOWS[ell] = (hi, window)
-    start = hi - top
-    total = sum(map(operator.mul, row, window[start : start + len(row)]))
-    value = math.factorial(p - ell) * total
+    binom = math.comb(k + top, k)
+    bottom = max(top - len(row) + 1, 0)
+    binoms = [binom, *[binom := _exact_div(binom * t, k + t) for t in range(top, bottom, -1)]]
+    value = math.factorial(p - ell) * sum(map(operator.mul, row, binoms))
     if p <= ROW_CAP:
         _EULERIAN2_VALUES[key] = value
     return value
@@ -280,6 +254,9 @@ def c_eulerian2(p: int, ell: int) -> int:
 #: hold 44.8 MB of powers and 4.2 MB of binomials (from the entries' bit
 #: lengths). A row is extended by publishing a new, longer list and a
 #: published list is never mutated, so a racing reader sees a complete row.
+#: Behind _ALTERNATING_VALUES they pay on a sweep of new points only:
+#: fresh `triangle --route alternating --pmax 300` ran about 2.9x as long
+#: with neither kept and 1.35x without _SIGNED (2-core host, CPython 3.11).
 _POWERS: dict = {}
 _SIGNED: dict = {}
 

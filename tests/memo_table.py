@@ -1,6 +1,6 @@
 """The process memos of figurate, each declared once with its contract.
 
-MEMOS lists the nine module-level dicts that figurate keeps for the
+MEMOS lists the eight module-level dicts that figurate keeps for the
 process. A call must return the certified value whatever earlier calls
 left in them, so each entry states a sweep of calls with values from no
 memo, run cold and then warm, during which no published value changes (a
@@ -17,7 +17,6 @@ CI scale and prints each memo's rows, entries and KiB:
 import functools
 import importlib
 import math
-import operator
 import sys
 import threading
 from typing import Callable, NamedTuple
@@ -265,16 +264,16 @@ def _weights(name, blocks, route, shift):
 
 #: The alternating races' points: p = 60, 200 and 400, ell = p/10..9p/10.
 _FRACTIONS = sorted({(p, p * f // 10) for p in (60, 200, 400) for f in range(1, 10)})
-#: The eulerian2 races' points, which share their ell, so that racing
-#: threads widen windows up and down.
+#: The race points of _EULERIAN2_VALUES: several p at each ell, so that
+#: racing threads publish neighbouring values that read the same row.
 _COLUMNS = [(p, ell) for ell in range(2, 200, 6) for p in range(ell + 1, 211, 9)]
 
 
 def _unkept(route, values):
     """route(p, ell) with the value it kept at (p, ell), if any, dropped
-    first, so that a repeated point reads the route's rows and windows
-    again; in a race, another thread can still publish that value before
-    the call reads it."""
+    first, so that a repeated point reads the route's rows again; in a
+    race, another thread can still publish that value before the call
+    reads it."""
 
     def call(p, ell):
         values.pop((p, ell), None)
@@ -302,27 +301,6 @@ def _powers(p, n):
 
 def _signed_half(j):
     return [(-1) ** (j - x) * math.comb(j, x) for x in range(j // 2 + 1)]
-
-
-def _is_column(ell, value):
-    """A window is one run of its column C(2 ell + t, 2 ell), from t = hi
-    down to some t >= 0."""
-    hi, window = value
-    lo = hi - len(window) + 1
-    return 0 <= lo and window == [math.comb(2 * ell + t, 2 * ell) for t in range(hi, lo - 1, -1)]
-
-
-def _windows(name):
-    route = _unkept(c_eulerian2, coefficients._EULERIAN2_VALUES)
-
-    def middle_out(top):  # p from top / 2 outwards, so that windows widen at both ends
-        return sorted(_pairs(top), key=lambda point: abs(2 * point[0] - top))
-
-    def bound(windows):
-        return max((hi + ell for ell, (hi, _) in windows.items()), default=0), ROW_CAP - 1
-
-    sweep, racing = (route, c_closed, middle_out), (route, c_closed, _COLUMNS)
-    return Memo(name, sweep, (40, 200), racing, 10, _is_column, bound, operator.itemgetter(1))
 
 
 def surjections(p, ell):
@@ -356,7 +334,6 @@ MEMOS = {
         _weights("coefficients._J_WEIGHTS", "enumeration._J_BLOCKS", c_enum_j, 0),
         _alternating("coefficients._POWERS", lambda p, row: row == _powers(p, len(row))),
         _alternating("coefficients._SIGNED", lambda j, row: row == _signed_half(j)),
-        _windows("coefficients._BINOM_WINDOWS"),
         _values("coefficients._ALTERNATING_VALUES", c_alternating, _FRACTIONS),
         _values("coefficients._EULERIAN2_VALUES", c_eulerian2, _COLUMNS),
     )

@@ -39,13 +39,12 @@ from figurate.combinatorics import (
 )
 from figurate.fermat import build_fermat
 from figurate.powersum import TERM_TAGS, representation, sum_brute
-from memo_table import MEMOS, check_definitions, race
+from memo_table import race
 
 TABLES = {"stirling2": _STIRLING2, "recurrence": _RECURRENCE, "eulerian2": _EULERIAN2}
 ALL_TABLES = {"stirling1": _STIRLING1, "eulerian1": _EULERIAN1, **TABLES}
 TABLE_ROUTES = (c_closed, c_recurrence, c_eulerian2)
 LARGE_P = (ROW_CAP, ROW_CAP + 1, 700)
-WINDOWS = MEMOS["coefficients._BINOM_WINDOWS"]
 
 
 def _stirling1_3(k):
@@ -222,10 +221,6 @@ class TestSteppedSums:
                 assert c_alternating(p, ell) == alternating_sum(p, ell, power), (p, ell)
                 row = _EULERIAN2.row(ell)
                 assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
-        check_definitions(WINDOWS)
-        for ell, (hi, _) in coefficients._BINOM_WINDOWS.items():
-            # The sweep reads t <= 129 - ell, so no window reaches ROW_CAP.
-            assert hi <= 129 - ell, ell
 
     @pytest.mark.parametrize("p", LARGE_P)
     def test_alternating_large(self, p):
@@ -264,10 +259,8 @@ class TestRowPolicy:
             p = index + offset
             ell = index if route is c_eulerian2 else p // 2
             before = _row_counts()
-            windows = dict(coefficients._BINOM_WINDOWS)
             assert route(p, ell) == c_alternating(p, ell)
             assert _row_counts() == before, route.__name__
-            assert coefficients._BINOM_WINDOWS == windows, route.__name__
 
     def test_lookup_policy(self):
         """row() stores a row below ROW_CAP or the next row, and rolls any
@@ -500,12 +493,29 @@ class TestRouteIndependence:
 
     @pytest.fixture
     def wrong_binomial(self, monkeypatch):
-        """C(7, 4) stored one too large in the eulerian2 route's window of
-        the column C(4 + t, 4), t = 5..0; c_eulerian2(p, 2) reads t = p - 3
-        and p - 4, so t = 3 at p = 6 and 7 only."""
-        window = [math.comb(4 + t, 4) for t in range(5, -1, -1)]
-        window[5 - 3] += 1
-        monkeypatch.setitem(coefficients._BINOM_WINDOWS, 2, (5, window))
+        """C(7, 4) one too large wherever c_eulerian2 computes it, and only
+        inside that route's calls. c_eulerian2(p, 2) reads C(4 + t, 4) at
+        t = p - 3 and p - 4 (row 2 has two terms), so it reads C(7, 4) at
+        p = 6 and 7 only. At p = 6 it is the first binomial, from
+        math.comb(7, 4), and the checked step down from it fails, so the
+        route raises. At p = 7 it is the step down from C(8, 4),
+        _exact_div(70 * 4, 4 + 4), and the last term, so the route returns
+        a wrong value."""
+        route, comb, exact_div = coefficients.c_eulerian2, math.comb, coefficients._exact_div
+
+        def wrong_comb(n, k):
+            return comb(n, k) + ((n, k) == (7, 4))
+
+        def wrong_div(num, den):
+            return exact_div(num, den) + ((num, den) == (70 * 4, 8))
+
+        def wrong_route(p, ell):
+            with monkeypatch.context() as inside:
+                inside.setattr(math, "comb", wrong_comb)
+                inside.setattr(coefficients, "_exact_div", wrong_div)
+                return route(p, ell)
+
+        monkeypatch.setattr(coefficients, "c_eulerian2", wrong_route)
 
     def test_wrong_binomial_fails_only_eulerian2(self, wrong_binomial):
         for p in range(1, 9):
@@ -516,14 +526,16 @@ class TestRouteIndependence:
                 reads = ell == 2 and p in (6, 7)
                 assert wrong == ({"eulerian2"} if reads else set()), (p, ell)
                 assert report.agree == (not reads)
+                raised = isinstance(report.values["eulerian2"], RuntimeError)
+                assert raised == (reads and p == 6), (p, ell)
 
     def test_wrong_binomial_fails_two_verify_lines(self, wrong_binomial, capsys):
         assert cli.main(["verify", "--suite", "coeff", "--pmax", "8"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if line.startswith("[fail]")] == [
             f"[fail] coeff: routes agree p={p} (7 routes, ell=0..{p - 1}; differs from closed: "
-            "eulerian2 at ell=2)"
-            for p in (6, 7)
+            f"eulerian2{how} at ell=2)"
+            for p, how in ((6, " raised"), (7, ""))
         ]
 
     #: (route, its value memo, the planted point (p, ell)).
@@ -616,14 +628,16 @@ class TestRouteIndependence:
     def test_wrong_exact_div_fails_fourteen_verify_lines(self, wrong_exact_div, capsys):
         assert cli.main(["verify", "--suite", "coeff", "--pmax", "8"]) == 1
         out = capsys.readouterr().out.splitlines()
+        # eulerian2 rows 0 and 1 have one term, which takes no step; its
+        # first checked division is C(5, 4) * 1 / 5, at (4, 2).
         differs = {
             2: "decompose at ell=1",
-            3: "decompose at ell=1, eulerian2 at ell=0",
-            4: "decompose at ell=1, eulerian2 at ell=0, alternating at ell=0",
-            5: "decompose at ell=1, eulerian2 at ell=0, alternating at ell=0",
-            6: "decompose at ell=1, eulerian2 at ell=0, alternating raised at ell=0",
-            7: "decompose at ell=1, eulerian2 at ell=0, alternating raised at ell=0",
-            8: "decompose at ell=1, eulerian2 at ell=0, alternating raised at ell=0",
+            3: "decompose at ell=1",
+            4: "decompose at ell=1, eulerian2 at ell=2, alternating at ell=0",
+            5: "decompose at ell=1, eulerian2 at ell=2, alternating at ell=0",
+            6: "decompose at ell=1, eulerian2 at ell=2, alternating raised at ell=0",
+            7: "decompose at ell=1, eulerian2 at ell=2, alternating raised at ell=0",
+            8: "decompose at ell=1, eulerian2 at ell=2, alternating raised at ell=0",
         }
         assert [line for line in out if line.startswith("[fail]")] == [
             line
@@ -728,71 +742,42 @@ class TestAlternatingMemos:
         assert steps == list(range(1, 21))
 
 
-class TestEulerian2Memo:
-    """c_eulerian2 keeps one window of each column C(2 ell + t, 2 ell) for
-    the process, for p up to ROW_CAP, and publishes a wider window as a
-    new list."""
+#: (ell, the p called in order at it): every call is a miss, the first
+#: cold and each later one after calls at the same ell, below, at and
+#: above ROW_CAP. (20, 10) then (512, 10) is the far call from one
+#: column's low end to its top at the cap.
+EULERIAN2_MISSES = {
+    "below-cap": (20, (60, 70, 45, 30, 21)),
+    "far-call": (10, (20, ROW_CAP)),
+    "from-ell-0": (0, (60, 30, 1, ROW_CAP, ROW_CAP + 1)),
+    "past-cap": (3, (ROW_CAP, ROW_CAP + 1, 2 * ROW_CAP)),
+    "half-row": (ROW_CAP // 2, (ROW_CAP - 1, ROW_CAP + 1)),
+    "last-column": (ROW_CAP, (ROW_CAP + 1, 2 * ROW_CAP)),
+}
 
-    def test_cold_call_steps_as_before(self, steps):
-        """A cold column takes the steps of the stepped sum, one per term
-        after the first, none below t = 0; a warm read takes none."""
-        for p, ell in ((60, 20), (30, 20), (21, 20), (60, 0)):
-            coefficients._BINOM_WINDOWS.clear()
+
+@pytest.mark.parametrize("ell, ps", EULERIAN2_MISSES.values(), ids=EULERIAN2_MISSES)
+def test_eulerian2_miss_takes_one_comb_and_a_step_per_term(steps, monkeypatch, ell, ps):
+    """Each c_eulerian2 miss takes its first binomial from one math.comb
+    call and each further term from one checked step, whatever came
+    before it at that ell, and keeps its value up to ROW_CAP only. A
+    repeated point is a hit up to ROW_CAP and the same miss above it."""
+    row = _EULERIAN2.row(ell)  # rolled once, served to the oracle and the route
+    expected = {p: eulerian2_sum(p, ell, row) for p in ps}
+    monkeypatch.setattr(_EULERIAN2, "row", {ell: row}.__getitem__)
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
+    for p in ps:
+        misses = 1 if p <= ROW_CAP else 2
+        for call in range(2):
+            calls.clear()
             steps.clear()
-            row = _EULERIAN2.row(ell)
-            assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
-            assert len(steps) == min(len(row), p - ell) - 1, (p, ell)
-            steps.clear()
-            coefficients._EULERIAN2_VALUES.clear()  # a kept value would skip the window
-            assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, row), (p, ell)
-            assert steps == [], (p, ell)
-            check_definitions(WINDOWS)
-
-    def test_widening_steps_each_new_entry_once(self, steps):
-        ell, row = 20, _EULERIAN2.row(20)
-        c_eulerian2(60, ell)  # t = 39..20
-        first_hi, first = coefficients._BINOM_WINDOWS[ell]
-        steps.clear()
-        assert c_eulerian2(70, ell) == eulerian2_sum(70, ell, row)  # t = 49..30
-        assert steps == list(range(40, 50))  # up: divisor t
-        steps.clear()
-        assert c_eulerian2(45, ell) == eulerian2_sum(45, ell, row)  # t = 24..5
-        assert steps == [2 * ell + t for t in range(20, 5, -1)]  # down: divisor k + t
-        hi, window = coefficients._BINOM_WINDOWS[ell]
-        assert (hi, len(window)) == (49, 45)
-        assert (first_hi, len(first)) == (39, 20)  # the published list is unchanged
-        check_definitions(WINDOWS)
-
-    def test_one_comb_without_a_window_none_with_one(self, monkeypatch):
-        """A call with no usable window, cold or above the cap, seeds it
-        with one math.comb call; a warm call, widening or not, makes none."""
-        calls, values = [], []
-        comb = math.comb
-        monkeypatch.setattr(math, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
-        for ell, first, warm in ((20, 60, (60, 70, 45)), (20, 21, (21, 60)), (0, 60, (60, 30))):
-            coefficients._BINOM_WINDOWS.clear()
-            _EULERIAN2.row(ell)
-            for p, combs in ((first, 1), *((q, 0) for q in warm), (ROW_CAP + 1 + ell, 1)):
-                calls.clear()
-                coefficients._EULERIAN2_VALUES.clear()  # a kept value would skip the window
-                values.append((p, ell, c_eulerian2(p, ell)))
-                assert len(calls) == combs, (p, ell, calls)
-        monkeypatch.undo()
-        for p, ell, value in values:
-            assert value == eulerian2_sum(p, ell, _EULERIAN2.row(ell)), (p, ell)
-
-    def test_no_window_read_or_kept_above_cap(self, steps, monkeypatch):
-        c_eulerian2(ROW_CAP, 3)
-        held = dict(coefficients._BINOM_WINDOWS)
-        points = [(p, ell) for p in (ROW_CAP + 1, 2 * ROW_CAP) for ell in (0, 3, p // 2, p - 1)]
-        # Each row is rolled once and served to both the oracle and the route.
-        rows = {ell: _EULERIAN2.row(ell) for _, ell in points}
-        monkeypatch.setattr(_EULERIAN2, "row", rows.__getitem__)
-        for p, ell in points:
-            steps.clear()
-            assert c_eulerian2(p, ell) == eulerian2_sum(p, ell, rows[ell]), (p, ell)
-            assert len(steps) == min(len(rows[ell]), p - ell) - 1, (p, ell)
-        assert coefficients._BINOM_WINDOWS == held
+            assert c_eulerian2(p, ell) == expected[p], (p, call)
+            miss = call < misses
+            assert len(calls) == miss, (p, call, calls)
+            assert len(steps) == miss * (min(len(row), p - ell) - 1), (p, call)
+        assert ((p, ell) in coefficients._EULERIAN2_VALUES) == (p <= ROW_CAP), p
 
 
 # Runs a command and prints its exit code, its ru_maxrss from os.wait4 and
