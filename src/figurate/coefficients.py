@@ -23,9 +23,13 @@ route here computes the same c(p, ell) by a different mechanism:
                j - r, read from the route's own memos of p-th powers and half
                rows of signed binomials (_POWERS, _SIGNED), not a row table.
 
-The eulerian2 and alternating routes also keep each value they return for
-p <= ROW_CAP, each in a dict of its own (_EULERIAN2_VALUES,
-_ALTERNATING_VALUES), so a repeated point costs one lookup.
+Every route but closed and recurrence also keeps each value it returns
+for p <= ROW_CAP, in a dict of its own that no other route reads
+(_ENUM_K_VALUES, _ENUM_J_VALUES, _DECOMPOSE_VALUES, _EULERIAN2_VALUES,
+_ALTERNATING_VALUES), so a repeated point costs one lookup. Each checks
+(p, ell) before the lookup, so a float never reads an int's entry, and
+publishes a value once, whole, after computing it; a route that raises
+publishes nothing.
 
 Every route is the module function c_<name>(p, ell) with 0 <= ell <= p - 1,
 and ROUTE_TABLE is the one place a route is named: it maps each name, in
@@ -151,14 +155,42 @@ def c_closed(p: int, ell: int) -> int:
     return math.factorial(j) * stirling2(p, j)
 
 
+#: The enumerative routes' own values, one dict per route, read by no
+#: other route: (p, ell) -> c(p, ell) as the route returned it, published
+#: once, whole, after its stream has finished, for p <= ROW_CAP only: the
+#: bound of _EULERIAN2_VALUES. Behind the size guard the CLI fills at most
+#: the 105 points p <= 14, 3.0 KiB of int objects and 10.3 KiB of keys and
+#: dict per route, and no Tier-1 test leaves more than the 136 points
+#: p <= 16, 3.9 KiB of int objects (sys.getsizeof, CPython 3.11).
+_ENUM_K_VALUES: dict = {}
+_ENUM_J_VALUES: dict = {}
+_DECOMPOSE_VALUES: dict = {}
+
+
 def c_enum_k(p: int, ell: int) -> int:
-    """Sum of p! / prod((k_i + 1)!) over the admissible nonnegative tuples."""
-    return _multinomial_sum(_k_pairs(p, ell), _factorials(p), 1, _K_WEIGHTS)
+    """Sum of p! / prod((k_i + 1)!) over the admissible nonnegative tuples,
+    kept for p <= ROW_CAP (_ENUM_K_VALUES)."""
+    _check_pair(p, ell)
+    key = p, ell
+    value = _ENUM_K_VALUES.get(key)
+    if value is None:
+        value = _multinomial_sum(_k_pairs(p, ell), _factorials(p), 1, _K_WEIGHTS)
+        if p <= ROW_CAP:
+            _ENUM_K_VALUES[key] = value
+    return value
 
 
 def c_enum_j(p: int, ell: int) -> int:
-    """Sum of p! / prod(j_i!) over the admissible positive tuples."""
-    return _multinomial_sum(_j_pairs(p, ell), _factorials(p), 0, _J_WEIGHTS)
+    """Sum of p! / prod(j_i!) over the admissible positive tuples, kept for
+    p <= ROW_CAP (_ENUM_J_VALUES)."""
+    _check_pair(p, ell)
+    key = p, ell
+    value = _ENUM_J_VALUES.get(key)
+    if value is None:
+        value = _multinomial_sum(_j_pairs(p, ell), _factorials(p), 0, _J_WEIGHTS)
+        if p <= ROW_CAP:
+            _ENUM_J_VALUES[key] = value
+    return value
 
 
 def _recurrence_step(prev: Sequence[int], index: int) -> list:
@@ -204,11 +236,19 @@ def decompose_groups(p: int, j: int) -> list[tuple[int, int, int]]:
 
 
 def c_decompose(p: int, ell: int) -> int:
-    """The grouped composition sums at j = p - ell; p! for ell = 0."""
+    """The grouped composition sums at j = p - ell; p! for ell = 0. Kept
+    for p <= ROW_CAP (_DECOMPOSE_VALUES)."""
     _check_pair(p, ell)
-    if ell == 0:
-        return math.factorial(p)
-    return sum(weight * inner for _, weight, inner in decompose_groups(p, p - ell))
+    key = p, ell
+    value = _DECOMPOSE_VALUES.get(key)
+    if value is None:
+        if ell == 0:
+            value = math.factorial(p)
+        else:
+            value = sum(weight * inner for _, weight, inner in decompose_groups(p, p - ell))
+        if p <= ROW_CAP:
+            _DECOMPOSE_VALUES[key] = value
+    return value
 
 
 #: The eulerian2 route's own values, read by no other route: (p, ell) ->

@@ -34,12 +34,15 @@ otherwise by sliding one product of linear factors, dividing out and
 multiplying in the factors at its ends. The Faulhaber form is kept as the
 integers its derivation produces over L = (p+1)! (_faulhaber_form),
 derived and rebuilt by the same two steps, division and multiplication
-by (n + a); a Fraction or Polynomial is built only at the edge.
+by (n + a); a Fraction or Polynomial is built only at the edge. Each
+public entry point takes p and n through operator.index, so a float is
+refused, cold or warm, and never yields a float.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
@@ -181,37 +184,47 @@ _TERM_BUILDERS = {
 TERM_TAGS = tuple(_TERM_BUILDERS)
 
 #: Entries each lru cache here keeps. An entry grows like p^2 digits; 64
-#: hold lib-warm's working set (55 term lists, 11 Faulhaber forms), and a
-#: sweep of p = 2..400 peaks at 66 MB where no bound took 188 MB.
+#: hold lib-warm's working set (55 term lists, 11 Faulhaber forms, 24
+#: expansions), and a sweep of p = 2..400 (expansions to p = 100) peaks at
+#: 67 MB where no bound took 188 MB. The public caches are typed, so a
+#: float never reads the entry of the int it equals: it misses, and the
+#: body refuses it.
 _CACHE_SIZE = 64
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def representation(tag: str, p: int) -> tuple[tuple[int, int, int], ...]:
     """The terms (coefficient, dimension, shift) of one of the TERM_TAGS
     formulas, each standing for coefficient * F_(n+shift)^dimension."""
-    if p < 1:
-        raise ValueError(f"p must be positive, got {p}")
+    p = _check_p(p)
     if tag not in _TERM_BUILDERS:
         raise ValueError(f"unknown term formula {tag!r}; expected one of {TERM_TAGS}")
     return tuple(_TERM_BUILDERS[tag](p))
 
 
-def _check_n(n: int) -> None:
+def _check_p(p: int) -> int:
+    # operator.index raises TypeError on a non-integer, so no float enters.
+    p = operator.index(p)
+    if p < 1:
+        raise ValueError(f"p must be positive, got {p}")
+    return p
+
+
+def _check_n(n: int) -> int:
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    return n
 
 
 def _evaluate_terms(tag: str, n: int, p: int) -> int:
-    _check_n(n)
-    return sum(c * figurate(n + shift, dim) for c, dim, shift in representation(tag, p))
+    n = _check_n(n)
+    return sum(c * figurate(n + shift, dim) for c, dim, shift in representation(tag, _check_p(p)))
 
 
 def sum_brute(n: int, p: int) -> int:
     """S_p(n) by direct accumulation; the oracle for every formula here."""
-    if p < 1:
-        raise ValueError(f"p must be positive, got {p}")
-    _check_n(n)
+    p, n = _check_p(p), _check_n(n)
     return sum(r**p for r in range(1, n + 1))
 
 
@@ -288,7 +301,7 @@ def _faulhaber_form(p: int) -> tuple[tuple[int, ...], int]:
     return tuple(form), denom
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def faulhaber_coefficients(p: int) -> tuple[Fraction, ...]:
     """Coefficients (q_0, ..., q_(k-1)), k = p // 2, of the Faulhaber form of S_p(n):
 
@@ -300,6 +313,7 @@ def faulhaber_coefficients(p: int) -> tuple[Fraction, ...]:
     """
     from fractions import Fraction
 
+    p = operator.index(p)
     form, denom = _faulhaber_form(p)
     scale = 4 if p % 2 else 6
     return tuple(Fraction(r * scale << j, denom) for j, r in enumerate(form))
@@ -312,7 +326,7 @@ def faulhaber_eval(n: int, p: int) -> int:
     _faulhaber_form(p), times the prefactor (2n + 1) u or u^2, is divided
     by L with one divmod; a nonzero remainder raises RuntimeError.
     """
-    _check_n(n)
+    n, p = _check_n(n), operator.index(p)
     form, denom = _faulhaber_form(p)
     u = n * (n + 1)
     acc = 0
@@ -325,6 +339,7 @@ def faulhaber_eval(n: int, p: int) -> int:
     return value
 
 
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def expand_symbolic(p: int, tag: str) -> Polynomial:
     """The named representation expanded into one polynomial in n.
 
@@ -335,11 +350,15 @@ def expand_symbolic(p: int, tag: str) -> Polynomial:
     The Faulhaber form is rebuilt over L by Horner's rule in n(n + 1) over
     the integers (0, r_0, r_1, ...) of _faulhaber_form(p) for even p, then
     times (2n + 1), and over (0, 0, r_0, r_1, ...) for odd p.
+
+    Each expansion is kept in an lru_cache of _CACHE_SIZE entries: a
+    Polynomial and its Fractions are immutable, so callers share it.
     """
     from fractions import Fraction
 
     from .exact import Polynomial
 
+    p = operator.index(p)
     if tag in TERM_TAGS:
         coeffs, denom = _expand(representation(tag, p))
     elif tag == "faulhaber":

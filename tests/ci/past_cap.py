@@ -2,9 +2,9 @@
 
 Reads one value from each of four tables past ROW_CAP and fails unless the
 process peaks below 100 MB; stores a whole stirling2 triangle past the cap;
-then calls the alternating and eulerian2 routes past the cap and fails if
-either route's value memo keeps a key with p > ROW_CAP. Prints the peak
-RSS. Standard library only:
+then calls the alternating, eulerian2 and enumerative routes past the cap
+and fails if any route's value memo keeps a key with p > ROW_CAP. Prints
+the peak RSS. Standard library only:
 
     PYTHONPATH=src python tests/ci/past_cap.py
 """
@@ -24,5 +24,13 @@ assert peak_mb < 100, peak_mb
 
 coefficients.c_alternating(700, 350)
 coefficients.c_eulerian2(700, 300)
-for memo in (coefficients._ALTERNATING_VALUES, coefficients._EULERIAN2_VALUES):
+for route in (coefficients.c_enum_k, coefficients.c_enum_j, coefficients.c_decompose):
+    route(600, 1)
+for memo in (
+    coefficients._ALTERNATING_VALUES,
+    coefficients._EULERIAN2_VALUES,
+    coefficients._ENUM_K_VALUES,
+    coefficients._ENUM_J_VALUES,
+    coefficients._DECOMPOSE_VALUES,
+):
     assert all(p <= c.ROW_CAP for p, _ in memo), sorted(memo)

@@ -3,6 +3,7 @@
 import pytest
 
 import memo_table
+from figurate import powersum
 
 
 @pytest.fixture(autouse=True)
@@ -19,3 +20,21 @@ def empty_process_memos():
     memo_table.clear()
     yield
     memo_table.clear()
+
+
+@pytest.fixture
+def fresh_powersum_caches():
+    """Empties the powersum lru caches before and after the test, for one
+    that plants a fault under them: it reads no entry built before its
+    fault and leaves none built under it."""
+    caches = (
+        powersum.representation,
+        powersum._faulhaber_form,
+        powersum.faulhaber_coefficients,
+        powersum.expand_symbolic,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

@@ -1,6 +1,6 @@
 """The process memos of figurate, each declared once with its contract.
 
-MEMOS lists the eight module-level dicts that figurate keeps for the
+MEMOS lists the eleven module-level dicts that figurate keeps for the
 process. A call must return the certified value whatever earlier calls
 left in them, so each entry states a sweep of calls with values from no
 memo, run cold and then warm, during which no published value changes (a
@@ -23,10 +23,13 @@ from typing import Callable, NamedTuple
 
 from figurate import coefficients, enumeration
 from figurate.coefficients import (
+    _ENUM_J_VALUES,
+    _ENUM_K_VALUES,
     ROUTES,
     RouteReport,
     c_alternating,
     c_closed,
+    c_decompose,
     c_enum_j,
     c_enum_k,
     c_eulerian2,
@@ -241,7 +244,7 @@ def _certified(p, ell):
     return RouteReport(dict.fromkeys(ROUTES, c_closed(p, ell)), ())
 
 
-def _weights(name, blocks, route, shift):
+def _weights(name, blocks, route, values, shift):
     def holds(key, value):
         block, lcm, n = value
         dens = [math.prod(math.factorial(e + shift) for e in t) for t in block]
@@ -257,11 +260,14 @@ def _weights(name, blocks, route, shift):
         assert weights.keys() <= kept, (name, "a block its family does not keep")
         return len(weights), len(kept)
 
-    racing = (route, c_closed, [(p, ell) for p in range(8, 13) for ell in range(p)])
-    sweep = (certify, _certified, _pairs)
+    # Through _unkept, so that a repeated point weighs its blocks again.
+    racing = (_unkept(route, values), c_closed, _EIGHT_TO_TWELVE)
+    sweep = (_unkept(certify, values), _certified, _pairs)
     return Memo(name, sweep, (10, 14), racing, 5, holds, bound, lambda value: value[1:])
 
 
+#: The race points of the block weights and the enumerative values.
+_EIGHT_TO_TWELVE = [(p, ell) for p in range(8, 13) for ell in range(p)]
 #: The alternating races' points: p = 60, 200 and 400, ell = p/10..9p/10.
 _FRACTIONS = sorted({(p, p * f // 10) for p in (60, 200, 400) for f in range(1, 10)})
 #: The race points of _EULERIAN2_VALUES: several p at each ell, so that
@@ -270,10 +276,10 @@ _COLUMNS = [(p, ell) for ell in range(2, 200, 6) for p in range(ell + 1, 211, 9)
 
 
 def _unkept(route, values):
-    """route(p, ell) with the value it kept at (p, ell), if any, dropped
-    first, so that a repeated point reads the route's rows again; in a
-    race, another thread can still publish that value before the call
-    reads it."""
+    """route(p, ell) with the value kept at (p, ell) in values, if any,
+    dropped first, so that a repeated point reads the route's rows (or
+    blocks and weights) again; in a race, another thread can still publish
+    that value before the call reads it."""
 
     def call(p, ell):
         values.pop((p, ell), None)
@@ -310,9 +316,14 @@ def surjections(p, ell):
     return sum((-1) ** r * math.comb(j, r) * (j - r) ** p for r in range(j))
 
 
-def _values(name, route, racing):
-    def past_cap(top):  # every point to top, then points on either side of the cap
-        ends = [(p, ell) for p in (ROW_CAP, ROW_CAP + 1) for ell in (0, 1, 20, p - 20, p - 1)]
+def _values(name, route, racing, enumerative=False):
+    # Every point to p = 14 (Tier-1) or 16 (CI), then small ell on either
+    # side of the cap, for an enumerative route; every point to p = 40 or
+    # 200, then small and large ell there, for a table route.
+    tops, ells = ((14, 16), (0, 1)) if enumerative else ((40, 200), (0, 1, 20, -20, -1))
+    ends = [(p, ell % p) for p in (ROW_CAP, ROW_CAP + 1) for ell in ells]
+
+    def past_cap(top):
         return [*_pairs(top), *ends]
 
     def holds(key, value):
@@ -322,7 +333,7 @@ def _values(name, route, racing):
         return max((p for p, _ in values), default=0), ROW_CAP
 
     sweep = (route, c_closed, past_cap)
-    return Memo(name, sweep, (40, 200), (route, c_closed, racing), 5, holds, bound, lambda v: [v])
+    return Memo(name, sweep, tops, (route, c_closed, racing), 5, holds, bound, lambda v: [v])
 
 
 MEMOS = {
@@ -330,12 +341,15 @@ MEMOS = {
     for memo in (
         _blocks("enumeration._K_BLOCKS", enumerate_k_tuples, recursive_k_tuples, 0),
         _blocks("enumeration._J_BLOCKS", enumerate_j_tuples, recursive_j_tuples, 1),
-        _weights("coefficients._K_WEIGHTS", "enumeration._K_BLOCKS", c_enum_k, 1),
-        _weights("coefficients._J_WEIGHTS", "enumeration._J_BLOCKS", c_enum_j, 0),
+        _weights("coefficients._K_WEIGHTS", "enumeration._K_BLOCKS", c_enum_k, _ENUM_K_VALUES, 1),
+        _weights("coefficients._J_WEIGHTS", "enumeration._J_BLOCKS", c_enum_j, _ENUM_J_VALUES, 0),
         _alternating("coefficients._POWERS", lambda p, row: row == _powers(p, len(row))),
         _alternating("coefficients._SIGNED", lambda j, row: row == _signed_half(j)),
         _values("coefficients._ALTERNATING_VALUES", c_alternating, _FRACTIONS),
         _values("coefficients._EULERIAN2_VALUES", c_eulerian2, _COLUMNS),
+        _values("coefficients._ENUM_K_VALUES", c_enum_k, _EIGHT_TO_TWELVE, enumerative=True),
+        _values("coefficients._ENUM_J_VALUES", c_enum_j, _EIGHT_TO_TWELVE, enumerative=True),
+        _values("coefficients._DECOMPOSE_VALUES", c_decompose, _EIGHT_TO_TWELVE, enumerative=True),
     )
 }
 

@@ -481,15 +481,10 @@ class TestFaulhaber:
         code, _, err = run(capsys, "faulhaber", "--p", "1")
         assert code == 2
 
+    @pytest.mark.usefixtures("fresh_powersum_caches")
     def test_failed_derivation_is_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr(powersum, "_brute_sums", lambda p, count: [n**p for n in range(count)])
-        powersum._faulhaber_form.cache_clear()
-        powersum.faulhaber_coefficients.cache_clear()
-        try:
-            code, out, err = run(capsys, "faulhaber", "--p", "6")
-        finally:
-            powersum._faulhaber_form.cache_clear()
-            powersum.faulhaber_coefficients.cache_clear()
+        code, out, err = run(capsys, "faulhaber", "--p", "6")
         assert code == 3
         assert out == ""
         assert err.startswith("internal error: ")

@@ -29,6 +29,7 @@ from figurate.coefficients import (
     summand_count,
     w_sum,
 )
+from memo_table import _unkept
 from reference import TRIANGLE_9
 
 ENUMERATIVE = {route for route, enumerative in ROUTE_TABLE.items() if enumerative}
@@ -139,11 +140,15 @@ class TestBlockWeights:
 
     @pytest.mark.parametrize("route", ["enum_k", "enum_j"])
     def test_second_call_weighs_no_block(self, route):
+        # The second call drops the value the first kept, so it streams the
+        # kept blocks and reads their kept weights.
         weights, blocks, _, shift = WEIGHED[route]
         value = coefficient(12, 6, route)
         held = dict(weights)
         assert held
-        assert coefficient(12, 6, route) == value == c_closed(12, 6)
+        values = getattr(coefficients, f"_{route.upper()}_VALUES")
+        assert _unkept(getattr(coefficients, f"c_{route}"), values)(12, 6) == value
+        assert value == c_closed(12, 6)
         assert weights.keys() == held.keys()
         assert all(weights[key] is entry for key, entry in held.items())
         # One entry per block the family's memo holds, its (L, N) from its tuples.

@@ -538,10 +538,15 @@ class TestRouteIndependence:
             for p, how in ((6, " raised"), (7, ""))
         ]
 
-    #: (route, its value memo, the planted point (p, ell)).
+    #: (route, its value memo, the planted point (p, ell)). The decompose
+    #: point has ell = 0, which verify's composition identity, reading the
+    #: decompose values at ell >= 1, does not read.
     VALUE_PLANTS = [
         ("alternating", "_ALTERNATING_VALUES", (6, 2)),
         ("eulerian2", "_EULERIAN2_VALUES", (8, 5)),
+        ("enum_k", "_ENUM_K_VALUES", (7, 3)),
+        ("enum_j", "_ENUM_J_VALUES", (5, 1)),
+        ("decompose", "_DECOMPOSE_VALUES", (7, 0)),
     ]
 
     @pytest.mark.parametrize("route, memo, point", VALUE_PLANTS)

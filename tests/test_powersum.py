@@ -276,6 +276,7 @@ class TestFaulhaber:
                 assert faulhaber_eval(n, p) == sum_brute(n, p), (n, p)
 
     @pytest.mark.parametrize("p, n", [(3, 1), (6, 2), (11, 5)])
+    @pytest.mark.usefixtures("fresh_powersum_caches")
     def test_planted_non_integral_coefficient_is_refused(self, p, n, monkeypatch, capsys):
         # The last integer r_j one too large: the value at n is off by
         # w u^(1 + p % 2 + last) / L, which is no integer at these (p, n).
@@ -345,6 +346,46 @@ class TestSymbolic:
             expand_symbolic(4, "bernoulli")
 
 
+#: Each public powersum entry point, with integer arguments it accepts.
+ENTRY_POINTS = [
+    (representation, ("eq5", 5)),
+    (sum_brute, (5, 3)),
+    (power_via_ml1, (5, 3)),
+    (sum_eq5, (5, 3)),
+    (sum_stirling, (5, 3)),
+    (sum_eulerian, (5, 3)),
+    (sum_variant, (5, 3)),
+    (faulhaber_coefficients, (4,)),
+    (faulhaber_eval, (5, 4)),
+    (expand_symbolic, (5, "eq5")),
+    (expand_symbolic, (5, "faulhaber")),
+    *((evaluate_formula, (tag, 5, 4)) for tag in FORMULA_TAGS),
+    (figurate, (5, 3)),
+]
+
+#: Each entry point's arguments with one integer made a float.
+FLOATED = [
+    pytest.param(fn, args, floated, id=f"{fn.__name__}{floated}")
+    for fn, args in ENTRY_POINTS
+    for at, x in enumerate(args)
+    if type(x) is int
+    for floated in [(*args[:at], float(x), *args[at + 1 :])]
+]
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("entry, args, floated", FLOATED)
+@pytest.mark.usefixtures("fresh_powersum_caches")
+def test_every_entry_point_refuses_a_float(entry, args, floated, warm):
+    """A float equal to an int is refused with TypeError, never answered
+    (with a float or otherwise), also after a call with that int, which a
+    cache keeps under a key the float would equal."""
+    if warm:
+        entry(*args)
+    with pytest.raises(TypeError):
+        entry(*floated)
+
+
 class TestDispatch:
     def test_flag_table(self):
         assert set(FORMULA_FLAGS.values()) == set(FORMULA_TAGS)
@@ -404,16 +445,17 @@ def lib_warm_pass():
 
 
 class TestCacheBound:
-    CACHES = (representation, powersum._faulhaber_form, faulhaber_coefficients)
+    CACHES = (representation, powersum._faulhaber_form, faulhaber_coefficients, expand_symbolic)
 
     def test_second_lib_warm_pass_adds_no_miss(self):
-        # The caches are bounded, and lib-warm's keys (55 term lists and
-        # 11 Faulhaber forms) still fit: a second pass finds every one.
+        # The caches are bounded, and lib-warm's keys (55 term lists, 11
+        # Faulhaber forms and 24 expansions) still fit: a second pass finds
+        # every one.
         for cache in self.CACHES:
             cache.cache_clear()
         lib_warm_pass()
         first = [cache.cache_info() for cache in self.CACHES]
-        assert [info.misses for info in first] == [55, 11, 11]
+        assert [info.misses for info in first] == [55, 11, 11, 24]
         lib_warm_pass()
         assert [cache.cache_info().misses for cache in self.CACHES] == [
             info.misses for info in first

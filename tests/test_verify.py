@@ -79,6 +79,7 @@ def test_faulhaber_nonzero_covers_p12_at_small_pmax(monkeypatch):
     assert report.failed == 1
 
 
+@pytest.mark.usefixtures("fresh_powersum_caches")
 def test_eulerian_symmetry_covers_p12_at_small_pmax(monkeypatch):
     real = powersum.representation
 
